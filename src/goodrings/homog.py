@@ -8,7 +8,9 @@ raw data, so a trace is evidence rather than a narration.
 
 from __future__ import annotations
 
+import functools
 import re
+import struct
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterator, Optional, Sequence
@@ -33,6 +35,25 @@ from .witness import (
 )
 
 _VAR_RE = re.compile(r"^x([0-9]+)(\^([0-9]+))?$")
+
+# exponent fields of a packed monomial key, narrowest first: (bits, struct code)
+_KEY_FIELDS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+
+
+@functools.cache
+def _key_struct(n_vars: int, code: str) -> struct.Struct:
+    return struct.Struct(f"<{n_vars}{code}")
+
+
+def _key_codec(n_vars: int, degree: int) -> struct.Struct:
+    """The struct that packs n_vars exponents into little-endian unsigned
+    fields of the narrowest width holding every value up to degree."""
+    for bits, code in _KEY_FIELDS:
+        if degree < 1 << bits:
+            return _key_struct(n_vars, code)
+    raise ValueError(
+        f"product degree {degree} exceeds the packed exponent limit 2**64 - 1"
+    )
 
 
 def monomial_exponents(n_vars: int, degree: int) -> Iterator[tuple]:
@@ -75,7 +96,11 @@ class HomogeneousPolynomial:
         zero = ring.zero()
         for exps, c in terms.items():
             exps = tuple(exps)
-            if len(exps) != n_vars or any(e < 0 for e in exps) or sum(exps) != degree:
+            if (
+                len(exps) != n_vars
+                or any(not isinstance(e, int) or e < 0 for e in exps)
+                or sum(exps) != degree
+            ):
                 raise ValueError(
                     f"exponents {exps} do not fit degree {degree} in {n_vars} variables"
                 )
@@ -85,6 +110,28 @@ class HomogeneousPolynomial:
         self.n_vars = n_vars
         self.degree = degree
         self.terms = clean
+
+    @classmethod
+    def _from_trusted(
+        cls, ring: Ring, n_vars: int, degree: int, terms: dict
+    ) -> "HomogeneousPolynomial":
+        """Build from exponent tuples this class made itself: copies or
+        sums of keys that already passed __init__, or the multinomial
+        exponents of _int_linear_power.
+
+        Such keys have the right length, no negative entry and the right
+        degree by construction, so checking them again would prove nothing
+        while costing a pass over every term of every product. Zero
+        coefficients are still dropped, with ring.eq.
+        """
+        zero = ring.zero()
+        eq = ring.eq
+        poly = object.__new__(cls)
+        poly.ring = ring
+        poly.n_vars = n_vars
+        poly.degree = degree
+        poly.terms = {e: c for e, c in terms.items() if not eq(c, zero)}
+        return poly
 
     @property
     def is_zero(self) -> bool:
@@ -135,11 +182,13 @@ class HomogeneousPolynomial:
                 merged[exps] = ring.add(merged[exps], c)
             else:
                 merged[exps] = c
-        return HomogeneousPolynomial(ring, self.n_vars, self.degree, merged)
+        return HomogeneousPolynomial._from_trusted(
+            ring, self.n_vars, self.degree, merged
+        )
 
     def neg(self) -> "HomogeneousPolynomial":
         ring = self.ring
-        return HomogeneousPolynomial(
+        return HomogeneousPolynomial._from_trusted(
             ring,
             self.n_vars,
             self.degree,
@@ -151,7 +200,7 @@ class HomogeneousPolynomial:
 
     def scale(self, c) -> "HomogeneousPolynomial":
         ring = self.ring
-        return HomogeneousPolynomial(
+        return HomogeneousPolynomial._from_trusted(
             ring,
             self.n_vars,
             self.degree,
@@ -159,27 +208,47 @@ class HomogeneousPolynomial:
         )
 
     def mul(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
+        """The product, accumulated over packed monomial keys.
+
+        Each exponent tuple becomes one int with a little-endian unsigned
+        field per variable (after Monagan & Pearce, Sparse polynomial
+        multiplication and division in Maple 14, 2009). The field width is
+        the narrowest of 8, 16, 32 and 64 bits that holds the product's
+        degree. A factor's exponents are at most its degree, so each field
+        of a sum of two keys is at most the product's degree: adding keys
+        never carries into the next field, and the sum is the key of the
+        product monomial. A product of degree 2**64 or more raises
+        ValueError rather than wrap a field.
+        """
         self._require_compatible(other)
         degree = self.degree + other.degree
         if self.is_zero or other.is_zero:
             return HomogeneousPolynomial.zero(self.ring, self.n_vars, degree)
+        codec = _key_codec(self.n_vars, degree)
+        pack = codec.pack
+        from_bytes = int.from_bytes
+        left = [(from_bytes(pack(*e), "little"), c) for e, c in self.terms.items()]
+        right = [(from_bytes(pack(*e), "little"), c) for e, c in other.terms.items()]
         ring = self.ring
         acc: dict = {}
         if isinstance(ring, Integers):
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    acc[key] = acc.get(key, 0) + c1 * c2
-            return HomogeneousPolynomial(ring, self.n_vars, degree, acc)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = ring.mul(c1, c2)
-                if key in acc:
-                    acc[key] = ring.add(acc[key], prod)
-                else:
-                    acc[key] = prod
-        return HomogeneousPolynomial(ring, self.n_vars, degree, acc)
+            get = acc.get
+            for k1, c1 in left:
+                for k2, c2 in right:
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + c1 * c2
+        else:
+            for k1, c1 in left:
+                for k2, c2 in right:
+                    key = k1 + k2
+                    prod = ring.mul(c1, c2)
+                    if key in acc:
+                        acc[key] = ring.add(acc[key], prod)
+                    else:
+                        acc[key] = prod
+        unpack, size = codec.unpack, codec.size
+        terms = {unpack(k.to_bytes(size, "little")): c for k, c in acc.items()}
+        return HomogeneousPolynomial._from_trusted(ring, self.n_vars, degree, terms)
 
     def pow(self, n: int) -> "HomogeneousPolynomial":
         if n < 0:
@@ -226,7 +295,7 @@ class HomogeneousPolynomial:
                 rest -= e
                 key[idx] = e
             acc[tuple(key)] = coeff
-        return HomogeneousPolynomial(self.ring, self.n_vars, n, acc)
+        return HomogeneousPolynomial._from_trusted(self.ring, self.n_vars, n, acc)
 
     def eval(self, coords: Sequence):
         if len(coords) != self.n_vars:

@@ -25,7 +25,7 @@ from goodrings.homog import (
     replay_trace,
     section_ideal_generators,
 )
-from goodrings.rings import Integers, PrimeField, RationalPoly
+from goodrings.rings import Integers, IntegersMod, PrimeField, RationalPoly
 
 Z = Integers()
 QT = RationalPoly()
@@ -103,27 +103,71 @@ def test_parse_accepts_any_term_order_and_merging():
     assert P("x2*x1 + x1*x2") == P("2*x1*x2")
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    st.dictionaries(
-        st.tuples(st.integers(0, 3)).map(lambda e: (e[0], 3 - e[0])),
-        st.integers(-9, 9),
-        max_size=4,
-    ),
-    st.dictionaries(
-        st.tuples(st.integers(0, 3)).map(lambda e: (e[0], 3 - e[0])),
-        st.integers(-9, 9),
-        max_size=4,
-    ),
-    st.integers(-5, 5),
-    st.integers(-5, 5),
+# products with a factor x_i^lift: at lift 249 or 65529 the product's degree
+# is 255 or 65535, the most an 8- or 16-bit exponent field holds (x_i^3 in
+# both factors fills the field); one more and it needs the next wider field
+_LIFTS = (0, 249, 250, 65529, 65530)
+
+
+@st.composite
+def _arithmetic_case(draw):
+    ring = draw(st.sampled_from((Z, IntegersMod(12), IntegersMod(7))))
+    n_vars = draw(st.sampled_from((2, 3)))
+    coeff = st.integers(-9, 9).map(lambda c: c if ring is Z else c % ring.n)
+    terms = st.dictionaries(
+        st.sampled_from(list(monomial_exponents(n_vars, 3))), coeff, max_size=4
+    )
+    lift = [0] * n_vars
+    lift[draw(st.integers(0, n_vars - 1))] = draw(st.sampled_from(_LIFTS))
+    pt = tuple(draw(st.integers(-5, 5)) for _ in range(n_vars))
+    if ring is not Z:
+        pt = tuple(x % ring.n for x in pt)
+    return ring, n_vars, draw(terms), draw(terms), tuple(lift), pt
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_arithmetic_case())
+def test_arithmetic_commutes_with_evaluation(case):
+    ring, n_vars, t1, t2, lift, pt = case
+    f = HomogeneousPolynomial(ring, n_vars, 3, t1)
+    g = HomogeneousPolynomial(ring, n_vars, 3, t2)
+    assert ring.eq(f.add(g).eval(pt), ring.add(f.eval(pt), g.eval(pt)))
+    h = g.mul(HomogeneousPolynomial.monomial(ring, n_vars, lift, ring.one()))
+    product = f.mul(h)
+    assert product.degree == 6 + sum(lift)
+    assert ring.eq(product.eval(pt), ring.mul(f.eval(pt), h.eval(pt)))
+    for poly in (h, product):
+        for exps in poly.terms:
+            assert type(exps) is tuple and len(exps) == n_vars
+            assert all(type(e) is int and e >= 0 for e in exps)
+            assert sum(exps) == poly.degree
+    # the product term by term over exponent tuples, as the reference
+    expected: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in h.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            expected[key] = ring.add(expected.get(key, ring.zero()), ring.mul(c1, c2))
+    assert product == HomogeneousPolynomial(ring, n_vars, product.degree, expected)
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [(2,), (1, 1, 0), (3, -1), (1, 0), (1.5, 0.5)],
+    ids=["short", "long", "negative", "wrong-degree", "non-integer"],
 )
-def test_arithmetic_commutes_with_evaluation(t1, t2, x, y):
-    f = HomogeneousPolynomial(Z, 2, 3, t1)
-    g = HomogeneousPolynomial(Z, 2, 3, t2)
-    pt = (x, y)
-    assert f.add(g).eval(pt) == f.eval(pt) + g.eval(pt)
-    assert f.mul(g).eval(pt) == f.eval(pt) * g.eval(pt)
+def test_constructor_rejects_malformed_exponents(exps):
+    with pytest.raises(ValueError):
+        HomogeneousPolynomial(Z, 2, 2, {exps: 1})
+    with pytest.raises(ValueError):
+        HomogeneousPolynomial(Z, 2, 2, {(1, 1): 1, exps: 1})
+
+
+def test_mul_rejects_degree_past_64_bit_fields():
+    big = HomogeneousPolynomial.monomial(Z, 2, (2**63, 0), 1)
+    with pytest.raises(ValueError, match=r"2\*\*64 - 1"):
+        big.mul(big)
+    top = big.mul(HomogeneousPolynomial.monomial(Z, 2, (2**63 - 1, 0), 1))
+    assert top.terms == {(2**64 - 1, 0): 1}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
