@@ -131,11 +131,12 @@ def _cmd_construct(args) -> tuple:
     except WitnessSearchExhausted as exc:
         return 3, CommandResult("exhausted", {"bound": exc.bound}, (str(exc),))
     replay_trace(ring, trace)
-    values = [ring.format_element(poly.eval(p.coordinates)) for p in points]
+    # replay has checked the last step's values against its own evaluations
+    values = trace.steps[-1].values if trace.steps else (ring.one(),)
     payload = {
         "polynomial": poly.format(),
         "degree": poly.degree,
-        "values": values,
+        "values": [ring.format_element(v) for v in values],
     }
     return 0, CommandResult("ok", payload, ())
 

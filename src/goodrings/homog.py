@@ -2,8 +2,14 @@
 
 A construction run leaves a full trace: the minor values, the combination
 certificates, the degree-1 forms, the witness used at each extension, and
-each intermediate result. replay_trace recomputes every identity from the
-raw data, so a trace is evidence rather than a narration.
+each intermediate result with its values at the points covered so far.
+replay_trace recomputes every identity from the raw data, so a trace is
+evidence rather than a narration; it rechecks the recorded values against
+its own evaluations and never reads them in place of one.
+
+Each step polynomial is evaluated once per point. A step's values at the
+covered points carry over to the next step, which needs them both for its
+precondition and for its post-check R(p) = P(p)^(alpha*N).
 """
 
 from __future__ import annotations
@@ -436,7 +442,8 @@ def linear_form_for_point(ring: Ring, point: PrimitivePoint) -> HomogeneousPolyn
     if not verify_certificate(ring, point.coordinates, point.certificate):
         raise PreconditionError("primitivity certificate does not verify")
     form = HomogeneousPolynomial.linear(ring, point.certificate.coefficients)
-    assert ring.eq(form.eval(point.coordinates), ring.one())
+    if not ring.eq(form.eval(point.coordinates), ring.one()):
+        raise GoodRingsError("the certificate form does not take the value 1")
     return form
 
 
@@ -539,6 +546,7 @@ class ExtensionStep:
     linear_form: HomogeneousPolynomial  # W with W(q) = 1
     filler_exponent: int  # N*alpha*deg(P) - k
     result: HomogeneousPolynomial
+    values: tuple  # result's values at covered + (new_point,), in that order
 
 
 @dataclass(frozen=True)
@@ -557,6 +565,8 @@ def extend_unit_valued(
     covered: Sequence[PrimitivePoint],
     new_point: PrimitivePoint,
     witness_bound: int = 10000,
+    *,
+    covered_values: Optional[Sequence] = None,
 ) -> tuple:
     """One inductive step: from P unit-valued on the covered points, build R
     unit-valued on covered + new, together with the step record.
@@ -564,6 +574,15 @@ def extend_unit_valued(
     R = (P^alpha)^N + lam * prod(B_t) * W^e, where the B_t are degree-1
     forms vanishing at their covered point, (N, lam, eps) is a witness for
     (prod B_t(q), P(q)^alpha), W(q) = 1, and e pads the degree.
+
+    covered_values, when given, are P's values at the covered points, in
+    order, and P is not evaluated there; without them P is evaluated once
+    per covered point. Supplied values need no trust. Every B_t vanishes at
+    its point, so R(p) = P(p)^(alpha*N) at each covered p, and the
+    post-check evaluates R there and requires R(p) = v^(alpha*N) with that
+    value a unit. A wrong v fails that check; one that passes it makes
+    P(p)^(alpha*N) a unit, hence P(p) a unit, which is all the step needs.
+    The step record keeps R's own values, never the supplied ones.
     """
     pts = list(covered)
     k = len(pts)
@@ -578,8 +597,12 @@ def extend_unit_valued(
     n = poly.n_vars
     if len(new_point.coordinates) != n or any(len(p) != n for p in pts):
         raise PreconditionError("points and polynomial disagree on dimension")
-    for p in pts:
-        if not ring.is_unit(poly.eval(p.coordinates)):
+    if covered_values is None:
+        covered_values = [poly.eval(p.coordinates) for p in pts]
+    elif len(covered_values) != k:
+        raise PreconditionError("one covered value per covered point is required")
+    for v in covered_values:
+        if not ring.is_unit(v):
             raise PreconditionError(
                 "the polynomial is not unit-valued on a covered point"
             )
@@ -650,7 +673,8 @@ def extend_unit_valued(
         identity = ring.add(ring.mul(pq, c_t), ring.mul(w_t, v))
         if not ring.eq(identity, ring.one()):
             raise GoodRingsError("combination certificate failed verification")
-        assert ring.eq(form.eval(pc), ring.zero())
+        if not ring.eq(form.eval(pc), ring.zero()):
+            raise GoodRingsError("a combination form does not vanish at its point")
         forms.append(form)
         values.append(v)
 
@@ -685,11 +709,19 @@ def extend_unit_valued(
     tail = prod_b.mul(w_form.pow(e)).scale(w.lam)
     result = head.add(tail)
 
-    assert ring.eq(result.eval(q), w.epsilon)
-    for p in pts:
-        expected = ring.pow(poly.eval(p.coordinates), alpha * w.N)
-        assert ring.eq(result.eval(p.coordinates), expected)
-        assert ring.is_unit(expected)
+    at_q = result.eval(q)
+    if not ring.eq(at_q, w.epsilon):
+        raise GoodRingsError("the result does not take the witness unit at q")
+    point_values = []
+    for p, v in zip(pts, covered_values):
+        expected = ring.pow(v, alpha * w.N)
+        value = result.eval(p.coordinates)
+        if not (ring.eq(value, expected) and ring.is_unit(expected)):
+            raise GoodRingsError(
+                "the result is not the unit P(p)^(alpha*N) at a covered point"
+            )
+        point_values.append(value)
+    point_values.append(at_q)
 
     step = ExtensionStep(
         new_point=new_point,
@@ -705,6 +737,7 @@ def extend_unit_valued(
         linear_form=w_form,
         filler_exponent=e,
         result=result,
+        values=tuple(point_values),
     )
     return result, step
 
@@ -735,12 +768,16 @@ def construct_unit_valued(
     base_form = current
     steps = []
     covered = [base]
+    values = (ring.one(),)  # linear_form_for_point checked the base value
     for q in pts[1:]:
-        current, step = extend_unit_valued(ring, current, covered, q, witness_bound)
+        current, step = extend_unit_valued(
+            ring, current, covered, q, witness_bound, covered_values=values
+        )
         steps.append(step)
         covered.append(q)
-    for p in pts:
-        assert ring.is_unit(current.eval(p.coordinates))
+        values = step.values
+    if not all(ring.is_unit(v) for v in values):
+        raise GoodRingsError("the constructed polynomial is not unit-valued")
     return current, ConstructionTrace(base, base_form, tuple(steps))
 
 
@@ -750,7 +787,9 @@ def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
     Returns the final polynomial on success and raises GoodRingsError at the
     first mismatch. Nothing is trusted: minors, combination identities, the
     forms, the witness, the filler exponent, and each intermediate result
-    are all rebuilt or checked independently.
+    are all rebuilt or checked independently. The recorded point values
+    must equal replay's own evaluations of its rebuilt results, which carry
+    over from step to step as they do in construct_unit_valued.
     """
 
     def ensure(cond: bool, message: str) -> None:
@@ -764,12 +803,11 @@ def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
     )
     rebuilt = HomogeneousPolynomial.linear(ring, base.certificate.coefficients)
     ensure(trace.base_form == rebuilt, "base form does not match its certificate")
-    ensure(
-        ring.eq(trace.base_form.eval(base.coordinates), ring.one()),
-        "base form does not evaluate to 1",
-    )
+    base_value = trace.base_form.eval(base.coordinates)
+    ensure(ring.eq(base_value, ring.one()), "base form does not evaluate to 1")
     poly = trace.base_form
     covered = [base]
+    values = [base_value]
     n = poly.n_vars
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for step in trace.steps:
@@ -852,17 +890,28 @@ def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
         tail = prod_b.mul(w_form.pow(step.filler_exponent)).scale(w.lam)
         result = head.add(tail)
         ensure(result == step.result, "recorded result differs from the formula")
+        at_q = result.eval(q)
         ensure(
-            ring.eq(result.eval(q), w.epsilon),
+            ring.eq(at_q, w.epsilon),
             "result does not take the witness unit at q",
         )
-        for p in covered:
-            expected = ring.pow(poly.eval(p.coordinates), alpha * w.N)
+        next_values = []
+        for p, v in zip(covered, values):
+            expected = ring.pow(v, alpha * w.N)
+            value = result.eval(p.coordinates)
             ensure(
-                ring.eq(result.eval(p.coordinates), expected),
+                ring.eq(value, expected),
                 "result value drifted at a covered point",
             )
             ensure(ring.is_unit(expected), "covered value is no longer a unit")
+            next_values.append(value)
+        next_values.append(at_q)
+        ensure(
+            len(step.values) == len(next_values)
+            and all(ring.eq(r, v) for r, v in zip(step.values, next_values)),
+            "recorded point values differ from the result's",
+        )
         poly = result
         covered.append(q_pt)
+        values = next_values
     return poly

@@ -6,6 +6,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 import goodrings
 from goodrings.cli import run
 
@@ -62,6 +64,24 @@ def test_construct_three_points():
     assert out["payload"]["polynomial"] == "x1^2-x1*x2+x2^2"
     assert out["payload"]["degree"] == 2
     assert out["payload"]["values"] == ["1", "1", "1"]
+
+
+@pytest.mark.parametrize(
+    "ring_spec, coords",
+    [("Z", [(5, 2)]), ("Z/12", [(5, 7)]), ("Z/12", [(1, 0), (0, 1), (1, 1)])],
+)
+def test_construct_values_are_the_polynomial_values(ring_spec, coords):
+    from goodrings.homog import HomogeneousPolynomial
+    from goodrings.rings import parse_ring
+
+    points = ";".join(f"({x},{y})" for x, y in coords)
+    code, out = invoke("construct", "--ring", ring_spec, "--points", points)
+    assert code == 0
+    ring = parse_ring(ring_spec)
+    poly = HomogeneousPolynomial.parse(ring, 2, out["payload"]["polynomial"])
+    assert out["payload"]["values"] == [
+        ring.format_element(poly.eval(c)) for c in coords
+    ]
 
 
 def test_construct_emitted_polynomial_reparses():

@@ -1,6 +1,7 @@
 """Homogeneous polynomials, section ideals, constructor, trace replay."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -354,6 +355,57 @@ def test_extend_rejects_non_unit_value():
     assert out.eval((0, 1)) in (1, -1)
 
 
+def test_extend_accepts_checked_covered_values():
+    pts = _points(Z, [(1, 0)])
+    q = require_primitive(Z, (0, 1))
+    poly = P("x1")
+    out, step = extend_unit_valued(Z, poly, pts, q)
+    again, _ = extend_unit_valued(Z, poly, pts, q, covered_values=(1,))
+    assert again == out
+    assert step.values == (out.eval((1, 0)), out.eval((0, 1)))
+    # alpha*N is odd here, so a unit of the wrong sign shows in R(p)
+    assert step.alpha * step.witness.N % 2 == 1
+    with pytest.raises(GoodRingsError) as info:
+        extend_unit_valued(Z, poly, pts, q, covered_values=(-1,))
+    assert not isinstance(info.value, PreconditionError)
+    with pytest.raises(PreconditionError):
+        extend_unit_valued(Z, poly, pts, q, covered_values=(2,))
+    with pytest.raises(PreconditionError):
+        extend_unit_valued(Z, poly, pts, q, covered_values=())
+
+
+def test_extend_postcheck_raises_without_assert(monkeypatch):
+    # the post-checks are explicit raises, so python -O keeps them
+    monkeypatch.setattr(HomogeneousPolynomial, "add", lambda self, other: self)
+    pts = _points(Z, [(1, 0)])
+    with pytest.raises(GoodRingsError):
+        extend_unit_valued(Z, P("x1"), pts, require_primitive(Z, (0, 1)))
+
+
+def _count_evals(monkeypatch) -> Counter:
+    seen: Counter = Counter()
+    alive = []  # keeps every evaluated polynomial, so no id is reused
+    original = HomogeneousPolynomial.eval
+
+    def counted(self, coords):
+        alive.append(self)
+        seen[id(self), tuple(coords)] += 1
+        return original(self, coords)
+
+    monkeypatch.setattr(HomogeneousPolynomial, "eval", counted)
+    return seen
+
+
+def test_each_polynomial_is_evaluated_once_per_point(monkeypatch):
+    pts = _points(Z, [(2, 3, 5), (1, -1, 4), (0, 7, 2), (3, 3, 1)])
+    seen = _count_evals(monkeypatch)
+    poly, trace = construct_unit_valued(Z, pts)
+    assert seen and max(seen.values()) == 1
+    seen.clear()
+    assert replay_trace(Z, trace) == poly
+    assert seen and max(seen.values()) == 1
+
+
 # ---------------------------------------------------------------------------
 # replay hardening: every recorded field is actually checked
 
@@ -428,3 +480,14 @@ def test_replay_rejects_swapped_base_form():
     bad = dataclasses.replace(trace, base_form=trace.base_form.scale(-1))
     with pytest.raises(GoodRingsError, match="replay"):
         replay_trace(Z, bad)
+
+
+def test_replay_rejects_tampered_values():
+    poly, trace = _traced_instance()
+    step = trace.steps[-1]
+    bad = _tamper_last_step(trace, values=step.values[:-1] + (-step.values[-1],))
+    with pytest.raises(GoodRingsError, match="replay"):
+        replay_trace(Z, bad)
+    short = _tamper_last_step(trace, values=step.values[:-1])
+    with pytest.raises(GoodRingsError, match="replay"):
+        replay_trace(Z, short)
