@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .core import GoodRingsError, ParseError, Ring, require_primitive
+from .core import GoodRingsError, ParseError, Ring, ensure, require_primitive
 from .homog import (
     HomogeneousPolynomial,
     WitnessSearchExhausted,
@@ -23,6 +23,7 @@ from .homog import (
 from .rings import _split_top_level, parse_ring
 from .sab import SabAlgebra, polynomial_to_witness, witness_to_polynomial
 from .witness import (
+    CycleWithoutUnit,
     Exhausted,
     Refuted,
     Witness,
@@ -84,22 +85,20 @@ def _outcome_result(ring: Ring, outcome) -> tuple:
         return 0, CommandResult("ok", _witness_payload(ring, outcome.witness), ())
     if isinstance(outcome, Refuted):
         ev = outcome.evidence
-        if hasattr(ev, "period"):
+        if isinstance(ev, CycleWithoutUnit):
             payload = {
                 "kind": "cycle_without_unit",
                 "period": ev.period,
                 "residues_visited": ev.residues_visited,
             }
-        elif hasattr(ev, "ratio"):
+        else:
             payload = {
                 "kind": "ratio_criterion",
                 "roots": [str(r) for r in ev.roots],
                 "ratio": str(ev.ratio),
             }
-        else:
-            payload = {"kind": type(ev).__name__}
         return 0, CommandResult("refuted", payload, ())
-    assert isinstance(outcome, Exhausted)
+    ensure(isinstance(outcome, Exhausted), f"unknown search outcome {outcome!r}")
     return 3, CommandResult("exhausted", {"bound": outcome.bound}, ())
 
 
@@ -116,10 +115,14 @@ def _parse_points(ring: Ring, text: str) -> list:
     return points
 
 
-def _cmd_witness(args) -> tuple:
+def _ring_and_pair(args) -> tuple:
+    """The ring named by --ring, with --a and --b parsed as its elements."""
     ring = parse_ring(args.ring)
-    a = ring.parse_element(args.a)
-    b = ring.parse_element(args.b)
+    return ring, ring.parse_element(args.a), ring.parse_element(args.b)
+
+
+def _cmd_witness(args) -> tuple:
+    ring, a, b = _ring_and_pair(args)
     return _outcome_result(ring, find_good_witness(ring, a, b, bound=args.bound))
 
 
@@ -176,16 +179,12 @@ def _cmd_quotient_units(args) -> tuple:
 
 
 def _cmd_decide_qt(args) -> tuple:
-    ring = parse_ring(args.ring)
-    a = ring.parse_element(args.a)
-    b = ring.parse_element(args.b)
+    ring, a, b = _ring_and_pair(args)
     return _outcome_result(ring, decide_good_point_rational_split(ring, a, b))
 
 
 def _cmd_refute_zt(args) -> tuple:
-    ring = parse_ring(args.ring)
-    a = ring.parse_element(args.a)
-    b = ring.parse_element(args.b)
+    ring, a, b = _ring_and_pair(args)
     evidence = refute_integer_poly_point(ring, a, b)
     if evidence is None:
         return 0, CommandResult(
@@ -221,9 +220,7 @@ def _cmd_sab(args) -> tuple:
 
 
 def _cmd_bridge(args) -> tuple:
-    ring = parse_ring(args.ring)
-    a = ring.parse_element(args.a)
-    b = ring.parse_element(args.b)
+    ring, a, b = _ring_and_pair(args)
     if args.to_poly:
         point = require_primitive(ring, (a, b))
         outcome = find_good_witness(ring, a, b, bound=args.bound)

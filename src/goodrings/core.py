@@ -16,6 +16,13 @@ class GoodRingsError(Exception):
     """Base class for errors raised by this package."""
 
 
+def ensure(cond: bool, message: str) -> None:
+    """Raise GoodRingsError(message) unless cond holds. Unlike assert, the
+    check also runs under python -O."""
+    if not cond:
+        raise GoodRingsError(message)
+
+
 class ParseError(GoodRingsError):
     """Malformed ring spec or element text."""
 

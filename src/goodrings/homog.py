@@ -28,9 +28,10 @@ from .core import (
     PrimitivePoint,
     Ring,
     UnsupportedRingError,
+    ensure,
     verify_certificate,
 )
-from .rings import Integers, PrimeField, _split_top_level
+from .rings import Integers, PrimeField, _signed_terms, _split_top_level
 from .rings import _int_chain, _int_xgcd
 from .witness import (
     Exhausted,
@@ -74,15 +75,7 @@ def monomial_exponents(n_vars: int, degree: int) -> Iterator[tuple]:
 
 def _compound(text: str) -> bool:
     """True when a formatted coefficient needs parentheses inside a term."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > 0:
-            return True
-    return False
+    return len(_signed_terms(text)) > 1
 
 
 class HomogeneousPolynomial:
@@ -378,25 +371,9 @@ class HomogeneousPolynomial:
             raise ParseError("empty polynomial literal")
         if s == "0":
             return cls.zero(ring, n_vars)
-        raw_terms = []
-        depth = 0
-        start = 0
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    raise ParseError("unbalanced parentheses", i)
-            elif ch in "+-" and depth == 0 and i > start:
-                raw_terms.append(s[start:i])
-                start = i
-        if depth != 0:
-            raise ParseError("unbalanced parentheses")
-        raw_terms.append(s[start:])
         terms: dict = {}
         degree: Optional[int] = None
-        for term in raw_terms:
+        for term in _signed_terms(s):
             negate = False
             if term and term[0] == "+":
                 term = term[1:]
@@ -432,7 +409,7 @@ class HomogeneousPolynomial:
                 raise ParseError(f"terms of mixed total degree in {text!r}")
             key = tuple(exps)
             terms[key] = ring.add(terms.get(key, ring.zero()), coeff)
-        assert degree is not None
+        ensure(degree is not None, f"no terms in {text!r}")
         return cls(ring, n_vars, degree, terms)
 
 
@@ -644,7 +621,7 @@ def extend_unit_valued(
             for g, cs in chains:
                 combiners.append(tuple(cs))
                 g0, s, t = _int_xgcd(pq, g)
-                assert g0 == 1
+                ensure(g0 == 1, "a steered minor gcd is not coprime to P(q)")
                 cofactors.append((s, t))
         else:
             cofactors = []
@@ -792,28 +769,27 @@ def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
     over from step to step as they do in construct_unit_valued.
     """
 
-    def ensure(cond: bool, message: str) -> None:
-        if not cond:
-            raise GoodRingsError(f"trace replay failed: {message}")
+    def check(cond: bool, message: str) -> None:
+        ensure(cond, f"trace replay failed: {message}")
 
     base = trace.base_point
-    ensure(
+    check(
         verify_certificate(ring, base.coordinates, base.certificate),
         "base certificate invalid",
     )
     rebuilt = HomogeneousPolynomial.linear(ring, base.certificate.coefficients)
-    ensure(trace.base_form == rebuilt, "base form does not match its certificate")
+    check(trace.base_form == rebuilt, "base form does not match its certificate")
     base_value = trace.base_form.eval(base.coordinates)
-    ensure(ring.eq(base_value, ring.one()), "base form does not evaluate to 1")
+    check(ring.eq(base_value, ring.one()), "base form does not evaluate to 1")
     poly = trace.base_form
     covered = [base]
     values = [base_value]
     n = poly.n_vars
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for step in trace.steps:
-        ensure(step.covered == tuple(covered), "covered-point list out of order")
+        check(step.covered == tuple(covered), "covered-point list out of order")
         q_pt = step.new_point
-        ensure(
+        check(
             verify_certificate(ring, q_pt.coordinates, q_pt.certificate),
             "extension point certificate invalid",
         )
@@ -829,11 +805,11 @@ def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
                 for i, j in pairs
             )
             recorded = step.minors[t]
-            ensure(
+            check(
                 tuple(idx for idx, _ in recorded) == tuple(pairs),
                 "minor index set altered",
             )
-            ensure(
+            check(
                 all(ring.eq(v, m) for (_, v), m in zip(recorded, minors)),
                 "recorded minors disagree with the points",
             )
@@ -842,44 +818,44 @@ def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
                 vsum = ring.add(vsum, ring.mul(u, m))
             c_t, w_t = step.cofactors[t]
             combo = ring.add(ring.mul(pq, c_t), ring.mul(w_t, vsum))
-            ensure(ring.eq(combo, ring.one()), "combination identity broken")
+            check(ring.eq(combo, ring.one()), "combination identity broken")
             lin = [ring.zero()] * n
             for (i, j), u in zip(pairs, step.combiners[t]):
                 lin[j] = ring.add(lin[j], ring.mul(u, pc[i]))
                 lin[i] = ring.sub(lin[i], ring.mul(u, pc[j]))
             form = HomogeneousPolynomial.linear(ring, lin)
-            ensure(form == step.forms[t], "recorded form differs from combiners")
-            ensure(
+            check(form == step.forms[t], "recorded form differs from combiners")
+            check(
                 ring.eq(form.eval(pc), ring.zero()),
                 "form does not vanish at its point",
             )
             v = form.eval(q)
-            ensure(
+            check(
                 ring.eq(v, vsum),
                 "form value at q disagrees with the combination",
             )
             a_val = ring.mul(a_val, v)
         w = step.witness
         alpha = step.alpha
-        ensure(alpha >= 1, "alpha must be positive")
+        check(alpha >= 1, "alpha must be positive")
         b_val = ring.pow(pq, alpha)
-        ensure(
+        check(
             verify_witness(ring, a_val, b_val, w),
             "step witness does not verify",
         )
-        ensure(w.N * alpha * d >= k, "witness power too small for the filler")
-        ensure(
+        check(w.N * alpha * d >= k, "witness power too small for the filler")
+        check(
             step.filler_exponent == w.N * alpha * d - k,
             "filler exponent inconsistent",
         )
         w_form = step.linear_form
-        ensure(
+        check(
             w_form == HomogeneousPolynomial.linear(
                 ring, q_pt.certificate.coefficients
             ),
             "linear form differs from the point certificate",
         )
-        ensure(
+        check(
             ring.eq(w_form.eval(q), ring.one()),
             "linear form does not take value 1 at q",
         )
@@ -889,9 +865,9 @@ def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
         head = poly.pow(alpha * w.N)
         tail = prod_b.mul(w_form.pow(step.filler_exponent)).scale(w.lam)
         result = head.add(tail)
-        ensure(result == step.result, "recorded result differs from the formula")
+        check(result == step.result, "recorded result differs from the formula")
         at_q = result.eval(q)
-        ensure(
+        check(
             ring.eq(at_q, w.epsilon),
             "result does not take the witness unit at q",
         )
@@ -899,14 +875,14 @@ def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
         for p, v in zip(covered, values):
             expected = ring.pow(v, alpha * w.N)
             value = result.eval(p.coordinates)
-            ensure(
+            check(
                 ring.eq(value, expected),
                 "result value drifted at a covered point",
             )
-            ensure(ring.is_unit(expected), "covered value is no longer a unit")
+            check(ring.is_unit(expected), "covered value is no longer a unit")
             next_values.append(value)
         next_values.append(at_q)
-        ensure(
+        check(
             len(step.values) == len(next_values)
             and all(ring.eq(r, v) for r, v in zip(step.values, next_values)),
             "recorded point values differ from the result's",

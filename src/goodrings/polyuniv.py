@@ -7,12 +7,24 @@ passed explicitly so the same routines serve GF(p) and Q.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
+
+_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+_FRACTION_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 class QField:
     """Rational numbers as a coefficient field."""
+
+    characteristic = 0
+
+    def parse(self, tok: str) -> Fraction:
+        """An integer or fraction literal; ValueError otherwise."""
+        if not _FRACTION_RE.match(tok):
+            raise ValueError(tok)
+        return Fraction(tok)
 
     def zero(self):
         return Fraction(0)
@@ -50,7 +62,13 @@ class FpField:
     def __init__(self, p: int):
         if p < 2:
             raise ValueError("field characteristic must be at least 2")
-        self.p = p
+        self.p = self.characteristic = p
+
+    def parse(self, tok: str) -> int:
+        """An integer literal, reduced mod p; ValueError otherwise."""
+        if not _INT_RE.match(tok):
+            raise ValueError(tok)
+        return int(tok) % self.p
 
     def zero(self):
         return 0
@@ -179,19 +197,6 @@ def xgcd(field, f: tuple, g: tuple) -> tuple[tuple, tuple, tuple]:
         s0 = scale(field, c, s0)
         t0 = scale(field, c, t0)
     return r0, s0, t0
-
-
-def pow_poly(field, f: tuple, n: int) -> tuple:
-    if n < 0:
-        raise ValueError("negative polynomial power")
-    acc = const(field, 1)
-    base = f
-    while n:
-        if n & 1:
-            acc = mul(field, acc, base)
-        base = mul(field, base, base)
-        n >>= 1
-    return acc
 
 
 def rational_roots(f: tuple) -> list[Fraction]:

@@ -15,9 +15,8 @@ from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from . import polyuniv as pu
-from .core import InfiniteRingError, ParseError, Ring
-
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+from .core import InfiniteRingError, ParseError, Ring, ensure
+from .polyuniv import _INT_RE
 
 
 def _int_xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -47,6 +46,19 @@ def _int_chain(xs: Sequence[int]) -> tuple[int, list[int]]:
     return g, coeffs
 
 
+def _poly_chain(field, fs: Sequence[tuple]) -> tuple[tuple, list[tuple]]:
+    """Running extended gcd over polynomials: (g, coeffs) with
+    sum(c*f) = g, g monic or zero."""
+    g: tuple = ()
+    coeffs: list[tuple] = []
+    for f in fs:
+        g2, s, t = pu.xgcd(field, g, f)
+        coeffs = [pu.mul(field, c, s) for c in coeffs]
+        coeffs.append(t)
+        g = g2
+    return g, coeffs
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -58,11 +70,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
-    """Split on sep at parenthesis depth 0."""
-    parts = []
+def _top_level_cuts(text: str, seps: str) -> list[int]:
+    """Indices of the characters of seps that lie outside all parentheses.
+    Raises ParseError when the parentheses do not balance."""
+    cuts = []
     depth = 0
-    start = 0
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
@@ -70,39 +82,37 @@ def _split_top_level(text: str, sep: str) -> list[str]:
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced parentheses", i)
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
+        elif ch in seps and depth == 0:
+            cuts.append(i)
     if depth != 0:
         raise ParseError("unbalanced parentheses", len(text) - 1)
-    parts.append(text[start:])
-    return parts
+    return cuts
+
+
+def _split_top_level(text: str, sep: str) -> list[str]:
+    """Split on sep at parenthesis depth 0."""
+    bounds = [-1, *_top_level_cuts(text, sep), len(text)]
+    return [text[i + 1 : j] for i, j in zip(bounds, bounds[1:])]
+
+
+def _signed_terms(text: str) -> list[str]:
+    """Split a sum at its depth-0 signs; each term keeps its sign, and a
+    sign in leading position starts the first term."""
+    bounds = [0, *(i for i in _top_level_cuts(text, "+-") if i), len(text)]
+    return [text[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
 # shared univariate-in-T element grammar
 
 
-def _poly_parse_T(text: str, parse_coeff, field) -> tuple:
+def _poly_parse_T(text: str, field) -> tuple:
     """Parse a polynomial literal in T into an ascending coefficient tuple."""
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty polynomial literal")
-    # split into signed terms at depth-0 +/- (not in leading position)
-    terms = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > start:
-            terms.append(s[start:i])
-            start = i
-    terms.append(s[start:])
     coeffs: dict[int, object] = {}
-    for term in terms:
+    for term in _signed_terms(s):
         if term in ("+", "-") or not term:
             raise ParseError(f"malformed term in {text!r}")
         sign = 1
@@ -120,7 +130,7 @@ def _poly_parse_T(text: str, parse_coeff, field) -> tuple:
                 exp += int(m.group(2)) if m.group(2) else 1
             else:
                 try:
-                    c = parse_coeff(factor)
+                    c = field.parse(factor)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"bad coefficient {factor!r} in {text!r}") from exc
                 coeff = field.mul(coeff, c)
@@ -137,7 +147,7 @@ def _poly_parse_T(text: str, parse_coeff, field) -> tuple:
     return pu.trim(field, out)
 
 
-def _poly_format_T(poly: tuple, fmt_coeff, field) -> str:
+def _poly_format_T(poly: tuple, field) -> str:
     if not poly:
         return "0"
     pieces = []
@@ -145,7 +155,7 @@ def _poly_format_T(poly: tuple, fmt_coeff, field) -> str:
         c = poly[e]
         if field.is_zero(c):
             continue
-        cs = fmt_coeff(c)
+        cs = str(c)
         if e == 0:
             pieces.append(cs)
         else:
@@ -251,7 +261,6 @@ class IntegersMod(Ring):
         if n < 1:
             raise ValueError("modulus must be at least 1")
         self.n = n
-        self._unit_map_cache: dict[int, dict[int, int]] = {}
 
     def zero(self):
         return 0
@@ -282,31 +291,20 @@ class IntegersMod(Ring):
     def reduce_mod(self, a, x):
         return x % gcd(a, self.n)
 
-    def _preferred_units(self) -> list[int]:
-        n = self.n
-        first = [1 % n]
-        if (n - 1) % n not in first:
-            first.append((n - 1) % n)
-        rest = [u for u in range(n) if gcd(u, n) == 1 and u not in first]
-        return first + rest
-
     def unit_residue_witness(self, a, r):
         n = self.n
-        if a == 0:
-            return (r, 0) if gcd(r, n) == 1 else None
         g = gcd(a, n)
-        umap = self._unit_map_cache.get(a)
-        if umap is None:
-            umap = {}
-            for eps in self._preferred_units():
-                umap.setdefault(eps % g, eps)
-            self._unit_map_cache[a] = umap
-        eps = umap.get(r % g)
-        if eps is None:
+        c = r % g
+        # the class c + gZ holds a unit mod n exactly when gcd(c, g) = 1
+        if gcd(c, g) != 1:
             return None
+        # prefer +1, then -1, then the least unit of the class
+        for eps in itertools.chain((1 % n, n - 1), itertools.count(c, g)):
+            if eps % g == c and gcd(eps, n) == 1:
+                break
         # solve a*shift = eps - r (mod n); solvable since g | eps - r
         shift = (((eps - r) // g) * pow(a // g, -1, n // g)) % (n // g)
-        assert (r + shift * a) % n == eps
+        ensure((r + shift * a) % n == eps, "unit lift missed its target")
         return eps, shift
 
     def divide_exact(self, y, x):
@@ -317,7 +315,7 @@ class IntegersMod(Ring):
         if y % g:
             return None
         z = ((y // g) * pow(x // g, -1, n // g)) % n
-        assert (x * z - y) % n == 0
+        ensure((x * z - y) % n == 0, "exact division left a remainder")
         return z
 
     def is_finite(self):
@@ -353,24 +351,26 @@ class PrimeField(IntegersMod):
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[T]
+# univariate polynomials over a field: GF(p)[T] and Q[T]
 
 
-class PolyOverPrimeField(Ring):
-    """Univariate polynomials over GF(p): ascending coefficient tuples with
-    no trailing zeros, () the zero polynomial."""
+class UnivariatePolyRing(Ring):
+    """Univariate polynomials in T over an exact coefficient field:
+    ascending coefficient tuples with no trailing zeros, () the zero
+    polynomial.
 
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.field = pu.FpField(p)
+    The field supplies the coefficient grammar and the characteristic p.
+    With p > 0 every quotient by a nonzero polynomial is finite; with
+    p = 0 only the quotients by units are. Subclasses name the ring."""
+
+    def __init__(self, field):
+        self.field = field
 
     def zero(self):
         return ()
 
     def one(self):
-        return (1,)
+        return (self.field.one(),)
 
     def add(self, x, y):
         return pu.add(self.field, x, y)
@@ -384,34 +384,19 @@ class PolyOverPrimeField(Ring):
     def unit_inverse(self, x):
         if len(x) != 1:
             return None
-        return (pow(x[0], -1, self.p),)
-
-    def _chain(self, xs):
-        g: tuple = ()
-        coeffs: list[tuple] = []
-        for f in xs:
-            g2, s, t = pu.xgcd(self.field, g, f)
-            coeffs = [pu.mul(self.field, c, s) for c in coeffs]
-            coeffs.append(t)
-            g = g2
-        return g, coeffs
+        return (self.field.div(self.field.one(), x[0]),)
 
     def bezout(self, xs):
-        g, coeffs = self._chain(xs)
+        g, coeffs = _poly_chain(self.field, xs)
         return tuple(coeffs) if g == self.one() else None
 
     def reduce_mod(self, a, x):
         if not a:
             return x
-        if len(a) == 1:
-            return ()
         _, r = pu.divmod_poly(self.field, x, a)
         return r
 
     def unit_residue_witness(self, a, r):
-        if not a:
-            inv = self.unit_inverse(r)
-            return (r, ()) if inv is not None else None
         if len(a) == 1:
             # every class is the whole ring; land on 1
             shift = self.mul(self.sub(self.one(), r), self.unit_inverse(a))
@@ -427,127 +412,59 @@ class PolyOverPrimeField(Ring):
         return q if not rem else None
 
     def units_count(self):
-        return self.p - 1
+        p = self.field.characteristic
+        return p - 1 if p else None
 
     def quotient_size(self, a):
-        if not a:
+        p = self.field.characteristic
+        if len(a) == 1:
+            return 1
+        if not a or not p:
             return None
-        return self.p ** pu.deg(a) if len(a) > 1 else 1
+        return p ** pu.deg(a)
 
     def quotient_residues(self, a):
-        if not a:
-            raise InfiniteRingError("quotient by zero is infinite here")
-        d = pu.deg(a)
-        for tup in itertools.product(range(self.p), repeat=d):
+        if self.quotient_size(a) is None:
+            raise InfiniteRingError(
+                f"cannot enumerate a quotient of {self.spec_string()}"
+            )
+        # the residues are the polynomials of degree below deg(a)
+        p = self.field.characteristic
+        for tup in itertools.product(range(p), repeat=pu.deg(a)):
             yield pu.trim(self.field, tup)
 
     def unit_image_in_quotient(self, a):
-        if not a:
-            return None
+        p = self.field.characteristic
         if len(a) == 1:
             return {()}
-        return {(c,) for c in range(1, self.p)}
+        if not a or not p:
+            return None
+        return {(c,) for c in range(1, p)}
 
     def parse_element(self, text):
-        def coeff(tok: str) -> int:
-            if not _INT_RE.match(tok):
-                raise ValueError(tok)
-            return int(tok) % self.p
-
-        return _poly_parse_T(text, coeff, self.field)
+        return _poly_parse_T(text, self.field)
 
     def format_element(self, x):
-        return _poly_format_T(x, str, self.field)
+        return _poly_format_T(x, self.field)
+
+
+class PolyOverPrimeField(UnivariatePolyRing):
+    """Univariate polynomials over GF(p)."""
+
+    def __init__(self, p: int):
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        super().__init__(pu.FpField(p))
 
     def spec_string(self):
-        return f"GF({self.p})[T]"
+        return f"GF({self.field.characteristic})[T]"
 
 
-# ---------------------------------------------------------------------------
-# Q[T]
-
-
-def _parse_fraction(tok: str) -> Fraction:
-    if not re.match(r"^[+-]?[0-9]+(/[0-9]+)?$", tok):
-        raise ValueError(tok)
-    return Fraction(tok)
-
-
-class RationalPoly(Ring):
+class RationalPoly(UnivariatePolyRing):
     """Univariate polynomials over Q: ascending Fraction tuples."""
 
     def __init__(self):
-        self.field = pu.QField()
-
-    def zero(self):
-        return ()
-
-    def one(self):
-        return (Fraction(1),)
-
-    def add(self, x, y):
-        return pu.add(self.field, x, y)
-
-    def neg(self, x):
-        return pu.neg(self.field, x)
-
-    def mul(self, x, y):
-        return pu.mul(self.field, x, y)
-
-    def unit_inverse(self, x):
-        if len(x) != 1:
-            return None
-        return (1 / x[0],)
-
-    def _chain(self, xs):
-        g: tuple = ()
-        coeffs: list[tuple] = []
-        for f in xs:
-            g2, s, t = pu.xgcd(self.field, g, f)
-            coeffs = [pu.mul(self.field, c, s) for c in coeffs]
-            coeffs.append(t)
-            g = g2
-        return g, coeffs
-
-    def bezout(self, xs):
-        g, coeffs = self._chain(xs)
-        return tuple(coeffs) if g == self.one() else None
-
-    def reduce_mod(self, a, x):
-        if not a:
-            return x
-        if len(a) == 1:
-            return ()
-        _, r = pu.divmod_poly(self.field, x, a)
-        return r
-
-    def unit_residue_witness(self, a, r):
-        if not a:
-            return (r, ()) if len(r) == 1 else None
-        if len(a) == 1:
-            shift = self.mul(self.sub(self.one(), r), self.unit_inverse(a))
-            return self.one(), shift
-        if len(r) == 1:
-            return r, ()
-        return None
-
-    def divide_exact(self, y, x):
-        if not x:
-            return () if not y else None
-        q, rem = pu.divmod_poly(self.field, y, x)
-        return q if not rem else None
-
-    def quotient_size(self, a):
-        return 1 if len(a) == 1 else None
-
-    def unit_image_in_quotient(self, a):
-        return {()} if len(a) == 1 else None
-
-    def parse_element(self, text):
-        return _poly_parse_T(text, _parse_fraction, self.field)
-
-    def format_element(self, x):
-        return _poly_format_T(x, str, self.field)
+        super().__init__(pu.QField())
 
     def spec_string(self):
         return "Q[T]"
@@ -739,7 +656,7 @@ class LocalizedRationalPoly(Ring):
 
     def _make(self, num: tuple, den: tuple):
         num, den = self._reduced(num, den)
-        assert self._in_S(den), "denominator left the multiplicative set"
+        ensure(self._in_S(den), "denominator left the multiplicative set")
         return (num, den)
 
     def _z_part(self, f: tuple) -> tuple:
@@ -795,14 +712,7 @@ class LocalizedRationalPoly(Ring):
         return self._make(den, num)
 
     def bezout(self, xs):
-        nums = [x[0] for x in xs]
-        g: tuple = ()
-        coeffs: list[tuple] = []
-        for f in nums:
-            g2, s, t = pu.xgcd(self.field, g, f)
-            coeffs = [pu.mul(self.field, c, s) for c in coeffs]
-            coeffs.append(t)
-            g = g2
+        g, coeffs = _poly_chain(self.field, [x[0] for x in xs])
         if not g:
             return None
         if self._z_part(g) != (Fraction(1),):
@@ -817,11 +727,9 @@ class LocalizedRationalPoly(Ring):
         if self.eq(a, self.zero()):
             return x
         g = self._z_part(a[0])
-        if g == (Fraction(1),):
-            return self.zero()
         num, den = x
         gg, s, _ = pu.xgcd(self.field, den, g)
-        assert gg == (Fraction(1),), "denominator not invertible mod the ideal"
+        ensure(gg == (Fraction(1),), "denominator not invertible mod the ideal")
         _, res = pu.divmod_poly(
             self.field, pu.mul(self.field, num, s), g
         )
@@ -874,6 +782,11 @@ class LocalizedRationalPoly(Ring):
             return None
         return 1 if self._z_part(a[0]) == (Fraction(1),) else None
 
+    def quotient_residues(self, a):
+        if self.quotient_size(a) == 1:
+            return iter([self.zero()])
+        return super().quotient_residues(a)
+
     def unit_image_in_quotient(self, a):
         if self.quotient_size(a) == 1:
             return {self.zero()}
@@ -890,8 +803,8 @@ class LocalizedRationalPoly(Ring):
                 and parts[1].startswith("(")
                 and parts[1].endswith(")")
             ):
-                num = _poly_parse_T(parts[0][1:-1], _parse_fraction, self.field)
-                den = _poly_parse_T(parts[1][1:-1], _parse_fraction, self.field)
+                num = _poly_parse_T(parts[0][1:-1], self.field)
+                den = _poly_parse_T(parts[1][1:-1], self.field)
                 if not den:
                     raise ParseError("zero denominator")
                 num, den = self._reduced(num, den)
@@ -902,16 +815,16 @@ class LocalizedRationalPoly(Ring):
                 return (num, den)
             if len(parts) != 1:
                 raise ParseError(f"malformed localized element: {text!r}")
-        num = _poly_parse_T(t, _parse_fraction, self.field)
+        num = _poly_parse_T(t, self.field)
         return (num, (Fraction(1),))
 
     def format_element(self, x):
         num, den = x
         return (
             "("
-            + _poly_format_T(num, str, self.field)
+            + _poly_format_T(num, self.field)
             + ")/("
-            + _poly_format_T(den, str, self.field)
+            + _poly_format_T(den, self.field)
             + ")"
         )
 

@@ -16,9 +16,11 @@ from .core import (
     ParseError,
     PreconditionError,
     Ring,
+    ensure,
     verify_certificate,
 )
 from .homog import HomogeneousPolynomial
+from .rings import _split_top_level
 from .witness import GoodPointWitness, verify_witness
 
 
@@ -80,15 +82,15 @@ class SabAlgebra:
         return f"({base.format_element(z.x)}) + ({base.format_element(z.y)})*th"
 
     def parse_element(self, text: str) -> SabElement:
-        s = text.replace(" ", "")
-        x_text, rest = _take_group(s)
-        if not rest.startswith("+"):
-            raise ParseError(f"expected '+' after the first component in {text!r}")
-        y_text, rest = _take_group(rest[1:])
-        if rest != "*th":
+        parts = _split_top_level(text.replace(" ", ""), "+")
+        if len(parts) != 2:
+            raise ParseError(f"expected one '+' between the components of {text!r}")
+        x_text, y_text = parts
+        if not y_text.endswith("*th"):
             raise ParseError(f"expected '*th' to close {text!r}")
         return SabElement(
-            self.base.parse_element(x_text), self.base.parse_element(y_text)
+            self.base.parse_element(_group_body(x_text)),
+            self.base.parse_element(_group_body(y_text[:-3])),
         )
 
     def __repr__(self) -> str:
@@ -98,19 +100,11 @@ class SabAlgebra:
         )
 
 
-def _take_group(s: str) -> tuple:
-    """Split '(...)rest' into the parenthesized body and the rest."""
-    if not s.startswith("("):
-        raise ParseError("expected a parenthesized component")
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return s[1:i], s[i + 1 :]
-    raise ParseError("unbalanced parentheses in algebra element")
+def _group_body(s: str) -> str:
+    """The text inside a parenthesized component '(...)'."""
+    if not (s.startswith("(") and s.endswith(")")):
+        raise ParseError(f"expected a parenthesized component, got {s!r}")
+    return s[1:-1]
 
 
 def _evaluations(alg: SabAlgebra, z: SabElement) -> tuple:
@@ -135,8 +129,8 @@ def sab_mul(alg: SabAlgebra, z1: SabElement, z2: SabElement) -> SabElement:
     # the corrected evaluation pair must be multiplicative
     e1, e2 = _evaluations(alg, z1), _evaluations(alg, z2)
     eo = _evaluations(alg, out)
-    assert base.eq(eo[0], base.mul(e1[0], e2[0]))
-    assert base.eq(eo[1], base.mul(e1[1], e2[1]))
+    ensure(base.eq(eo[0], base.mul(e1[0], e2[0])), "th -> 0 is not multiplicative")
+    ensure(base.eq(eo[1], base.mul(e1[1], e2[1])), "th -> a is not multiplicative")
     return out
 
 
@@ -155,7 +149,7 @@ def sab_is_unit(alg: SabAlgebra, z: SabElement) -> Optional[SabElement]:
     if s_inv is None:
         return None
     inv = SabElement(x_inv, base.neg(base.mul(z.y, base.mul(x_inv, s_inv))))
-    assert alg.eq(sab_mul(alg, z, inv), alg.one())
+    ensure(alg.eq(sab_mul(alg, z, inv), alg.one()), "the closed-form inverse does not invert")
     return inv
 
 
@@ -178,8 +172,8 @@ def witness_to_polynomial(
     x_var = HomogeneousPolynomial.monomial(ring, 2, (1, 0), ring.one())
     inner = HomogeneousPolynomial.linear(ring, cert.coefficients)
     poly = y_var.pow(w.N).add(x_var.mul(inner.pow(w.N - 1)).scale(w.lam))
-    assert ring.eq(poly.eval((ring.zero(), ring.one())), ring.one())
-    assert ring.eq(poly.eval((a, b)), w.epsilon)
+    ensure(ring.eq(poly.eval((ring.zero(), ring.one())), ring.one()), "P(0, 1) is not 1")
+    ensure(ring.eq(poly.eval((a, b)), w.epsilon), "P(a, b) is not the witness unit")
     return poly
 
 
@@ -215,5 +209,5 @@ def polynomial_to_witness(
     lam = ring.mul(a0_inv, total)
     eps = ring.mul(a0_inv, val)
     w = GoodPointWitness(d, lam, eps, ring.unit_inverse(eps))
-    assert verify_witness(ring, a, b, w)
+    ensure(verify_witness(ring, a, b, w), "the witness read off P does not verify")
     return w

@@ -19,6 +19,7 @@ from .core import (
     PreconditionError,
     Ring,
     UnsupportedRingError,
+    ensure,
     is_primitive,
     require_primitive,
 )
@@ -65,7 +66,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class Refuted:
-    evidence: object
+    evidence: Union[CycleWithoutUnit, RatioCriterion]
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def find_good_witness(ring: Ring, a, b, bound: int = 10000) -> SearchOutcome:
     require_primitive(ring, (a, b))
     if ring.eq(a, ring.zero()):
         inv = ring.unit_inverse(b)
-        assert inv is not None, "primitive (0, b) forces b to be a unit"
+        ensure(inv is not None, "primitive (0, b) forces b to be a unit")
         return Witness(GoodPointWitness(1, ring.zero(), b, inv))
     seen: dict = {}
     r = ring.one()
@@ -106,9 +107,9 @@ def find_good_witness(ring: Ring, a, b, bound: int = 10000) -> SearchOutcome:
             eps, _ = hit
             inv = ring.unit_inverse(eps)
             lam = ring.divide_exact(ring.sub(eps, ring.pow(b, N)), a)
-            assert inv is not None and lam is not None
+            ensure(inv is not None and lam is not None, "the unit lift did not divide out")
             w = GoodPointWitness(N, lam, eps, inv)
-            assert verify_witness(ring, a, b, w)
+            ensure(verify_witness(ring, a, b, w), "the found witness does not verify")
             return Witness(w)
         if r in seen:
             if ring.unit_residue_complete:
@@ -160,7 +161,7 @@ def unit_quotient_group(ring: Ring, a, limit: int = 20000) -> UnitQuotientReport
         return UnitQuotientReport(
             "unknown", reason="unit image in the quotient is not computable"
         )
-    assert carrier % len(image) == 0, "unit image must be a subgroup"
+    ensure(carrier % len(image) == 0, "unit image must be a subgroup")
     return UnitQuotientReport("finite", order=carrier // len(image), carrier=carrier)
 
 
@@ -190,7 +191,10 @@ def check_good_ring_exhaustive(ring: Ring) -> GoodRingReport:
                 continue
             outcome = find_good_witness(ring, a, b, bound=bound)
             if isinstance(outcome, Witness):
-                assert verify_witness(ring, a, b, outcome.witness)
+                ensure(
+                    verify_witness(ring, a, b, outcome.witness),
+                    "the found witness does not verify",
+                )
                 max_n = max(max_n, outcome.witness.N)
             else:
                 failures.append((a, b, outcome))
@@ -209,7 +213,7 @@ def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:
     require_primitive(ring, (a, b))
     if not a:
         inv = ring.unit_inverse(b)
-        assert inv is not None
+        ensure(inv is not None, "primitive (0, b) forces b to be a unit")
         return Witness(GoodPointWitness(1, ring.zero(), b, inv))
     if len(a) == 1:
         lam = ring.divide_exact(ring.sub(ring.one(), b), a)
@@ -224,7 +228,7 @@ def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:
             "the coefficient polynomial must be squarefree with all roots rational"
         )
     vals = [pu.eval_at(field, b, th) for th in roots]
-    assert all(v != 0 for v in vals), "a primitive pair cannot share a root"
+    ensure(all(v != 0 for v in vals), "a primitive pair cannot share a root")
     base = vals[0]
     N = 1
     for v in vals:
@@ -238,9 +242,9 @@ def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:
     c = base**N
     eps = (c,)
     lam = ring.divide_exact(ring.sub(eps, ring.pow(b, N)), a)
-    assert lam is not None, "b^N - c must vanish on the roots of a"
+    ensure(lam is not None, "b^N - c must vanish on the roots of a")
     w = GoodPointWitness(N, lam, eps, ring.unit_inverse(eps))
-    assert verify_witness(ring, a, b, w)
+    ensure(verify_witness(ring, a, b, w), "the decided witness does not verify")
     return Witness(w)
 
 

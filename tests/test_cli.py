@@ -2,14 +2,18 @@
 
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 import goodrings
-from goodrings.cli import run
+from goodrings.cli import main, run
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.jsonl"
 
 
 def invoke(*argv):
@@ -146,6 +150,15 @@ def test_quotient_units_classic_values():
     assert out["payload"]["order"] == 3
 
 
+@pytest.mark.parametrize(
+    "ring_spec, a", [("Q[T]", "2"), ("locQ(2)", "3"), ("locQ(2)", "T-5")]
+)
+def test_quotient_units_by_a_unit(ring_spec, a):
+    code, out = invoke("quotient-units", "--ring", ring_spec, "--a", a)
+    assert code == 0
+    assert out["payload"] == {"group_status": "finite", "order": 1, "carrier": 1}
+
+
 def test_quotient_units_unknown_case():
     code, out = invoke("quotient-units", "--ring", "Q[T]", "--a", "T")
     assert code == 0
@@ -269,6 +282,46 @@ def test_text_format():
     assert lines[0] == "status: ok"
     assert "N: 2" in lines
     assert "lambda: -1" in lines
+
+
+@pytest.mark.parametrize("ring_spec", ["Z/100000007", "GF(1000000007)"])
+def test_witness_on_a_large_modulus_is_fast(ring_spec):
+    start = time.perf_counter()
+    code, out = invoke("witness", "--ring", ring_spec, "--a", "2", "--b", "3")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out["payload"]["epsilon"] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--ring", "Q[T]", "--a", "(T+1", "--b", "2"],
+        ["sab", "--ring", "Z", "--a", "2", "--op", "unit", "--x", "(1)-(1)*th"],
+        ["sab", "--ring", "Z", "--a", "2", "--op", "unit", "--x", "(1+(1)*th"],
+        ["bridge", "--ring", "Z", "--a", "5", "--b", "2", "--from-poly", "--poly=(x1+x2"],
+    ],
+)
+def test_malformed_input_is_a_usage_error(argv):
+    code, out = invoke(*argv)
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["diagnostics"]
+
+
+def test_golden_outputs(monkeypatch, capsys):
+    """Every command recorded in tests/golden/cli.jsonl prints exactly its
+    recorded stdout and exits with its recorded code."""
+    mismatches = []
+    for line in GOLDEN.read_text().splitlines():
+        case = json.loads(line)
+        monkeypatch.setattr(sys, "argv", ["goodrings", *case["argv"]])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        stdout = capsys.readouterr().out
+        if (stdout, exit_info.value.code) != (case["stdout"], case["exit"]):
+            mismatches.append((case["argv"], stdout, exit_info.value.code))
+    assert mismatches == []
 
 
 def test_json_output_is_deterministic():

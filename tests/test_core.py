@@ -1,6 +1,11 @@
 """Certificates, primitive points, and the generic ring helpers."""
 
+import ast
+import pathlib
+
 import pytest
+
+import goodrings
 
 from goodrings.core import (
     BezoutCertificate,
@@ -79,3 +84,26 @@ def test_quotient_helpers_on_finite_ring():
     assert list(r.quotient_residues(4)) == [0, 1, 2, 3]
     image = r.unit_image_in_quotient(4)
     assert image == {1, 3}
+
+
+def test_package_checks_survive_optimized_mode():
+    # python -O strips assert statements; the package's own checks must
+    # raise GoodRingsError instead. oracle.py is test ground truth.
+    package = pathlib.Path(goodrings.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert offenders == []
+
+
+def test_public_names_import():
+    for name in goodrings.__all__:
+        assert getattr(goodrings, name) is not None
+    assert "UnivariatePolyRing" in goodrings.__all__

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from goodrings.rings import (
     PrimeField,
     ProductRing,
     RationalPoly,
+    UnivariatePolyRing,
     parse_ring,
 )
 
@@ -191,6 +194,26 @@ def test_integers_mod_reduce_uses_ideal_gcd():
     assert Z12.reduce_mod(8, 11) == 11 % 4
 
 
+def test_integers_mod_unit_lift_prefers_one_then_minus_one_then_least():
+    for n in range(1, 60):
+        ring = IntegersMod(n)
+        for a in range(n):
+            g = gcd(a, n)
+            for r in range(g):
+                members = range(r, n, g)
+                units = [u for u in members if gcd(u, n) == 1]
+                hit = ring.unit_residue_witness(a, r)
+                if not units:
+                    assert hit is None, (n, a, r)
+                    continue
+                eps, shift = hit
+                for expected in (1 % n, n - 1, min(units)):
+                    if expected in members:
+                        break
+                assert eps == expected, (n, a, r)
+                assert (r + shift * a) % n == eps, (n, a, r)
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(6)
@@ -224,6 +247,27 @@ def test_rational_poly_bezout():
     total = QT.add(QT.mul(coeffs[0], a), QT.mul(coeffs[1], b))
     assert QT.eq(total, QT.one())
     assert QT.bezout((a, QT.parse_element("T"))) is None
+
+
+def test_polynomial_rings_share_one_class():
+    assert isinstance(F3T, UnivariatePolyRing)
+    assert isinstance(QT, UnivariatePolyRing)
+    assert not isinstance(F3T, RationalPoly)
+    assert isinstance(parse_ring("Q[T]"), RationalPoly)
+    assert F3T.spec_string() == "GF(3)[T]"
+    assert F3T.units_count() == 2
+    assert QT.units_count() is None
+    assert F3T.quotient_size((1, 0, 1)) == 9
+    assert QT.quotient_size((1, 0, 1)) is None
+
+
+@pytest.mark.parametrize(
+    "ring, text",
+    [(QT, "(T+1"), (QT, "T+1)"), (F3T, "(T"), (LOC2, "(T)/(T+1")],
+)
+def test_polynomial_literal_rejects_unbalanced_parentheses(ring, text):
+    with pytest.raises(ParseError, match="unbalanced parentheses"):
+        ring.parse_element(text)
 
 
 def test_product_parse_format():

@@ -245,6 +245,22 @@ def test_unit_quotient_carrier_counts_unit_residues():
     assert report.carrier == 4  # 1, 3, 5, 7
 
 
+@pytest.mark.parametrize(
+    "ring, a",
+    [
+        (RationalPoly(), "2"),
+        (LocalizedRationalPoly(2), "3"),
+        (LocalizedRationalPoly(2), "T-5"),
+    ],
+)
+def test_unit_quotient_by_a_unit_is_trivial(ring, a):
+    x = ring.parse_element(a)
+    assert ring.quotient_size(x) == 1
+    assert list(ring.quotient_residues(x)) == [ring.zero()]
+    report = unit_quotient_group(ring, x)
+    assert (report.status, report.order, report.carrier) == ("finite", 1, 1)
+
+
 def test_unit_quotient_unknown_over_qt_nonunit():
     report = unit_quotient_group(QT, QT.parse_element("T"))
     assert report.status == "unknown"
