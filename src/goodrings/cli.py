@@ -23,7 +23,6 @@ from .homog import (
 from .rings import _split_top_level, parse_ring
 from .sab import SabAlgebra, polynomial_to_witness, witness_to_polynomial
 from .witness import (
-    CycleWithoutUnit,
     Exhausted,
     Refuted,
     Witness,
@@ -85,18 +84,11 @@ def _outcome_result(ring: Ring, outcome) -> tuple:
         return 0, CommandResult("ok", _witness_payload(ring, outcome.witness), ())
     if isinstance(outcome, Refuted):
         ev = outcome.evidence
-        if isinstance(ev, CycleWithoutUnit):
-            payload = {
-                "kind": "cycle_without_unit",
-                "period": ev.period,
-                "residues_visited": ev.residues_visited,
-            }
-        else:
-            payload = {
-                "kind": "ratio_criterion",
-                "roots": [str(r) for r in ev.roots],
-                "ratio": str(ev.ratio),
-            }
+        payload = {
+            "kind": "ratio_criterion",
+            "roots": [str(r) for r in ev.roots],
+            "ratio": str(ev.ratio),
+        }
         return 0, CommandResult("refuted", payload, ())
     ensure(isinstance(outcome, Exhausted), f"unknown search outcome {outcome!r}")
     return 3, CommandResult("exhausted", {"bound": outcome.bound}, ())

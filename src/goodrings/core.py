@@ -3,7 +3,8 @@
 Every ring exposes exact arithmetic on canonical, hashable element
 representations. Residue canonicity matters: reduce_mod(a, x) must return
 equal representatives exactly when x and y agree modulo the ideal aA, since
-witness search uses residues as dict keys for cycle detection.
+quotient enumeration (quotient_size, quotient_residues, the unit image)
+counts residues as set members.
 """
 
 from __future__ import annotations
@@ -73,12 +74,6 @@ class Ring:
     Subclasses provide canonical hashable element representations and the
     primitive operations; generic helpers (sub, pow, equality) are derived.
     """
-
-    # True when unit_residue_witness(a, r) is a complete decision procedure:
-    # None means the class r + aA provably contains no unit. Rings whose
-    # witness search is a bounded heuristic must set this to False, which
-    # downgrades cycle refutations to honest exhaustion.
-    unit_residue_complete = True
 
     def zero(self):
         raise NotImplementedError

@@ -36,7 +36,6 @@ from .rings import _int_chain, _int_xgcd
 from .witness import (
     Exhausted,
     GoodPointWitness,
-    Witness,
     find_good_witness,
     verify_witness,
 )
@@ -536,6 +535,92 @@ class ConstructionTrace:
 _STEER_SCAN_CAP = 200000
 
 
+# The step kernel below is shared by extend_unit_valued and replay_trace.
+# Each helper reports a failed identity through check(cond, message):
+# ensure in the constructor, replay's own check in replay_trace.
+
+
+def _minors(ring: Ring, pc: tuple, q: tuple, pairs: list) -> tuple:
+    """The 2x2 minors pc[i]*q[j] - pc[j]*q[i] over the index pairs."""
+    return tuple(
+        ring.sub(ring.mul(pc[i], q[j]), ring.mul(pc[j], q[i])) for i, j in pairs
+    )
+
+
+def _step_forms(
+    ring: Ring, covered, q, pq, pairs, minors, cofactors, combiners, check
+) -> tuple:
+    """The degree-1 forms B_t built from the combiners, their product, and
+    a = prod B_t(q).
+
+    Checks that each B_t vanishes at its covered point, that B_t(q) is
+    sum(u*m) over its combiners and minors, and that the combination
+    identity 1 = P(q)*c + w*B_t(q) holds with its cofactors (c, w).
+    """
+    k = len(covered)
+    check(
+        len(cofactors) == k and len(combiners) == k,
+        "one cofactor pair and one combiner tuple per covered point",
+    )
+    n = len(q)
+    forms = []
+    prod_b = HomogeneousPolynomial.constant(ring, n, ring.one())
+    a_val = ring.one()
+    for pt, m, (c_t, w_t), us in zip(covered, minors, cofactors, combiners):
+        check(len(us) == len(pairs), "one combiner per minor")
+        pc = pt.coordinates
+        lin = [ring.zero()] * n
+        vsum = ring.zero()
+        for (i, j), u, m_ij in zip(pairs, us, m):
+            lin[j] = ring.add(lin[j], ring.mul(u, pc[i]))
+            lin[i] = ring.sub(lin[i], ring.mul(u, pc[j]))
+            vsum = ring.add(vsum, ring.mul(u, m_ij))
+        form = HomogeneousPolynomial.linear(ring, lin)
+        check(ring.eq(form.eval(pc), ring.zero()), "a form does not vanish at its point")
+        v = form.eval(q)
+        check(ring.eq(v, vsum), "a form's value at q disagrees with the combination")
+        identity = ring.add(ring.mul(pq, c_t), ring.mul(w_t, v))
+        check(ring.eq(identity, ring.one()), "combination identity broken")
+        forms.append(form)
+        prod_b = prod_b.mul(form)
+        a_val = ring.mul(a_val, v)
+    return tuple(forms), prod_b, a_val
+
+
+def _step_result(
+    ring: Ring, poly, covered, values, new_point, prod_b, alpha, w, check
+) -> tuple:
+    """R = (P^alpha)^N + lam * prod(B_t) * W^e and its values.
+
+    W is the linear form with new_point's certificate coefficients, whose
+    certificate both callers have verified, and e = N*alpha*deg(P) - k pads
+    the degree. Checks W(q) = 1, R(q) = eps, and R(p) = v^(alpha*N) with
+    that a unit at each covered p, where v is P's value there. Returns (e,
+    W, R, values) with values R's own at covered + (new_point,).
+    """
+    e = w.N * alpha * poly.degree - len(covered)
+    check(e >= 0, "witness power too small for the filler")
+    q = new_point.coordinates
+    w_form = HomogeneousPolynomial.linear(ring, new_point.certificate.coefficients)
+    check(ring.eq(w_form.eval(q), ring.one()), "W does not take the value 1 at q")
+    head = poly.pow(alpha * w.N)
+    tail = prod_b.mul(w_form.pow(e)).scale(w.lam)
+    result = head.add(tail)
+    at_q = result.eval(q)
+    check(ring.eq(at_q, w.epsilon), "the result does not take the witness unit at q")
+    point_values = []
+    for p, v in zip(covered, values):
+        expected = ring.pow(v, alpha * w.N)
+        value = result.eval(p.coordinates)
+        check(
+            ring.eq(value, expected) and ring.is_unit(expected),
+            "the result is not the unit P(p)^(alpha*N) at a covered point",
+        )
+        point_values.append(value)
+    point_values.append(at_q)
+    return e, w_form, result, tuple(point_values)
+
+
 def extend_unit_valued(
     ring: Ring,
     poly: HomogeneousPolynomial,
@@ -587,17 +672,10 @@ def extend_unit_valued(
     pq = poly.eval(q)
     d = poly.degree
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    minors_per_t = []
-    for p in pts:
-        pc = p.coordinates
-        minors_per_t.append(
-            tuple(
-                ring.sub(ring.mul(pc[i], q[j]), ring.mul(pc[j], q[i]))
-                for i, j in pairs
-            )
-        )
+    minors_per_t = [_minors(ring, p.coordinates, q, pairs) for p in pts]
 
     steered = False
+    cofactors, combiners = [], []
     if ring.is_unit(pq):
         # q is projectively on top of the covered set as far as P can see;
         # take the trivial identity 1 = P(q) * P(q)^-1 and zero forms
@@ -616,16 +694,12 @@ def extend_unit_valued(
                 chains = None
         if chains is not None:
             steered = True
-            cofactors = []
-            combiners = []
             for g, cs in chains:
                 combiners.append(tuple(cs))
                 g0, s, t = _int_xgcd(pq, g)
                 ensure(g0 == 1, "a steered minor gcd is not coprime to P(q)")
                 cofactors.append((s, t))
         else:
-            cofactors = []
-            combiners = []
             for m in minors_per_t:
                 coeffs = ring.bezout((pq,) + m)
                 if coeffs is None:
@@ -636,30 +710,9 @@ def extend_unit_valued(
                 cofactors.append((coeffs[0], ring.one()))
                 combiners.append(tuple(coeffs[1:]))
 
-    forms = []
-    values = []
-    for t in range(k):
-        pc = pts[t].coordinates
-        lin = [ring.zero()] * n
-        for (i, j), u in zip(pairs, combiners[t]):
-            lin[j] = ring.add(lin[j], ring.mul(u, pc[i]))
-            lin[i] = ring.sub(lin[i], ring.mul(u, pc[j]))
-        form = HomogeneousPolynomial.linear(ring, lin)
-        v = form.eval(q)
-        c_t, w_t = cofactors[t]
-        identity = ring.add(ring.mul(pq, c_t), ring.mul(w_t, v))
-        if not ring.eq(identity, ring.one()):
-            raise GoodRingsError("combination certificate failed verification")
-        if not ring.eq(form.eval(pc), ring.zero()):
-            raise GoodRingsError("a combination form does not vanish at its point")
-        forms.append(form)
-        values.append(v)
-
-    prod_b = HomogeneousPolynomial.constant(ring, n, ring.one())
-    a_val = ring.one()
-    for form, v in zip(forms, values):
-        prod_b = prod_b.mul(form)
-        a_val = ring.mul(a_val, v)
+    forms, prod_b, a_val = _step_forms(
+        ring, pts, q, pq, pairs, minors_per_t, cofactors, combiners, ensure
+    )
 
     scan_bound = max(witness_bound, _STEER_SCAN_CAP) if steered else witness_bound
     alpha = 1
@@ -670,36 +723,16 @@ def extend_unit_valued(
             raise GoodRingsError("witness exponent adjustment failed to settle")
         b_val = ring.pow(pq, alpha)
         outcome = find_good_witness(ring, a_val, b_val, bound=scan_bound)
-        if isinstance(outcome, Witness):
-            w = outcome.witness
-            if w.N * alpha * d >= k:
-                break
-            alpha = -(-k // (w.N * d))
-            continue
         if isinstance(outcome, Exhausted):
             raise WitnessSearchExhausted(outcome.bound)
-        raise GoodRingsError(f"extension witness search was refuted: {outcome}")
+        w = outcome.witness
+        if w.N * alpha * d >= k:
+            break
+        alpha = -(-k // (w.N * d))
 
-    e = w.N * alpha * d - k
-    w_form = linear_form_for_point(ring, new_point)
-    head = poly.pow(alpha * w.N)
-    tail = prod_b.mul(w_form.pow(e)).scale(w.lam)
-    result = head.add(tail)
-
-    at_q = result.eval(q)
-    if not ring.eq(at_q, w.epsilon):
-        raise GoodRingsError("the result does not take the witness unit at q")
-    point_values = []
-    for p, v in zip(pts, covered_values):
-        expected = ring.pow(v, alpha * w.N)
-        value = result.eval(p.coordinates)
-        if not (ring.eq(value, expected) and ring.is_unit(expected)):
-            raise GoodRingsError(
-                "the result is not the unit P(p)^(alpha*N) at a covered point"
-            )
-        point_values.append(value)
-    point_values.append(at_q)
-
+    e, w_form, result, point_values = _step_result(
+        ring, poly, pts, covered_values, new_point, prod_b, alpha, w, ensure
+    )
     step = ExtensionStep(
         new_point=new_point,
         covered=tuple(pts),
@@ -708,13 +741,13 @@ def extend_unit_valued(
         ),
         cofactors=tuple(cofactors),
         combiners=tuple(combiners),
-        forms=tuple(forms),
+        forms=forms,
         alpha=alpha,
         witness=w,
         linear_form=w_form,
         filler_exponent=e,
         result=result,
-        values=tuple(point_values),
+        values=point_values,
     )
     return result, step
 
@@ -764,9 +797,10 @@ def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
     Returns the final polynomial on success and raises GoodRingsError at the
     first mismatch. Nothing is trusted: minors, combination identities, the
     forms, the witness, the filler exponent, and each intermediate result
-    are all rebuilt or checked independently. The recorded point values
-    must equal replay's own evaluations of its rebuilt results, which carry
-    over from step to step as they do in construct_unit_valued.
+    are all rebuilt by the constructor's own step kernel and compared with
+    the record. The recorded point values must equal replay's own
+    evaluations of its rebuilt results, which carry over from step to step
+    as they do in construct_unit_valued.
     """
 
     def check(cond: bool, message: str) -> None:
@@ -783,7 +817,7 @@ def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
     check(ring.eq(base_value, ring.one()), "base form does not evaluate to 1")
     poly = trace.base_form
     covered = [base]
-    values = [base_value]
+    values = (base_value,)
     n = poly.n_vars
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for step in trace.steps:
@@ -794,100 +828,40 @@ def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
             "extension point certificate invalid",
         )
         q = q_pt.coordinates
-        k = len(covered)
-        d = poly.degree
         pq = poly.eval(q)
-        a_val = ring.one()
-        for t, p in enumerate(covered):
-            pc = p.coordinates
-            minors = tuple(
-                ring.sub(ring.mul(pc[i], q[j]), ring.mul(pc[j], q[i]))
-                for i, j in pairs
-            )
-            recorded = step.minors[t]
+        check(len(step.minors) == len(covered), "one minor tuple per covered point")
+        minors = [_minors(ring, p.coordinates, q, pairs) for p in covered]
+        for recorded, m in zip(step.minors, minors):
             check(
-                tuple(idx for idx, _ in recorded) == tuple(pairs),
-                "minor index set altered",
-            )
-            check(
-                all(ring.eq(v, m) for (_, v), m in zip(recorded, minors)),
+                tuple(idx for idx, _ in recorded) == tuple(pairs)
+                and all(ring.eq(v, x) for (_, v), x in zip(recorded, m)),
                 "recorded minors disagree with the points",
             )
-            vsum = ring.zero()
-            for u, m in zip(step.combiners[t], minors):
-                vsum = ring.add(vsum, ring.mul(u, m))
-            c_t, w_t = step.cofactors[t]
-            combo = ring.add(ring.mul(pq, c_t), ring.mul(w_t, vsum))
-            check(ring.eq(combo, ring.one()), "combination identity broken")
-            lin = [ring.zero()] * n
-            for (i, j), u in zip(pairs, step.combiners[t]):
-                lin[j] = ring.add(lin[j], ring.mul(u, pc[i]))
-                lin[i] = ring.sub(lin[i], ring.mul(u, pc[j]))
-            form = HomogeneousPolynomial.linear(ring, lin)
-            check(form == step.forms[t], "recorded form differs from combiners")
-            check(
-                ring.eq(form.eval(pc), ring.zero()),
-                "form does not vanish at its point",
-            )
-            v = form.eval(q)
-            check(
-                ring.eq(v, vsum),
-                "form value at q disagrees with the combination",
-            )
-            a_val = ring.mul(a_val, v)
+        forms, prod_b, a_val = _step_forms(
+            ring, covered, q, pq, pairs, minors, step.cofactors, step.combiners, check
+        )
+        check(forms == step.forms, "recorded forms differ from the combiners")
         w = step.witness
         alpha = step.alpha
         check(alpha >= 1, "alpha must be positive")
-        b_val = ring.pow(pq, alpha)
         check(
-            verify_witness(ring, a_val, b_val, w),
+            verify_witness(ring, a_val, ring.pow(pq, alpha), w),
             "step witness does not verify",
         )
-        check(w.N * alpha * d >= k, "witness power too small for the filler")
-        check(
-            step.filler_exponent == w.N * alpha * d - k,
-            "filler exponent inconsistent",
+        e, w_form, result, values = _step_result(
+            ring, poly, covered, values, q_pt, prod_b, alpha, w, check
         )
-        w_form = step.linear_form
+        check(step.filler_exponent == e, "filler exponent inconsistent")
         check(
-            w_form == HomogeneousPolynomial.linear(
-                ring, q_pt.certificate.coefficients
-            ),
+            w_form == step.linear_form,
             "linear form differs from the point certificate",
         )
-        check(
-            ring.eq(w_form.eval(q), ring.one()),
-            "linear form does not take value 1 at q",
-        )
-        prod_b = HomogeneousPolynomial.constant(ring, n, ring.one())
-        for form in step.forms:
-            prod_b = prod_b.mul(form)
-        head = poly.pow(alpha * w.N)
-        tail = prod_b.mul(w_form.pow(step.filler_exponent)).scale(w.lam)
-        result = head.add(tail)
         check(result == step.result, "recorded result differs from the formula")
-        at_q = result.eval(q)
         check(
-            ring.eq(at_q, w.epsilon),
-            "result does not take the witness unit at q",
-        )
-        next_values = []
-        for p, v in zip(covered, values):
-            expected = ring.pow(v, alpha * w.N)
-            value = result.eval(p.coordinates)
-            check(
-                ring.eq(value, expected),
-                "result value drifted at a covered point",
-            )
-            check(ring.is_unit(expected), "covered value is no longer a unit")
-            next_values.append(value)
-        next_values.append(at_q)
-        check(
-            len(step.values) == len(next_values)
-            and all(ring.eq(r, v) for r, v in zip(step.values, next_values)),
+            len(step.values) == len(values)
+            and all(ring.eq(r, v) for r, v in zip(step.values, values)),
             "recorded point values differ from the result's",
         )
         poly = result
         covered.append(q_pt)
-        values = next_values
     return poly

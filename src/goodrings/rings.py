@@ -481,10 +481,6 @@ class ProductRing(Ring):
         if not factors:
             raise ValueError("product of no rings")
         self.factors = tuple(factors)
-        self.unit_residue_complete = all(f.unit_residue_complete for f in self.factors)
-
-    def _map(self, op, *elts):
-        return tuple(op(f, *parts) for f, *parts in zip(self.factors, *elts))
 
     def zero(self):
         return tuple(f.zero() for f in self.factors)
@@ -493,13 +489,13 @@ class ProductRing(Ring):
         return tuple(f.one() for f in self.factors)
 
     def add(self, x, y):
-        return self._map(lambda f, a, b: f.add(a, b), x, y)
+        return tuple(f.add(a, b) for f, a, b in zip(self.factors, x, y))
 
     def neg(self, x):
-        return self._map(lambda f, a: f.neg(a), x)
+        return tuple(f.neg(a) for f, a in zip(self.factors, x))
 
     def mul(self, x, y):
-        return self._map(lambda f, a, b: f.mul(a, b), x, y)
+        return tuple(f.mul(a, b) for f, a, b in zip(self.factors, x, y))
 
     def unit_inverse(self, x):
         invs = []
@@ -520,7 +516,7 @@ class ProductRing(Ring):
         return tuple(tuple(cert[j] for cert in per_factor) for j in range(len(xs)))
 
     def reduce_mod(self, a, x):
-        return self._map(lambda f, m, v: f.reduce_mod(m, v), a, x)
+        return tuple(f.reduce_mod(m, v) for f, m, v in zip(self.factors, a, x))
 
     def unit_residue_witness(self, a, r):
         eps_parts, shift_parts = [], []
@@ -610,8 +606,6 @@ class LocalizedRationalPoly(Ring):
     """Fractions num/den of rational polynomials with den in the
     multiplicative set S of polynomials with no root in {0} union {p^k, k>=1}.
     Canonical form: den monic, gcd(num, den) = 1."""
-
-    unit_residue_complete = False
 
     def __init__(self, p: int, search_limit: int = 400):
         if not _is_prime(p):
@@ -859,6 +853,15 @@ def _expect(s: str, i: int, token: str) -> int:
     return i + len(token)
 
 
+def _construct(make, n: int, position: int) -> Ring:
+    """make(n), with the constructor's own check of n (a prime, a modulus
+    of at least 1) reported as a ParseError at the position of n."""
+    try:
+        return make(n)
+    except ValueError as exc:
+        raise ParseError(str(exc), position) from None
+
+
 def _parse_ring_at(s: str, i: int) -> tuple[Ring, int]:
     if s.startswith("prod(", i):
         i += len("prod(")
@@ -875,26 +878,20 @@ def _parse_ring_at(s: str, i: int) -> tuple[Ring, int]:
         start = i + len("locQ(")
         p, j = _scan_int(s, start)
         j = _expect(s, j, ")")
-        if not _is_prime(p):
-            raise ParseError(f"{p} is not prime", start)
-        return LocalizedRationalPoly(p), j
+        return _construct(LocalizedRationalPoly, p, start), j
     if s.startswith("GF(", i):
         start = i + len("GF(")
         p, j = _scan_int(s, start)
         j = _expect(s, j, ")")
-        if not _is_prime(p):
-            raise ParseError(f"{p} is not prime", start)
         if s.startswith("[T]", j):
-            return PolyOverPrimeField(p), j + 3
-        return PrimeField(p), j
+            return _construct(PolyOverPrimeField, p, start), j + 3
+        return _construct(PrimeField, p, start), j
     if s.startswith("Q[T]", i):
         return RationalPoly(), i + 4
     if s.startswith("Z/", i):
         start = i + 2
         n, j = _scan_int(s, start)
-        if n < 1:
-            raise ParseError("modulus must be at least 1", start)
-        return IntegersMod(n), j
+        return _construct(IntegersMod, n, start), j
     if s.startswith("Z", i):
         return Integers(), i + 1
     raise ParseError(f"unrecognized ring spec {s!r}", i)

@@ -35,14 +35,6 @@ class GoodPointWitness:
 
 
 @dataclass(frozen=True)
-class CycleWithoutUnit:
-    """The residues b^N mod aA closed a cycle containing no unit class."""
-
-    period: int
-    residues_visited: int
-
-
-@dataclass(frozen=True)
 class RationalEvaluation:
     """A rational root of a where b evaluates off the unit circle of Z."""
 
@@ -66,7 +58,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class Refuted:
-    evidence: Union[CycleWithoutUnit, RatioCriterion]
+    evidence: RatioCriterion
 
 
 @dataclass(frozen=True)
@@ -87,18 +79,19 @@ def verify_witness(ring: Ring, a, b, w: GoodPointWitness) -> bool:
     return ring.eq(lhs, w.epsilon)
 
 
-def find_good_witness(ring: Ring, a, b, bound: int = 10000) -> SearchOutcome:
+def find_good_witness(ring: Ring, a, b, bound: int = 10000) -> Union[Witness, Exhausted]:
     """Scan N = 1..bound for a unit in the class of b^N mod aA.
 
-    Returns the minimal-N witness, a cycle refutation when the residues
-    provably repeat without a unit, or Exhausted.
+    Returns the minimal-N witness or Exhausted. The scan needs no cycle
+    check: b is a unit mod aA, so a residue that repeats after i steps
+    means b^i = 1 mod aA, and the scan already met the class of 1, which
+    holds the unit 1, at N = i.
     """
     require_primitive(ring, (a, b))
     if ring.eq(a, ring.zero()):
         inv = ring.unit_inverse(b)
         ensure(inv is not None, "primitive (0, b) forces b to be a unit")
         return Witness(GoodPointWitness(1, ring.zero(), b, inv))
-    seen: dict = {}
     r = ring.one()
     for N in range(1, bound + 1):
         r = ring.reduce_mod(a, ring.mul(b, r))
@@ -111,15 +104,6 @@ def find_good_witness(ring: Ring, a, b, bound: int = 10000) -> SearchOutcome:
             w = GoodPointWitness(N, lam, eps, inv)
             ensure(verify_witness(ring, a, b, w), "the found witness does not verify")
             return Witness(w)
-        if r in seen:
-            if ring.unit_residue_complete:
-                return Refuted(
-                    CycleWithoutUnit(period=N - seen[r], residues_visited=len(seen))
-                )
-            # the per-class unit search is a bounded heuristic here, so a
-            # closed cycle proves nothing
-            return Exhausted(bound=N)
-        seen[r] = N
     return Exhausted(bound=bound)
 
 

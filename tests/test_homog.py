@@ -491,3 +491,69 @@ def test_replay_rejects_tampered_values():
     short = _tamper_last_step(trace, values=step.values[:-1])
     with pytest.raises(GoodRingsError, match="replay"):
         replay_trace(Z, short)
+
+
+def test_replay_rejects_tampered_combiners():
+    poly, trace = _traced_instance()
+    step = trace.steps[-1]
+    first = step.combiners[0]
+    bad = _tamper_last_step(
+        trace, combiners=((first[0] + 1,) + first[1:],) + step.combiners[1:]
+    )
+    with pytest.raises(GoodRingsError, match="replay"):
+        replay_trace(Z, bad)
+    # one combiner per minor: a trailing extra one is not ignored
+    longer = _tamper_last_step(
+        trace, combiners=(first + (1,),) + step.combiners[1:]
+    )
+    with pytest.raises(GoodRingsError, match="replay"):
+        replay_trace(Z, longer)
+
+
+def test_replay_rejects_tampered_forms():
+    poly, trace = _traced_instance()
+    step = trace.steps[-1]
+    bad = _tamper_last_step(
+        trace, forms=(step.forms[0].scale(-1),) + step.forms[1:]
+    )
+    with pytest.raises(GoodRingsError, match="replay"):
+        replay_trace(Z, bad)
+
+
+@pytest.mark.parametrize("shift", ["zero", "plus_one"])
+def test_replay_rejects_tampered_alpha(shift):
+    poly, trace = _traced_instance()
+    step = trace.steps[-1]
+    alpha = 0 if shift == "zero" else step.alpha + 1
+    bad = _tamper_last_step(trace, alpha=alpha)
+    with pytest.raises(GoodRingsError, match="replay"):
+        replay_trace(Z, bad)
+
+
+def test_replay_rejects_tampered_linear_form():
+    poly, trace = _traced_instance()
+    step = trace.steps[-1]
+    bad = _tamper_last_step(trace, linear_form=step.linear_form.scale(-1))
+    with pytest.raises(GoodRingsError, match="replay"):
+        replay_trace(Z, bad)
+
+
+def test_replay_rejects_tampered_new_point():
+    poly, trace = _traced_instance()
+    bad = _tamper_last_step(trace, new_point=require_primitive(Z, (1, 1, 1)))
+    with pytest.raises(GoodRingsError, match="replay"):
+        replay_trace(Z, bad)
+
+
+@pytest.mark.parametrize("field", ["minors", "cofactors", "combiners", "forms"])
+@pytest.mark.parametrize("change", ["extra", "short"])
+def test_replay_requires_one_entry_per_covered_point(field, change):
+    # each per-point tuple of a step has exactly one entry per covered point:
+    # an extra trailing entry is not ignored, and a short tuple is a replay
+    # failure rather than an IndexError
+    poly, trace = _traced_instance()
+    entries = getattr(trace.steps[-1], field)
+    entries = entries + entries[-1:] if change == "extra" else entries[:-1]
+    bad = _tamper_last_step(trace, **{field: entries})
+    with pytest.raises(GoodRingsError, match="replay"):
+        replay_trace(Z, bad)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goodrings import polyuniv as pu
+from goodrings import rings
 from goodrings.core import InfiniteRingError, ParseError
 from goodrings.rings import (
     Integers,
@@ -55,17 +56,18 @@ def prod_elements():
     return st.tuples(st.integers(0, 3), st.integers(0, 4))
 
 
-def loc2_elements():
-    # numerators are free; denominators must avoid roots in {0, 2, 4, 8, ...}
+def loc2_elements(ring=LOC2):
+    # numerators are free; denominators must avoid roots in {0, p, p^2, ...}
+    # for p = 2 and p = 3
     num = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=3)
     den = st.sampled_from(["1", "T-1", "T+1", "T^2+1", "3*T-1"])
 
     def build(pair):
         cs, d = pair
         numerator = pu.trim(QT.field, tuple(cs))
-        return LOC2.mul(
+        return ring.mul(
             (numerator, (Fraction(1),)),
-            LOC2.unit_inverse(LOC2.parse_element(d)),
+            ring.unit_inverse(ring.parse_element(d)),
         )
 
     return st.tuples(num, den).map(build)
@@ -298,9 +300,70 @@ def test_localized_rejects_bad_denominator():
         LOC2.parse_element("(1)/(0)")
 
 
-def test_localized_is_incomplete_for_cycle_refutations():
-    assert LOC2.unit_residue_complete is False
-    assert Z.unit_residue_complete is True
+def _ring_with_element(ring, elems):
+    return elems.map(lambda a: (ring, a))
+
+
+def _sized(make, sizes, draw_element):
+    return st.sampled_from(sizes).flatmap(
+        lambda n: _ring_with_element(make(n), draw_element(n))
+    )
+
+
+def _fp_poly_elements(p):
+    return st.lists(st.integers(0, p - 1), max_size=4).map(
+        lambda cs: pu.trim(pu.FpField(p), tuple(cs))
+    )
+
+
+RING_FAMILIES = st.one_of(
+    _ring_with_element(Z, z_elements()),
+    _sized(IntegersMod, list(range(1, 41)), lambda n: st.integers(0, n - 1)),
+    _sized(PrimeField, [2, 3, 5, 7, 97], lambda p: st.integers(0, p - 1)),
+    _sized(PolyOverPrimeField, [2, 3, 5], _fp_poly_elements),
+    _ring_with_element(QT, qt_elements()),
+    _sized(LocalizedRationalPoly, [2, 3], lambda p: loc2_elements(LocalizedRationalPoly(p))),
+    _ring_with_element(PROD, prod_elements()),
+    _ring_with_element(
+        ProductRing((Z, IntegersMod(6))),
+        st.tuples(z_elements(), st.integers(0, 5)),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(RING_FAMILIES)
+def test_class_of_one_holds_a_unit(ring_and_a):
+    # the witness scan multiplies by b, a unit mod aA, so a residue can only
+    # repeat after the class of 1 came back; this is why the scan needs no
+    # cycle check, and it holds because every ring finds a unit there
+    ring, a = ring_and_a
+    assert ring.unit_residue_witness(a, ring.reduce_mod(a, ring.one())) is not None
+
+
+@pytest.mark.parametrize(
+    "spec,error",
+    [
+        ("GF(7)", None),
+        ("GF(7)[T]", None),
+        ("locQ(3)", None),
+        ("prod(GF(5),locQ(2))", None),
+        ("GF(4)", "4 is not prime (at position 3)"),
+        ("GF(9)[T]", "9 is not prime (at position 3)"),
+        ("locQ(6)", "6 is not prime (at position 5)"),
+    ],
+)
+def test_ring_spec_tests_each_prime_once(monkeypatch, spec, error):
+    calls = []
+    real = rings._is_prime
+    monkeypatch.setattr(rings, "_is_prime", lambda n: calls.append(n) or real(n))
+    if error is None:
+        parse_ring(spec)
+    else:
+        with pytest.raises(ParseError) as info:
+            parse_ring(spec)
+        assert str(info.value) == error
+    assert len(calls) == spec.count("GF(") + spec.count("locQ(")
 
 
 def test_parse_ring_grammar():

@@ -20,7 +20,6 @@ from goodrings.rings import (
     parse_ring,
 )
 from goodrings.witness import (
-    CycleWithoutUnit,
     Exhausted,
     GoodPointWitness,
     RatioCriterion,
@@ -104,38 +103,6 @@ def test_qt_search_exhausts_instead_of_refuting():
     b = QT.parse_element("T-2")
     out = find_good_witness(QT, a, b, bound=40)
     assert isinstance(out, Exhausted)
-
-
-class _CycleStub(Integers):
-    """Integers with units deliberately hidden from the residue search.
-
-    Drives the refutation branch: residues of b^N mod a cycle and the
-    per-class unit search reports nothing. Mathematically this models an
-    honest search on a ring without those units, which is what the cycle
-    evidence is about; it exists only to pin the outcome logic.
-    """
-
-    def unit_residue_witness(self, a, r):
-        return None
-
-
-class _IncompleteCycleStub(_CycleStub):
-    unit_residue_complete = False
-
-
-def test_cycle_without_unit_refutation_shape():
-    out = find_good_witness(_CycleStub(), 5, 2, bound=100)
-    assert isinstance(out, Refuted)
-    assert isinstance(out.evidence, CycleWithoutUnit)
-    # powers of 2 mod 5: 2, 4, 3, 1, 2, ... so the cycle closes after 4 new
-    assert out.evidence.period == 4
-    assert out.evidence.residues_visited == 4
-
-
-def test_incomplete_ring_downgrades_cycle_to_exhausted():
-    out = find_good_witness(_IncompleteCycleStub(), 5, 2, bound=100)
-    assert isinstance(out, Exhausted)
-    assert out.bound < 100
 
 
 # ---------------------------------------------------------------------------
