@@ -124,9 +124,9 @@ class Ring:
         """Canonical representative of x modulo the principal ideal aA."""
         raise NotImplementedError
 
-    def unit_residue_witness(self, a, r) -> Optional[tuple]:
-        """Given a canonical residue r mod aA, return (eps, shift) with eps a
-        unit and eps == r + shift*a, or None when no unit lies in the class."""
+    def unit_residue_witness(self, a, r) -> Optional[object]:
+        """Given a canonical residue r mod aA, return a unit eps in the class
+        r + aA, or None when no unit lies in the class."""
         raise NotImplementedError
 
     def divide_exact(self, y, x) -> Optional[object]:

@@ -16,7 +16,9 @@ from typing import Iterator, Optional, Sequence
 
 from . import polyuniv as pu
 from .core import InfiniteRingError, ParseError, Ring, ensure
-from .polyuniv import _INT_RE
+
+_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+_FRACTION_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def _int_xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -130,8 +132,8 @@ def _poly_parse_T(text: str, field) -> tuple:
                 exp += int(m.group(2)) if m.group(2) else 1
             else:
                 try:
-                    c = field.parse(factor)
-                except (ValueError, ZeroDivisionError) as exc:
+                    c = field.parse_element(factor)
+                except (ParseError, ZeroDivisionError) as exc:
                     raise ParseError(f"bad coefficient {factor!r} in {text!r}") from exc
                 coeff = field.mul(coeff, c)
                 saw_coeff = True
@@ -151,11 +153,12 @@ def _poly_format_T(poly: tuple, field) -> str:
     if not poly:
         return "0"
     pieces = []
+    zero = field.zero()
     for e in range(len(poly) - 1, -1, -1):
         c = poly[e]
-        if field.is_zero(c):
+        if field.eq(c, zero):
             continue
-        cs = str(c)
+        cs = field.format_element(c)
         if e == 0:
             pieces.append(cs)
         else:
@@ -207,10 +210,10 @@ class Integers(Ring):
     def unit_residue_witness(self, a, r):
         m = abs(a)
         if m == 0:
-            return (r, 0) if r in (1, -1) else None
+            return r if r in (1, -1) else None
         for eps in (1, -1):
             if (r - eps) % m == 0:
-                return eps, (eps - r) // a
+                return eps
         return None
 
     def divide_exact(self, y, x):
@@ -274,6 +277,9 @@ class IntegersMod(Ring):
     def neg(self, x):
         return (-x) % self.n
 
+    def sub(self, x, y):
+        return (x - y) % self.n
+
     def mul(self, x, y):
         return (x * y) % self.n
 
@@ -301,11 +307,7 @@ class IntegersMod(Ring):
         # prefer +1, then -1, then the least unit of the class
         for eps in itertools.chain((1 % n, n - 1), itertools.count(c, g)):
             if eps % g == c and gcd(eps, n) == 1:
-                break
-        # solve a*shift = eps - r (mod n); solvable since g | eps - r
-        shift = (((eps - r) // g) * pow(a // g, -1, n // g)) % (n // g)
-        ensure((r + shift * a) % n == eps, "unit lift missed its target")
-        return eps, shift
+                return eps
 
     def divide_exact(self, y, x):
         n = self.n
@@ -346,8 +348,52 @@ class PrimeField(IntegersMod):
             raise ValueError(f"{p} is not prime")
         super().__init__(p)
 
+    @property
+    def characteristic(self) -> int:
+        return self.n
+
     def spec_string(self):
         return f"GF({self.n})"
+
+
+class Rationals(Ring):
+    """The rational numbers as Fractions: the coefficient field of Q[T] and
+    locQ(p), not a ring spec of its own."""
+
+    characteristic = 0
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def add(self, x, y):
+        return x + y
+
+    def neg(self, x):
+        return -x
+
+    def sub(self, x, y):
+        return x - y
+
+    def mul(self, x, y):
+        return x * y
+
+    def unit_inverse(self, x):
+        return 1 / x if x else None
+
+    def parse_element(self, text):
+        """An integer or fraction literal."""
+        if not _FRACTION_RE.match(text):
+            raise ParseError(f"not a rational literal: {text!r}")
+        return Fraction(text)
+
+    def format_element(self, x):
+        return str(x)
+
+    def spec_string(self):
+        return "Q"
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +405,10 @@ class UnivariatePolyRing(Ring):
     ascending coefficient tuples with no trailing zeros, () the zero
     polynomial.
 
-    The field supplies the coefficient grammar and the characteristic p.
-    With p > 0 every quotient by a nonzero polynomial is finite; with
-    p = 0 only the quotients by units are. Subclasses name the ring."""
+    The field is a Ring with a characteristic p: PrimeField(p) or the
+    Rationals. It supplies the coefficient arithmetic and grammar. With
+    p > 0 every quotient by a nonzero polynomial is finite; with p = 0
+    only the quotients by units are. Subclasses name the ring."""
 
     def __init__(self, field):
         self.field = field
@@ -384,7 +431,7 @@ class UnivariatePolyRing(Ring):
     def unit_inverse(self, x):
         if len(x) != 1:
             return None
-        return (self.field.div(self.field.one(), x[0]),)
+        return (self.field.unit_inverse(x[0]),)
 
     def bezout(self, xs):
         g, coeffs = _poly_chain(self.field, xs)
@@ -399,11 +446,8 @@ class UnivariatePolyRing(Ring):
     def unit_residue_witness(self, a, r):
         if len(a) == 1:
             # every class is the whole ring; land on 1
-            shift = self.mul(self.sub(self.one(), r), self.unit_inverse(a))
-            return self.one(), shift
-        if len(r) == 1:
-            return r, ()
-        return None
+            return self.one()
+        return r if len(r) == 1 else None
 
     def divide_exact(self, y, x):
         if not x:
@@ -452,9 +496,7 @@ class PolyOverPrimeField(UnivariatePolyRing):
     """Univariate polynomials over GF(p)."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        super().__init__(pu.FpField(p))
+        super().__init__(PrimeField(p))
 
     def spec_string(self):
         return f"GF({self.field.characteristic})[T]"
@@ -464,7 +506,7 @@ class RationalPoly(UnivariatePolyRing):
     """Univariate polynomials over Q: ascending Fraction tuples."""
 
     def __init__(self):
-        super().__init__(pu.QField())
+        super().__init__(Rationals())
 
     def spec_string(self):
         return "Q[T]"
@@ -519,14 +561,13 @@ class ProductRing(Ring):
         return tuple(f.reduce_mod(m, v) for f, m, v in zip(self.factors, a, x))
 
     def unit_residue_witness(self, a, r):
-        eps_parts, shift_parts = [], []
+        parts = []
         for f, m, v in zip(self.factors, a, r):
-            hit = f.unit_residue_witness(m, v)
-            if hit is None:
+            eps = f.unit_residue_witness(m, v)
+            if eps is None:
                 return None
-            eps_parts.append(hit[0])
-            shift_parts.append(hit[1])
-        return tuple(eps_parts), tuple(shift_parts)
+            parts.append(eps)
+        return tuple(parts)
 
     def divide_exact(self, y, x):
         parts = []
@@ -601,19 +642,20 @@ class ProductRing(Ring):
 # ---------------------------------------------------------------------------
 # Q[T] localized away from {0} and the powers of p
 
+# the unit lift tries eps = r + c*a over this many scalar candidates c
+_LOCQ_SHIFT_CANDIDATES = 400
+
 
 class LocalizedRationalPoly(Ring):
     """Fractions num/den of rational polynomials with den in the
     multiplicative set S of polynomials with no root in {0} union {p^k, k>=1}.
     Canonical form: den monic, gcd(num, den) = 1."""
 
-    def __init__(self, p: int, search_limit: int = 400):
+    def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.field = pu.QField()
-        # witness search tries eps = r + c*a over this many scalar candidates
-        self.search_limit = search_limit
+        self.field = Rationals()
 
     # -- canonical form helpers
 
@@ -632,7 +674,9 @@ class LocalizedRationalPoly(Ring):
             return False
         if f[0] == 0:
             return False
-        return not any(self._is_forbidden_value(z) for z in pu.rational_roots(f))
+        return not any(
+            self._is_forbidden_value(z) for z in pu.rational_roots(self.field, f)
+        )
 
     def _reduced(self, num: tuple, den: tuple) -> tuple:
         if not den:
@@ -643,10 +687,8 @@ class LocalizedRationalPoly(Ring):
         if pu.deg(g) >= 1:
             num, _ = pu.divmod_poly(self.field, num, g)
             den, _ = pu.divmod_poly(self.field, den, g)
-        lc = den[-1]
-        den = pu.monic(self.field, den)
-        num = pu.scale(self.field, 1 / lc, num)
-        return num, den
+        inv_lead = self.field.unit_inverse(den[-1])
+        return pu.scale(self.field, inv_lead, num), pu.scale(self.field, inv_lead, den)
 
     def _make(self, num: tuple, den: tuple):
         num, den = self._reduced(num, den)
@@ -662,7 +704,7 @@ class LocalizedRationalPoly(Ring):
         g = tuple([Fraction(0)] * v + [Fraction(1)])
         body = f[v:]
         if pu.deg(body) >= 1:
-            for z in pu.rational_roots(body):
+            for z in pu.rational_roots(self.field, body):
                 if z != 0 and self._is_forbidden_value(z):
                     lin = (-z, Fraction(1))
                     while True:
@@ -733,7 +775,7 @@ class LocalizedRationalPoly(Ring):
         yield Fraction(0)
         produced = 1
         s = 2
-        while produced < self.search_limit:
+        while produced < _LOCQ_SHIFT_CANDIDATES:
             for den in range(1, s):
                 num = s - den
                 if gcd(num, den) != 1:
@@ -741,23 +783,20 @@ class LocalizedRationalPoly(Ring):
                 yield Fraction(num, den)
                 yield Fraction(-num, den)
                 produced += 2
-                if produced >= self.search_limit:
+                if produced >= _LOCQ_SHIFT_CANDIDATES:
                     return
             s += 1
 
     def unit_residue_witness(self, a, r):
         if self.eq(a, self.zero()):
-            return (r, self.zero()) if self.unit_inverse(r) is not None else None
+            return r if self.unit_inverse(r) is not None else None
         if self.unit_inverse(a) is not None:
-            shift = self.mul(self.sub(self.one(), r), self.unit_inverse(a))
-            return self.one(), shift
-        # bounded deterministic search over scalar shifts
+            return self.one()
+        # bounded deterministic search over eps = r + c*a, c a scalar
         for c in self._scalar_candidates():
-            shift = ((c,) if c else (), (Fraction(1),))
-            shift = self._make(shift[0], shift[1])
-            eps = self.add(r, self.mul(shift, a))
+            eps = self.add(r, self.mul(((c,) if c else (), (Fraction(1),)), a))
             if self.unit_inverse(eps) is not None:
-                return eps, shift
+                return eps
         return None
 
     def divide_exact(self, y, x):

@@ -557,3 +557,25 @@ def test_replay_requires_one_entry_per_covered_point(field, change):
     bad = _tamper_last_step(trace, **{field: entries})
     with pytest.raises(GoodRingsError, match="replay"):
         replay_trace(Z, bad)
+
+
+def _malformed(step, case):
+    if case == "cofactor_not_a_pair":
+        return {"cofactors": (step.cofactors[0] + (0,),) + step.cofactors[1:]}
+    if case == "minor_not_a_pair":
+        return {"minors": ((7,) + step.minors[0][1:],) + step.minors[1:]}
+    if case == "combiner_not_a_tuple":
+        return {"combiners": (7,) + step.combiners[1:]}
+    return {"alpha": "1"}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cofactor_not_a_pair", "minor_not_a_pair", "combiner_not_a_tuple", "alpha_not_an_int"],
+)
+def test_replay_rejects_malformed_step_entries(case):
+    # a malformed entry is a replay failure, not a ValueError or TypeError
+    poly, trace = _traced_instance()
+    bad = _tamper_last_step(trace, **_malformed(trace.steps[-1], case))
+    with pytest.raises(GoodRingsError, match="trace replay failed"):
+        replay_trace(Z, bad)

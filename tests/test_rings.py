@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from goodrings import polyuniv as pu
 from goodrings import rings
-from goodrings.core import InfiniteRingError, ParseError
+from goodrings.core import InfiniteRingError, ParseError, Ring
 from goodrings.rings import (
     Integers,
     IntegersMod,
@@ -140,10 +140,10 @@ def test_bezout_and_residue_contracts(ring, elems):
         diff = ring.sub(x, r)
         if not ring.eq(a, ring.zero()):
             assert ring.divide_exact(diff, a) is not None
-        hit = ring.unit_residue_witness(a, r)
-        if hit is not None:
-            eps, shift = hit
-            assert ring.eq(eps, ring.add(r, ring.mul(shift, a)))
+        eps = ring.unit_residue_witness(a, r)
+        if eps is not None:
+            # eps lies in the class r + aA and is a unit
+            assert ring.divide_exact(ring.sub(eps, r), a) is not None
             assert ring.is_unit(eps)
 
     contracts()
@@ -204,16 +204,14 @@ def test_integers_mod_unit_lift_prefers_one_then_minus_one_then_least():
             for r in range(g):
                 members = range(r, n, g)
                 units = [u for u in members if gcd(u, n) == 1]
-                hit = ring.unit_residue_witness(a, r)
+                eps = ring.unit_residue_witness(a, r)
                 if not units:
-                    assert hit is None, (n, a, r)
+                    assert eps is None, (n, a, r)
                     continue
-                eps, shift = hit
                 for expected in (1 % n, n - 1, min(units)):
                     if expected in members:
                         break
                 assert eps == expected, (n, a, r)
-                assert (r + shift * a) % n == eps, (n, a, r)
 
 
 def test_prime_field_rejects_composite():
@@ -257,6 +255,10 @@ def test_polynomial_rings_share_one_class():
     assert not isinstance(F3T, RationalPoly)
     assert isinstance(parse_ring("Q[T]"), RationalPoly)
     assert F3T.spec_string() == "GF(3)[T]"
+    # every coefficient field is a ring of the package
+    assert isinstance(F3T.field, PrimeField) and F3T.field.characteristic == 3
+    assert isinstance(QT.field, Ring) and isinstance(LOC2.field, Ring)
+    assert QT.field.characteristic == 0
     assert F3T.units_count() == 2
     assert QT.units_count() is None
     assert F3T.quotient_size((1, 0, 1)) == 9
@@ -312,7 +314,7 @@ def _sized(make, sizes, draw_element):
 
 def _fp_poly_elements(p):
     return st.lists(st.integers(0, p - 1), max_size=4).map(
-        lambda cs: pu.trim(pu.FpField(p), tuple(cs))
+        lambda cs: pu.trim(PrimeField(p), tuple(cs))
     )
 
 
