@@ -126,8 +126,8 @@ def _cmd_construct(args) -> tuple:
     except WitnessSearchExhausted as exc:
         return 3, CommandResult("exhausted", {"bound": exc.bound}, (str(exc),))
     replay_trace(ring, trace)
-    # replay has checked the last step's values against its own evaluations
-    values = trace.steps[-1].values if trace.steps else (ring.one(),)
+    # replay has checked the values at the points against its own evaluations
+    values = trace.values
     payload = {
         "polynomial": poly.format(),
         "degree": poly.degree,

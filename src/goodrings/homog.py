@@ -7,6 +7,9 @@ replay_trace recomputes every identity from the raw data, so a trace is
 evidence rather than a narration; it rechecks the recorded values against
 its own evaluations and never reads them in place of one.
 
+Over a product ring the construction runs once per factor, and the trace
+holds one trace per factor; see _construct_product.
+
 Each step polynomial is evaluated once per point. A step's values at the
 covered points carry over to the next step, which needs them both for its
 precondition and for its post-check R(p) = P(p)^(alpha*N).
@@ -18,10 +21,11 @@ import functools
 import re
 import struct
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .core import (
+    BezoutCertificate,
     GoodRingsError,
     ParseError,
     PreconditionError,
@@ -31,7 +35,7 @@ from .core import (
     ensure,
     verify_certificate,
 )
-from .rings import Integers, PrimeField, _signed_terms, _split_top_level
+from .rings import Integers, PrimeField, ProductRing, _signed_terms, _split_top_level
 from .rings import _int_chain, _int_xgcd
 from .witness import (
     Exhausted,
@@ -114,8 +118,9 @@ class HomogeneousPolynomial:
         cls, ring: Ring, n_vars: int, degree: int, terms: dict
     ) -> "HomogeneousPolynomial":
         """Build from exponent tuples this class made itself: copies or
-        sums of keys that already passed __init__, or the multinomial
-        exponents of _int_linear_power.
+        sums of keys that already passed __init__, the multinomial
+        exponents of _int_linear_power, or the keys of factor polynomials
+        of one degree merged by _recombine.
 
         Such keys have the right length, no negative entry and the right
         degree by construction, so checking them again would prove nothing
@@ -531,6 +536,27 @@ class ConstructionTrace:
     base_form: HomogeneousPolynomial
     steps: tuple
 
+    @property
+    def points(self) -> tuple:
+        return (self.base_point,) + tuple(s.new_point for s in self.steps)
+
+    @property
+    def values(self) -> tuple:
+        """The result's values at points, in order; the base form takes the
+        value 1 at the base point."""
+        return self.steps[-1].values if self.steps else (self.base_form.ring.one(),)
+
+
+@dataclass(frozen=True)
+class ProductTrace:
+    """A construction over a ProductRing, one factor at a time."""
+
+    points: tuple  # the product points, in input order
+    factor_traces: tuple  # per factor: the trace over the distinct components
+    lcm: int  # L, the lcm of the factor degrees and the result's degree
+    result: HomogeneousPolynomial
+    values: tuple  # result's values at points, in order
+
 
 _STEER_SCAN_CAP = 200000
 
@@ -761,7 +787,9 @@ def construct_unit_valued(
     ring: Ring, points: Sequence[PrimitivePoint], witness_bound: int = 10000
 ) -> tuple:
     """Build a homogeneous polynomial taking unit values at all the given
-    primitive points, plus the full construction trace."""
+    primitive points, plus the full construction trace: a ProductTrace over
+    a ProductRing, which is built one factor at a time, else a
+    ConstructionTrace."""
     pts = list(points)
     if not pts:
         raise PreconditionError("at least one point is required")
@@ -778,6 +806,8 @@ def construct_unit_valued(
             shown = ", ".join(ring.format_element(c) for c in p.coordinates)
             raise PreconditionError(f"duplicate point ({shown})")
         seen.add(p.coordinates)
+    if isinstance(ring, ProductRing):
+        return _construct_product(ring, pts, witness_bound)
     base = pts[0]
     current = linear_form_for_point(ring, base)
     base_form = current
@@ -796,7 +826,108 @@ def construct_unit_valued(
     return current, ConstructionTrace(base, base_form, tuple(steps))
 
 
-def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
+def _component_points(points, i: int) -> tuple:
+    """The distinct i-th components of the product points in first-seen
+    order, each with the i-th component of its certificate."""
+    seen: dict = {}
+    for p in points:
+        coords = tuple(x[i] for x in p.coordinates)
+        if coords not in seen:
+            cert = tuple(u[i] for u in p.certificate.coefficients)
+            seen[coords] = PrimitivePoint(coords, BezoutCertificate(cert))
+    return tuple(seen.values())
+
+
+def _recombine(ring: ProductRing, n: int, factor_polys) -> HomogeneousPolynomial:
+    """The polynomial over the product with component polynomials
+    P_i^(L/d_i), L = lcm(d_i); the powers go through pow, so through mul."""
+    degree = lcm(*(p.degree for p in factor_polys))
+    powers = [p.pow(degree // p.degree) for p in factor_polys]
+    zeros = [f.zero() for f in ring.factors]
+    keys = set().union(*(p.terms for p in powers))
+    terms = {
+        e: tuple(p.terms.get(e, z) for p, z in zip(powers, zeros)) for e in keys
+    }
+    return HomogeneousPolynomial._from_trusted(ring, n, degree, terms)
+
+
+def _construct_product(ring: ProductRing, pts: list, witness_bound: int) -> tuple:
+    """Property (**) of the source paper for a finite product, one factor
+    at a time.
+
+    A point of A_1 x ... x A_r is primitive exactly when each of its
+    components is, since a Bezout certificate splits by component. If P_i
+    is unit-valued at the distinct components in A_i and has degree d_i,
+    then with L = lcm(d_i) the polynomial with coefficients
+    (P_1^(L/d_1), ..., P_r^(L/d_r)) is homogeneous of degree L and
+    unit-valued at every product point. A factor that is itself a product
+    recurses through construct_unit_valued.
+    """
+    polys, traces = [], []
+    for i, factor in enumerate(ring.factors):
+        poly, trace = construct_unit_valued(
+            factor, _component_points(pts, i), witness_bound
+        )
+        polys.append(poly)
+        traces.append(trace)
+    result = _recombine(ring, len(pts[0].coordinates), polys)
+    values = tuple(result.eval(p.coordinates) for p in pts)
+    if not all(ring.is_unit(v) for v in values):
+        raise GoodRingsError("the constructed polynomial is not unit-valued")
+    return result, ProductTrace(
+        tuple(pts), tuple(traces), result.degree, result, values
+    )
+
+
+def _splits(p, n: int, r: int) -> bool:
+    """True when p is a point of n coordinates over an r-factor product,
+    with a certificate of the same shape."""
+    return (
+        isinstance(p, PrimitivePoint)
+        and isinstance(p.certificate, BezoutCertificate)
+        and _is_tuple_of(p.coordinates, n)
+        and _is_tuple_of(p.certificate.coefficients, n)
+        and all(_is_tuple_of(x, r) for x in p.coordinates + p.certificate.coefficients)
+    )
+
+
+def _replay_product(ring: Ring, trace: ProductTrace, check) -> HomogeneousPolynomial:
+    """Replay each factor trace on its factor ring, rebuild the
+    recombination and evaluate it at every product point."""
+    check(
+        isinstance(ring, ProductRing)
+        and _is_tuple_of(trace.factor_traces, len(ring.factors)),
+        "one factor trace per factor of a product ring",
+    )
+    pts = trace.points
+    check(isinstance(pts, tuple) and pts, "no product points")
+    n = len(getattr(pts[0], "coordinates", ()))
+    check(
+        all(
+            _splits(p, n, len(ring.factors))
+            and verify_certificate(ring, p.coordinates, p.certificate)
+            for p in pts
+        ),
+        "a product point is malformed or its certificate does not verify",
+    )
+    polys = []
+    for i, (factor, factor_trace) in enumerate(zip(ring.factors, trace.factor_traces)):
+        check(
+            isinstance(factor_trace, (ConstructionTrace, ProductTrace))
+            and factor_trace.points == _component_points(pts, i),
+            "a factor trace does not cover the distinct components of the points",
+        )
+        polys.append(replay_trace(factor, factor_trace))
+    result = _recombine(ring, n, polys)
+    check(trace.lcm == result.degree, "L is not the lcm of the factor degrees")
+    check(result == trace.result, "recorded result differs from the recombination")
+    values = tuple(result.eval(p.coordinates) for p in pts)
+    check(all(ring.is_unit(v) for v in values), "the result is not unit-valued")
+    check(trace.values == values, "recorded point values differ from the result's")
+    return result
+
+
+def replay_trace(ring: Ring, trace) -> HomogeneousPolynomial:
     """Recompute every identity in a construction trace from its raw data.
 
     Returns the final polynomial on success and raises GoodRingsError at the
@@ -805,12 +936,17 @@ def replay_trace(ring: Ring, trace: ConstructionTrace) -> HomogeneousPolynomial:
     are all rebuilt by the constructor's own step kernel and compared with
     the record. The recorded point values must equal replay's own
     evaluations of its rebuilt results, which carry over from step to step
-    as they do in construct_unit_valued.
+    as they do in construct_unit_valued. A ProductTrace replays each factor
+    trace on its factor ring, which must cover exactly the distinct
+    components of the product points, and rebuilds the recombination.
     """
 
     def check(cond: bool, message: str) -> None:
         ensure(cond, f"trace replay failed: {message}")
 
+    if isinstance(trace, ProductTrace):
+        return _replay_product(ring, trace, check)
+    check(isinstance(trace, ConstructionTrace), "not a construction trace")
     base = trace.base_point
     check(
         verify_certificate(ring, base.coordinates, base.certificate),

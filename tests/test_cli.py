@@ -129,6 +129,22 @@ def test_check_good_finite_ring():
     assert out["payload"]["failures"] == []
 
 
+def test_construct_on_a_product_ring_recombines_factor_degrees():
+    # the Z components need degree 2 and the Z/5 components are one point,
+    # degree 1, so the factor polynomials recombine at degree lcm(2, 1) = 2
+    spec = "prod(Z,Z/5)"
+    code, out = invoke(
+        "construct", "--ring", spec, "--points",
+        "((1,1),(0,0));((0,1),(1,0));((1,1),(1,0))",
+    )
+    assert code == 0
+    assert out["payload"]["degree"] == 2
+    ring = goodrings.parse_ring(spec)
+    values = out["payload"]["values"]
+    assert len(values) == 3
+    assert all(ring.is_unit(ring.parse_element(v)) for v in values)
+
+
 def test_check_good_product_ring():
     code, out = invoke("check-good", "--ring", "prod(Z/2,Z/3)")
     assert code == 0
@@ -291,6 +307,19 @@ def test_witness_on_a_large_modulus_is_fast(ring_spec):
     assert time.perf_counter() - start < 2.0
     assert code == 0
     assert out["payload"]["epsilon"] == "1"
+
+
+@pytest.mark.parametrize(
+    "ring_spec",
+    ["GF(1000000000000037)", "GF(1000000000000037)[T]", "locQ(1000000000000037)"],
+)
+def test_witness_over_a_large_prime_is_fast(ring_spec):
+    # the prime is tested by Miller-Rabin, not by O(sqrt(p)) trial division
+    start = time.perf_counter()
+    code, out = invoke("witness", "--ring", ring_spec, "--a", "2", "--b", "3")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out["payload"]["N"] == 1
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import dataclasses
 from collections import Counter
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,13 @@ from goodrings.core import (
     PrimitivePoint,
     BezoutCertificate,
     UnsupportedRingError,
+    is_primitive,
     require_primitive,
 )
 from goodrings.homog import (
+    ConstructionTrace,
     HomogeneousPolynomial,
+    ProductTrace,
     WitnessSearchExhausted,
     construct_unit_valued,
     extend_unit_valued,
@@ -26,7 +30,14 @@ from goodrings.homog import (
     replay_trace,
     section_ideal_generators,
 )
-from goodrings.rings import Integers, IntegersMod, PrimeField, RationalPoly
+from goodrings.rings import (
+    Integers,
+    IntegersMod,
+    PrimeField,
+    ProductRing,
+    RationalPoly,
+    parse_ring,
+)
 
 Z = Integers()
 QT = RationalPoly()
@@ -579,3 +590,150 @@ def test_replay_rejects_malformed_step_entries(case):
     bad = _tamper_last_step(trace, **_malformed(trace.steps[-1], case))
     with pytest.raises(GoodRingsError, match="trace replay failed"):
         replay_trace(Z, bad)
+
+
+# ---------------------------------------------------------------------------
+# product rings: one construction per factor, recombined at the lcm degree
+
+
+def _component(factor, n):
+    if factor is Z:
+        coords = st.tuples(*[st.integers(-4, 4)] * n)
+    else:
+        coords = st.tuples(*[st.integers(0, factor.n - 1)] * n)
+    return coords.filter(lambda c: is_primitive(factor, c) is not None)
+
+
+@st.composite
+def _product_case(draw):
+    ring = draw(
+        st.sampled_from(
+            [ProductRing((Z, IntegersMod(m))) for m in (5, 6)]
+            + [ProductRing((IntegersMod(m), PrimeField(p))) for m, p in ((4, 3), (6, 5))]
+        )
+    )
+    n = draw(st.sampled_from((2, 3)))
+    # up to three components per factor for up to five points, so that
+    # points often share a component
+    pools = [
+        draw(st.lists(_component(f, n), min_size=2, max_size=3, unique=True))
+        for f in ring.factors
+    ]
+    picks = st.tuples(*[st.sampled_from(pool) for pool in pools])
+    chosen = draw(st.lists(picks, min_size=2, max_size=5))
+    return ring, [tuple(zip(*parts)) for parts in dict.fromkeys(chosen)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_product_case())
+def test_product_construction_is_unit_valued_and_replays(case):
+    ring, coords = case
+    pts = _points(ring, coords)
+    poly, trace = construct_unit_valued(ring, pts)
+    assert isinstance(trace, ProductTrace)
+    for c, v in zip(coords, trace.values):
+        assert poly.eval(c) == v
+        assert ring.is_unit(v)
+    for i, factor_trace in enumerate(trace.factor_traces):
+        distinct = list(dict.fromkeys(tuple(x[i] for x in c) for c in coords))
+        assert [p.coordinates for p in factor_trace.points] == distinct
+    degrees = [replay_trace(f, t).degree for f, t in zip(ring.factors, trace.factor_traces)]
+    assert poly.degree == trace.lcm == lcm(*degrees)
+    assert replay_trace(ring, trace) == poly
+
+
+def test_nested_product_construction():
+    ring = parse_ring("prod(prod(Z,Z/5),GF(3))")
+    coords = [
+        (((1, 1), 1), ((0, 0), 0)),
+        (((0, 1), 0), ((1, 0), 1)),
+        (((1, 2), 1), ((1, 1), 1)),
+        (((1, 0), 2), ((0, 1), 1)),
+    ]
+    pts = _points(ring, coords)
+    poly, trace = construct_unit_valued(ring, pts)
+    inner = trace.factor_traces[0]
+    assert isinstance(inner, ProductTrace)
+    assert isinstance(inner.factor_traces[0], ConstructionTrace)
+    for p in pts:
+        assert ring.is_unit(poly.eval(p.coordinates))
+    assert replay_trace(ring, trace) == poly
+
+
+def _product_instance():
+    # the Z components need degree 2, the Z/5 components degree 1: L = 2
+    ring = parse_ring("prod(Z,Z/5)")
+    coords = [((1, 1), (0, 0)), ((0, 1), (1, 0)), ((1, 1), (1, 0))]
+    poly, trace = construct_unit_valued(ring, _points(ring, coords))
+    assert trace.lcm == 2
+    return ring, trace
+
+
+def _tampered_product(ring, trace, case):
+    if case == "factor_trace":
+        z_trace = trace.factor_traces[0]
+        alpha = z_trace.steps[-1].alpha + 1
+        return dataclasses.replace(
+            trace,
+            factor_traces=(_tamper_last_step(z_trace, alpha=alpha),)
+            + trace.factor_traces[1:],
+        )
+    if case == "foreign_factor_trace":
+        # a valid trace, but of other points than the Z components
+        _, other = construct_unit_valued(Z, _points(Z, [(1, 0), (2, 1), (1, 1)]))
+        return dataclasses.replace(
+            trace, factor_traces=(other,) + trace.factor_traces[1:]
+        )
+    if case == "lcm":
+        return dataclasses.replace(trace, lcm=2 * trace.lcm)
+    if case == "missing_component":
+        # the Z/5 component (2, 1) is in no factor trace
+        extra = require_primitive(ring, ((1, 2), (0, 1)))
+        return dataclasses.replace(trace, points=trace.points[:-1] + (extra,))
+    if case == "uncertified_point":
+        # the Z/5 component (1, 0) of the last point repeats the first's, so
+        # only the product certificate check sees its broken certificate
+        last = trace.points[-1]
+        cert = BezoutCertificate(tuple((u[0], 0) for u in last.certificate.coefficients))
+        bad = PrimitivePoint(last.coordinates, cert)
+        return dataclasses.replace(trace, points=trace.points[:-1] + (bad,))
+    if case == "extra_factor":
+        return dataclasses.replace(
+            trace, factor_traces=trace.factor_traces + trace.factor_traces[-1:]
+        )
+    if case == "missing_factor":
+        return dataclasses.replace(trace, factor_traces=trace.factor_traces[:-1])
+    if case == "result":
+        return dataclasses.replace(trace, result=trace.result.add(trace.result))
+    if case == "values":
+        return dataclasses.replace(trace, values=trace.values[::-1][:2])
+    return dataclasses.replace(trace, points=(trace.points[0], 7))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "factor_trace",
+        "foreign_factor_trace",
+        "lcm",
+        "missing_component",
+        "uncertified_point",
+        "extra_factor",
+        "missing_factor",
+        "result",
+        "values",
+        "point_not_a_point",
+    ],
+)
+def test_replay_rejects_tampered_product_trace(case):
+    ring, trace = _product_instance()
+    bad = _tampered_product(ring, trace, case)
+    with pytest.raises(GoodRingsError, match="trace replay failed"):
+        replay_trace(ring, bad)
+
+
+def test_replay_rejects_a_product_trace_over_another_ring():
+    ring, trace = _product_instance()
+    for other in (Z, parse_ring("prod(Z,Z/5,Z/5)")):
+        with pytest.raises(GoodRingsError, match="trace replay failed"):
+            replay_trace(other, trace)

@@ -389,6 +389,26 @@ def test_parse_ring_rejects(bad):
         parse_ring(bad)
 
 
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(rings._is_prime(n) == by_trial_division(n) for n in range(-3, 20000))
+    # psi_12 is a strong pseudoprime to every prime base up to 37; base 41
+    # shows it composite
+    assert not rings._is_prime(318665857834031151167461)
+    assert rings._is_prime(2**61 - 1)
+
+
+@pytest.mark.parametrize("spec", ["GF({p})", "GF({p})[T]", "locQ({p})", "prod(Z,GF({p}))"])
+def test_ring_spec_rejects_a_prime_past_the_primality_limit(spec):
+    # 2**89 - 1 is prime, but past the bound where Miller-Rabin over the
+    # first 13 prime bases is exact; the spec is refused, naming the bound
+    with pytest.raises(ParseError, match=str(rings._PRIMALITY_LIMIT)):
+        parse_ring(spec.format(p=2**89 - 1))
+    parse_ring(spec.format(p=rings._PRIMALITY_LIMIT - 168))  # the largest prime below it
+
+
 def test_infinite_enumeration_raises():
     with pytest.raises(InfiniteRingError):
         Z.size()
