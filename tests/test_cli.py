@@ -115,6 +115,16 @@ def test_construct_exhaustion_exit_code():
     assert out["status"] == "exhausted"
 
 
+def test_construct_bound_applies_to_steered_steps():
+    # the second step is steered and needs N = 80, past the bound
+    code, out = invoke(
+        "construct", "--ring", "Z", "--points", "(-8,-9);(-1,8);(5,-6)", "--bound", "10"
+    )
+    assert code == 3
+    assert out["status"] == "exhausted"
+    assert out["payload"] == {"bound": 10}
+
+
 def test_construct_rejects_non_primitive_point():
     code, out = invoke("construct", "--ring", "Z", "--points", "(1,0);(2,2)")
     assert code == 2

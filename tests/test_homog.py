@@ -63,6 +63,49 @@ def test_polynomial_arithmetic():
     assert P("x1+x2").pow(0) == HomogeneousPolynomial.constant(Z, 2, 1)
 
 
+def _pow_base(case):
+    if case == "Z_linear":
+        return Z, P("3*x1-2*x2")
+    if case == "Z_21_terms":
+        # every monomial of degree 5 in 3 variables
+        terms = {e: (-1) ** i * (i + 1) for i, e in enumerate(monomial_exponents(3, 5))}
+        return Z, HomogeneousPolynomial(Z, 3, 5, terms)
+    if case == "Z/12":
+        ring = IntegersMod(12)
+        return ring, P("5*x1^2+7*x1*x2+3*x2^2", ring=ring)
+    ring = parse_ring("GF(7)[T]")
+    return ring, P("(T+1)*x1+3*x2+(2*T^2+5)*x3", n_vars=3, ring=ring)
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("case", ["Z_linear", "Z_21_terms", "Z/12", "GF(7)[T]"])
+def test_pow_is_the_n_fold_product(case, n):
+    ring, base = _pow_base(case)
+    expected = HomogeneousPolynomial.constant(ring, base.n_vars, ring.one())
+    for _ in range(n):
+        expected = expected.mul(base)
+    power = base.pow(n)
+    assert power == expected
+    assert power.degree == n * base.degree
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("case", ["Z_21_terms", "Z/12", "GF(7)[T]"])
+def test_pow_multiplies_by_the_base_n_minus_1_times(monkeypatch, case, n):
+    ring, base = _pow_base(case)
+    factors = []
+    original = HomogeneousPolynomial.mul
+
+    def counted(self, other):
+        factors.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(HomogeneousPolynomial, "mul", counted)
+    base.pow(n)
+    assert len(factors) == max(n - 1, 0)
+    assert all(f is base for f in factors)
+
+
 def test_add_rejects_degree_mismatch():
     with pytest.raises(ValueError):
         P("x1").add(P("x1^2"))
@@ -331,6 +374,20 @@ def test_construct_exhausts_honestly_over_qt():
         construct_unit_valued(QT, pts, witness_bound=30)
 
 
+def test_construct_keeps_the_witness_bound_on_steered_steps():
+    # the second step is steered and its least witness power is N = 80
+    pts = _points(Z, [(-8, -9), (-1, 8), (5, -6)])
+    with pytest.raises(WitnessSearchExhausted) as info:
+        construct_unit_valued(Z, pts, witness_bound=10)
+    assert info.value.bound == 10
+    with pytest.raises(WitnessSearchExhausted) as info:
+        construct_unit_valued(Z, pts, witness_bound=79)
+    assert info.value.bound == 79
+    poly, trace = construct_unit_valued(Z, pts, witness_bound=80)
+    assert trace.steps[-1].witness.N == 80
+    assert replay_trace(Z, trace) == poly
+
+
 def test_construct_rejects_duplicates():
     pts = _points(Z, [(1, 0), (1, 0)])
     with pytest.raises(PreconditionError):
@@ -592,6 +649,18 @@ def test_replay_rejects_malformed_step_entries(case):
         replay_trace(Z, bad)
 
 
+@pytest.mark.parametrize("case", ["new_point_dimension", "step_not_a_step"])
+def test_replay_rejects_malformed_steps(case):
+    # a malformed step is a replay failure, not a ValueError or AttributeError
+    poly, trace = construct_unit_valued(Z, _points(Z, [(1, 0), (0, 1)]))
+    if case == "new_point_dimension":
+        bad = _tamper_last_step(trace, new_point=require_primitive(Z, (0, 1, 0)))
+    else:
+        bad = dataclasses.replace(trace, steps=(7,))
+    with pytest.raises(GoodRingsError, match="trace replay failed"):
+        replay_trace(Z, bad)
+
+
 # ---------------------------------------------------------------------------
 # product rings: one construction per factor, recombined at the lcm degree
 
@@ -684,6 +753,11 @@ def _tampered_product(ring, trace, case):
         return dataclasses.replace(
             trace, factor_traces=(other,) + trace.factor_traces[1:]
         )
+    if case == "factor_step_not_a_step":
+        z_trace = dataclasses.replace(trace.factor_traces[0], steps=(7,))
+        return dataclasses.replace(
+            trace, factor_traces=(z_trace,) + trace.factor_traces[1:]
+        )
     if case == "lcm":
         return dataclasses.replace(trace, lcm=2 * trace.lcm)
     if case == "missing_component":
@@ -715,6 +789,7 @@ def _tampered_product(ring, trace, case):
     [
         "factor_trace",
         "foreign_factor_trace",
+        "factor_step_not_a_step",
         "lcm",
         "missing_component",
         "uncertified_point",
