@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb, gcd, lcm
 from typing import Iterator, Optional, Sequence
 
@@ -557,11 +557,6 @@ class ProductTrace:
     values: tuple  # result's values at points, in order
 
 
-# The step kernel below is shared by extend_unit_valued and replay_trace.
-# Each helper reports a failed identity through check(cond, message):
-# ensure in the constructor, replay's own check in replay_trace.
-
-
 def _minors(ring: Ring, pc: tuple, q: tuple, pairs: list) -> tuple:
     """The 2x2 minors pc[i]*q[j] - pc[j]*q[i] over the index pairs."""
     return tuple(
@@ -569,24 +564,33 @@ def _minors(ring: Ring, pc: tuple, q: tuple, pairs: list) -> tuple:
     )
 
 
-def _recorded_minors(pairs: list, minors_per_t) -> tuple:
-    """The step record's minors: per covered point, ((i, j), minor) pairs."""
-    return tuple(tuple(zip(pairs, m)) for m in minors_per_t)
-
-
 def _is_tuple_of(x, length: int) -> bool:
     return isinstance(x, tuple) and len(x) == length
 
 
-def _step_forms(ring: Ring, covered, q, pq, pairs, cofactors, combiners, check) -> tuple:
-    """The degree-1 forms B_t = sum(u*(pc_i*x_j - pc_j*x_i)) built from the
-    combiners, their product, and a = prod B_t(q).
+def _step(
+    ring: Ring, poly, covered, values, new_point, identity, witness, check
+) -> ExtensionStep:
+    """The one builder of an ExtensionStep: from P and its unit values at
+    the covered points, R = (P^alpha)^N + lam * prod(B_t) * W^e, unit-valued
+    at covered + (new_point,), and the step record.
 
-    Checks that there is one cofactor pair (c, w) and one combiner per
-    minor for each covered point, that each B_t vanishes at its covered
-    point, and that the combination identity 1 = P(q)*c + w*B_t(q) holds.
+    The step's two choices are callables, each called once its input is
+    known: identity(ring, P(q), minors) returns the cofactors (c, w) with 1
+    = P(q)*c + w*B_t(q) and the combiners u of B_t; witness(a, P(q)) returns
+    alpha and a witness for (a, P(q)^alpha), a = prod B_t(q). The
+    constructor passes its own choices, replay the recorded ones. Failed
+    identities go to check(cond, message). W(q) is the sum that both
+    callers' certificate check of new_point has verified, so W(q) = 1 needs
+    no check here. The record keeps R's own values, new_point's last.
     """
+    n = poly.n_vars
     k = len(covered)
+    q = new_point.coordinates
+    pq = poly.eval(q)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    minors = [_minors(ring, p.coordinates, q, pairs) for p in covered]
+    cofactors, combiners = identity(ring, pq, minors)
     check(
         _is_tuple_of(cofactors, k)
         and _is_tuple_of(combiners, k)
@@ -594,7 +598,6 @@ def _step_forms(ring: Ring, covered, q, pq, pairs, cofactors, combiners, check) 
         and all(_is_tuple_of(us, len(pairs)) for us in combiners),
         "one cofactor pair and one combiner per minor for each covered point",
     )
-    n = len(q)
     forms = []
     prod_b = HomogeneousPolynomial.constant(ring, n, ring.one())
     a_val = ring.one()
@@ -607,29 +610,15 @@ def _step_forms(ring: Ring, covered, q, pq, pairs, cofactors, combiners, check) 
         form = HomogeneousPolynomial.linear(ring, lin)
         check(ring.eq(form.eval(pc), ring.zero()), "a form does not vanish at its point")
         v = form.eval(q)
-        identity = ring.add(ring.mul(pq, c_t), ring.mul(w_t, v))
-        check(ring.eq(identity, ring.one()), "combination identity broken")
+        combination = ring.add(ring.mul(pq, c_t), ring.mul(w_t, v))
+        check(ring.eq(combination, ring.one()), "combination identity broken")
         forms.append(form)
         prod_b = prod_b.mul(form)
         a_val = ring.mul(a_val, v)
-    return tuple(forms), prod_b, a_val
 
-
-def _step_result(
-    ring: Ring, poly, covered, values, new_point, prod_b, alpha, w, check
-) -> tuple:
-    """R = (P^alpha)^N + lam * prod(B_t) * W^e and its values.
-
-    W is the linear form with new_point's certificate coefficients, and e =
-    N*alpha*deg(P) - k pads the degree. Both callers verify new_point's
-    certificate first, and W(q) is the certificate sum, so W(q) = 1 needs
-    no check here. Checks R(q) = eps, and R(p) = v^(alpha*N) with that a
-    unit at each covered p, where v is P's value there. Returns (e, W, R,
-    values) with values R's own at covered + (new_point,).
-    """
-    e = w.N * alpha * poly.degree - len(covered)
+    alpha, w = witness(a_val, pq)
+    e = w.N * alpha * poly.degree - k
     check(e >= 0, "witness power too small for the filler")
-    q = new_point.coordinates
     w_form = HomogeneousPolynomial.linear(ring, new_point.certificate.coefficients)
     head = poly.pow(alpha * w.N)
     tail = prod_b.mul(w_form.pow(e)).scale(w.lam)
@@ -646,7 +635,75 @@ def _step_result(
         )
         point_values.append(value)
     point_values.append(at_q)
-    return e, w_form, result, tuple(point_values)
+    return ExtensionStep(
+        new_point=new_point,
+        covered=tuple(covered),
+        minors=tuple(tuple(zip(pairs, m)) for m in minors),
+        cofactors=cofactors,
+        combiners=combiners,
+        forms=tuple(forms),
+        alpha=alpha,
+        witness=w,
+        linear_form=w_form,
+        filler_exponent=e,
+        result=result,
+        values=tuple(point_values),
+    )
+
+
+def _combination(ring: Ring, pq, minors: list) -> tuple:
+    """The constructor's combination identities, per covered point: the
+    cofactors (c, w) with 1 = P(q)*c + w*B_t(q) and the combiners u."""
+    if ring.is_unit(pq):
+        # q is projectively on top of the covered set as far as P can see;
+        # take the trivial identity 1 = P(q) * P(q)^-1 and zero forms
+        inv = ring.unit_inverse(pq)
+        return ((inv, ring.zero()),) * len(minors), tuple(
+            tuple(ring.zero() for _ in m) for m in minors
+        )
+    if isinstance(ring, Integers):
+        # steer every target to the minor gcd itself: the witness then
+        # runs modulo prod(g_t), which keeps both the scan and the final
+        # degree small, unlike targets of the shape 1 - P(q)^n whose
+        # pairwise common factors blow the reachable exponent up
+        chains = [_int_chain(m) for m in minors]
+        if all(g > 0 and gcd(g, pq) == 1 for g, _ in chains):
+            return (
+                tuple(_int_xgcd(pq, g)[1:] for g, _ in chains),
+                tuple(tuple(cs) for _, cs in chains),
+            )
+    cofactors, combiners = [], []
+    for m in minors:
+        coeffs = ring.bezout((pq,) + m)
+        if coeffs is None:
+            raise GoodRingsError(
+                "could not certify 1 in (P(q), minors); the covered-point "
+                "precondition does not hold"
+            )
+        cofactors.append((coeffs[0], ring.one()))
+        combiners.append(tuple(coeffs[1:]))
+    return tuple(cofactors), tuple(combiners)
+
+
+def _least_witness(ring: Ring, k: int, degree: int, bound: int):
+    """The constructor's witness choice for a step over k covered points
+    from a polynomial of the given degree: the least witness for (a,
+    P(q)^alpha) with alpha = 1, raised to the least alpha with N*alpha*
+    degree >= k when N is too small for the filler."""
+
+    def choose(a, pq) -> tuple:
+        alpha = 1
+        for _ in range(64):
+            outcome = find_good_witness(ring, a, ring.pow(pq, alpha), bound=bound)
+            if isinstance(outcome, Exhausted):
+                raise WitnessSearchExhausted(outcome.bound)
+            w = outcome.witness
+            if w.N * alpha * degree >= k:
+                return alpha, w
+            alpha = -(-k // (w.N * degree))
+        raise GoodRingsError("witness exponent adjustment failed to settle")
+
+    return choose
 
 
 def extend_unit_valued(
@@ -696,83 +753,11 @@ def extend_unit_valued(
             raise PreconditionError(
                 "the polynomial is not unit-valued on a covered point"
             )
-    q = new_point.coordinates
-    pq = poly.eval(q)
-    d = poly.degree
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    minors_per_t = [_minors(ring, p.coordinates, q, pairs) for p in pts]
-
-    cofactors, combiners = [], []
-    if ring.is_unit(pq):
-        # q is projectively on top of the covered set as far as P can see;
-        # take the trivial identity 1 = P(q) * P(q)^-1 and zero forms
-        inv = ring.unit_inverse(pq)
-        cofactors = [(inv, ring.zero())] * k
-        combiners = [tuple(ring.zero() for _ in pairs) for _ in range(k)]
-    else:
-        chains = None
-        if isinstance(ring, Integers):
-            # steer every target to the minor gcd itself: the witness then
-            # runs modulo prod(g_t), which keeps both the scan and the final
-            # degree small, unlike targets of the shape 1 - P(q)^n whose
-            # pairwise common factors blow the reachable exponent up
-            chains = [_int_chain(m) for m in minors_per_t]
-            if not all(g > 0 and gcd(g, pq) == 1 for g, _ in chains):
-                chains = None
-        if chains is not None:
-            for g, cs in chains:
-                combiners.append(tuple(cs))
-                _, s, t = _int_xgcd(pq, g)
-                cofactors.append((s, t))
-        else:
-            for m in minors_per_t:
-                coeffs = ring.bezout((pq,) + m)
-                if coeffs is None:
-                    raise GoodRingsError(
-                        "could not certify 1 in (P(q), minors); the covered-point "
-                        "precondition does not hold"
-                    )
-                cofactors.append((coeffs[0], ring.one()))
-                combiners.append(tuple(coeffs[1:]))
-
-    cofactors, combiners = tuple(cofactors), tuple(combiners)
-    forms, prod_b, a_val = _step_forms(
-        ring, pts, q, pq, pairs, cofactors, combiners, ensure
+    witness = _least_witness(ring, k, poly.degree, witness_bound)
+    step = _step(
+        ring, poly, pts, covered_values, new_point, _combination, witness, ensure
     )
-
-    alpha = 1
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > 64:
-            raise GoodRingsError("witness exponent adjustment failed to settle")
-        b_val = ring.pow(pq, alpha)
-        outcome = find_good_witness(ring, a_val, b_val, bound=witness_bound)
-        if isinstance(outcome, Exhausted):
-            raise WitnessSearchExhausted(outcome.bound)
-        w = outcome.witness
-        if w.N * alpha * d >= k:
-            break
-        alpha = -(-k // (w.N * d))
-
-    e, w_form, result, point_values = _step_result(
-        ring, poly, pts, covered_values, new_point, prod_b, alpha, w, ensure
-    )
-    step = ExtensionStep(
-        new_point=new_point,
-        covered=tuple(pts),
-        minors=_recorded_minors(pairs, minors_per_t),
-        cofactors=cofactors,
-        combiners=combiners,
-        forms=forms,
-        alpha=alpha,
-        witness=w,
-        linear_form=w_form,
-        filler_exponent=e,
-        result=result,
-        values=point_values,
-    )
-    return result, step
+    return step.result, step
 
 
 def construct_unit_valued(
@@ -862,13 +847,17 @@ def _construct_product(ring: ProductRing, pts: list, witness_bound: int) -> tupl
         )
         polys.append(poly)
         traces.append(trace)
+    trace = _product_trace(ring, tuple(pts), polys, tuple(traces), ensure)
+    return trace.result, trace
+
+
+def _product_trace(ring: ProductRing, pts: tuple, polys, traces, check) -> ProductTrace:
+    """The one builder of a ProductTrace: the recombination of the factor
+    polynomials and its values at the points, each checked to be a unit."""
     result = _recombine(ring, len(pts[0].coordinates), polys)
     values = tuple(result.eval(p.coordinates) for p in pts)
-    if not all(ring.is_unit(v) for v in values):
-        raise GoodRingsError("the constructed polynomial is not unit-valued")
-    return result, ProductTrace(
-        tuple(pts), tuple(traces), result.degree, result, values
-    )
+    check(all(ring.is_unit(v) for v in values), "the result is not unit-valued")
+    return ProductTrace(pts, traces, result.degree, result, values)
 
 
 def _splits(p, n: int, r: int) -> bool:
@@ -883,9 +872,22 @@ def _splits(p, n: int, r: int) -> bool:
     )
 
 
+def _check_record(rebuilt, recorded, check) -> None:
+    """Require a rebuilt record to equal the recorded one, field by field
+    with ==, which is Ring.eq; the message names the fields that differ."""
+    if rebuilt != recorded:
+        differ = [
+            f.name
+            for f in fields(rebuilt)
+            if getattr(rebuilt, f.name) != getattr(recorded, f.name)
+        ]
+        check(False, f"the record differs from its rebuild in {', '.join(differ)}")
+
+
 def _replay_product(ring: Ring, trace: ProductTrace, check) -> HomogeneousPolynomial:
-    """Replay each factor trace on its factor ring, rebuild the
-    recombination and evaluate it at every product point."""
+    """Replay each factor trace on its factor ring, then rebuild the
+    product record from the replayed polynomials and compare it with the
+    recorded one."""
     check(
         isinstance(ring, ProductRing)
         and _is_tuple_of(trace.factor_traces, len(ring.factors)),
@@ -910,27 +912,23 @@ def _replay_product(ring: Ring, trace: ProductTrace, check) -> HomogeneousPolyno
             factor_trace.points == _component_points(pts, i),
             "a factor trace does not cover the distinct components of the points",
         )
-    result = _recombine(ring, n, polys)
-    check(trace.lcm == result.degree, "L is not the lcm of the factor degrees")
-    check(result == trace.result, "recorded result differs from the recombination")
-    values = tuple(result.eval(p.coordinates) for p in pts)
-    check(all(ring.is_unit(v) for v in values), "the result is not unit-valued")
-    check(trace.values == values, "recorded point values differ from the result's")
-    return result
+    rebuilt = _product_trace(ring, pts, polys, trace.factor_traces, check)
+    _check_record(rebuilt, trace, check)
+    return rebuilt.result
 
 
 def replay_trace(ring: Ring, trace) -> HomogeneousPolynomial:
     """Recompute every identity in a construction trace from its raw data.
 
     Returns the final polynomial on success and raises GoodRingsError at the
-    first mismatch. Nothing is trusted: minors, combination identities, the
-    forms, the witness, the filler exponent, and each intermediate result
-    are all rebuilt by the constructor's own step kernel and compared with
-    the record. The recorded point values must equal replay's own
-    evaluations of its rebuilt results, which carry over from step to step
-    as they do in construct_unit_valued. A ProductTrace replays each factor
-    trace on its factor ring, which must cover exactly the distinct
-    components of the product points, and rebuilds the recombination.
+    first mismatch. Nothing is trusted: each step is rebuilt by the
+    constructor's own step builder, run on the step's recorded choices (the
+    cofactors and combiners, alpha and a witness that must verify), and the
+    rebuilt step must equal the recorded one field for field. Its point
+    values come from replay's own evaluations, which carry over from step to
+    step as they do in construct_unit_valued. A ProductTrace replays each
+    factor trace on its factor ring, which must cover exactly the distinct
+    components of the product points, and rebuilds the product record.
     """
 
     def check(cond: bool, message: str) -> None:
@@ -941,58 +939,42 @@ def replay_trace(ring: Ring, trace) -> HomogeneousPolynomial:
     check(isinstance(trace, ConstructionTrace), "not a construction trace")
     base = trace.base_point
     check(
-        verify_certificate(ring, base.coordinates, base.certificate),
-        "base certificate invalid",
+        isinstance(base, PrimitivePoint)
+        and verify_certificate(ring, base.coordinates, base.certificate),
+        "base point malformed or its certificate invalid",
     )
-    rebuilt = HomogeneousPolynomial.linear(ring, base.certificate.coefficients)
-    check(trace.base_form == rebuilt, "base form does not match its certificate")
-    poly = trace.base_form
+    poly = HomogeneousPolynomial.linear(ring, base.certificate.coefficients)
+    check(trace.base_form == poly, "base form does not match its certificate")
+    check(isinstance(trace.steps, tuple), "the steps are not a tuple")
     covered = [base]
     values = (ring.one(),)  # the base form's value is the certificate sum
-    n = poly.n_vars
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for step in trace.steps:
         check(isinstance(step, ExtensionStep), "a step is not an ExtensionStep")
-        check(step.covered == tuple(covered), "covered-point list out of order")
         q_pt = step.new_point
         check(
-            verify_certificate(ring, q_pt.coordinates, q_pt.certificate),
-            "extension point certificate invalid",
+            isinstance(q_pt, PrimitivePoint)
+            and len(q_pt.coordinates) == poly.n_vars
+            and verify_certificate(ring, q_pt.coordinates, q_pt.certificate),
+            "extension point malformed or its certificate invalid",
         )
-        q = q_pt.coordinates
-        check(len(q) == n, "extension point has the wrong number of coordinates")
-        pq = poly.eval(q)
-        minors = [_minors(ring, p.coordinates, q, pairs) for p in covered]
-        # Ring.eq is == in every ring, so the record compares as a whole
-        check(
-            step.minors == _recorded_minors(pairs, minors),
-            "recorded minors disagree with the points",
+
+        def recorded_witness(a, pq) -> tuple:
+            alpha, w = step.alpha, step.witness
+            check(
+                isinstance(alpha, int) and alpha >= 1, "alpha must be a positive integer"
+            )
+            check(
+                isinstance(w, GoodPointWitness)
+                and verify_witness(ring, a, ring.pow(pq, alpha), w),
+                "step witness does not verify",
+            )
+            return alpha, w
+
+        rebuilt = _step(
+            ring, poly, covered, values, q_pt,
+            lambda *_: (step.cofactors, step.combiners), recorded_witness, check,
         )
-        forms, prod_b, a_val = _step_forms(
-            ring, covered, q, pq, pairs, step.cofactors, step.combiners, check
-        )
-        check(forms == step.forms, "recorded forms differ from the combiners")
-        w = step.witness
-        alpha = step.alpha
-        check(isinstance(alpha, int) and alpha >= 1, "alpha must be a positive integer")
-        check(
-            verify_witness(ring, a_val, ring.pow(pq, alpha), w),
-            "step witness does not verify",
-        )
-        e, w_form, result, values = _step_result(
-            ring, poly, covered, values, q_pt, prod_b, alpha, w, check
-        )
-        check(step.filler_exponent == e, "filler exponent inconsistent")
-        check(
-            w_form == step.linear_form,
-            "linear form differs from the point certificate",
-        )
-        check(result == step.result, "recorded result differs from the formula")
-        check(
-            len(step.values) == len(values)
-            and all(ring.eq(r, v) for r, v in zip(step.values, values)),
-            "recorded point values differ from the result's",
-        )
-        poly = result
+        _check_record(rebuilt, step, check)
+        poly, values = rebuilt.result, rebuilt.values
         covered.append(q_pt)
     return poly

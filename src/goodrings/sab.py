@@ -200,12 +200,10 @@ def polynomial_to_witness(
     if not ring.is_unit(val):
         raise PreconditionError("P(a, b) must be a unit")
     total = ring.zero()
-    for i in range(1, d + 1):
-        coeff = poly.terms.get((i, d - i))
-        if coeff is None:
-            continue
-        term = ring.mul(coeff, ring.mul(ring.pow(a, i - 1), ring.pow(b, d - i)))
-        total = ring.add(total, term)
+    for (i, j), coeff in poly.terms.items():
+        if i:
+            term = ring.mul(coeff, ring.mul(ring.pow(a, i - 1), ring.pow(b, j)))
+            total = ring.add(total, term)
     lam = ring.mul(a0_inv, total)
     eps = ring.mul(a0_inv, val)
     w = GoodPointWitness(d, lam, eps, ring.unit_inverse(eps))

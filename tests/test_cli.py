@@ -299,6 +299,18 @@ def test_bridge_from_poly_requires_poly():
     assert code == 2
 
 
+def test_bridge_from_poly_loops_over_terms_not_degree():
+    # two terms of degree 10**10: the witness is read off the terms alone
+    start = time.perf_counter()
+    code, out = invoke(
+        "bridge", "--from-poly", "--ring", "Z/7", "--a", "3", "--b", "2",
+        "--poly", "x2^10000000000+x1^10000000000",
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out["payload"] == {"N": 10000000000, "lambda": "6", "epsilon": "6"}
+
+
 def test_text_format():
     code, text = run(
         ["witness", "--ring", "Z", "--a", "5", "--b", "2", "--format", "text"]

@@ -19,6 +19,7 @@ from goodrings.core import (
 )
 from goodrings.homog import (
     ConstructionTrace,
+    ExtensionStep,
     HomogeneousPolynomial,
     ProductTrace,
     WitnessSearchExhausted,
@@ -530,7 +531,8 @@ def test_replay_rejects_tampered_filler_exponent():
     poly, trace = _traced_instance()
     step = trace.steps[-1]
     bad = _tamper_last_step(trace, filler_exponent=step.filler_exponent + 1)
-    with pytest.raises(GoodRingsError, match="replay"):
+    # the message names the field in which the record differs from its rebuild
+    with pytest.raises(GoodRingsError, match="trace replay failed.*filler_exponent"):
         replay_trace(Z, bad)
 
 
@@ -659,6 +661,27 @@ def test_replay_rejects_malformed_steps(case):
         bad = dataclasses.replace(trace, steps=(7,))
     with pytest.raises(GoodRingsError, match="trace replay failed"):
         replay_trace(Z, bad)
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        pytest.param(record, f.name, id=f"{record.__name__}.{f.name}")
+        for record in (ExtensionStep, ConstructionTrace, ProductTrace)
+        for f in dataclasses.fields(record)
+    ],
+)
+def test_replay_rejects_a_field_that_is_not_a_value(record, field):
+    # any field of any record replaced by a foreign object is a replay
+    # failure, not an AttributeError or TypeError
+    if record is ProductTrace:
+        ring, trace = _product_instance()
+    else:
+        ring, (poly, trace) = Z, _traced_instance()
+    tamper = _tamper_last_step if record is ExtensionStep else dataclasses.replace
+    bad = tamper(trace, **{field: object()})
+    with pytest.raises(GoodRingsError, match="trace replay failed"):
+        replay_trace(ring, bad)
 
 
 # ---------------------------------------------------------------------------
