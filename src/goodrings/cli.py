@@ -139,19 +139,11 @@ def _cmd_construct(args) -> tuple:
 def _cmd_check_good(args) -> tuple:
     ring = parse_ring(args.ring)
     report = check_good_ring_exhaustive(ring)
-    failures = [
-        {
-            "a": ring.format_element(a),
-            "b": ring.format_element(b),
-            "outcome": type(outcome).__name__,
-        }
-        for a, b, outcome in report.failures
-    ]
     payload = {
         "pairs_checked": report.pairs_checked,
         "all_good": report.all_good,
         "max_N_seen": report.max_N_seen,
-        "failures": failures,
+        "failures": list(report.failures),  # always empty on a finite ring
     }
     return 0, CommandResult("ok", payload, ())
 

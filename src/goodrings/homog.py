@@ -929,52 +929,56 @@ def replay_trace(ring: Ring, trace) -> HomogeneousPolynomial:
     step as they do in construct_unit_valued. A ProductTrace replays each
     factor trace on its factor ring, which must cover exactly the distinct
     components of the product points, and rebuilds the product record.
+    A foreign element inside a record fails as a malformed record.
     """
 
     def check(cond: bool, message: str) -> None:
         ensure(cond, f"trace replay failed: {message}")
 
-    if isinstance(trace, ProductTrace):
-        return _replay_product(ring, trace, check)
-    check(isinstance(trace, ConstructionTrace), "not a construction trace")
-    base = trace.base_point
-    check(
-        isinstance(base, PrimitivePoint)
-        and verify_certificate(ring, base.coordinates, base.certificate),
-        "base point malformed or its certificate invalid",
-    )
-    poly = HomogeneousPolynomial.linear(ring, base.certificate.coefficients)
-    check(trace.base_form == poly, "base form does not match its certificate")
-    check(isinstance(trace.steps, tuple), "the steps are not a tuple")
-    covered = [base]
-    values = (ring.one(),)  # the base form's value is the certificate sum
-    for step in trace.steps:
-        check(isinstance(step, ExtensionStep), "a step is not an ExtensionStep")
-        q_pt = step.new_point
+    try:
+        if isinstance(trace, ProductTrace):
+            return _replay_product(ring, trace, check)
+        check(isinstance(trace, ConstructionTrace), "not a construction trace")
+        base = trace.base_point
         check(
-            isinstance(q_pt, PrimitivePoint)
-            and len(q_pt.coordinates) == poly.n_vars
-            and verify_certificate(ring, q_pt.coordinates, q_pt.certificate),
-            "extension point malformed or its certificate invalid",
+            isinstance(base, PrimitivePoint)
+            and verify_certificate(ring, base.coordinates, base.certificate),
+            "base point malformed or its certificate invalid",
         )
-
-        def recorded_witness(a, pq) -> tuple:
-            alpha, w = step.alpha, step.witness
+        poly = HomogeneousPolynomial.linear(ring, base.certificate.coefficients)
+        check(trace.base_form == poly, "base form does not match its certificate")
+        check(isinstance(trace.steps, tuple), "the steps are not a tuple")
+        covered = [base]
+        values = (ring.one(),)  # the base form's value is the certificate sum
+        for step in trace.steps:
+            check(isinstance(step, ExtensionStep), "a step is not an ExtensionStep")
+            q_pt = step.new_point
             check(
-                isinstance(alpha, int) and alpha >= 1, "alpha must be a positive integer"
+                isinstance(q_pt, PrimitivePoint)
+                and len(q_pt.coordinates) == poly.n_vars
+                and verify_certificate(ring, q_pt.coordinates, q_pt.certificate),
+                "extension point malformed or its certificate invalid",
             )
-            check(
-                isinstance(w, GoodPointWitness)
-                and verify_witness(ring, a, ring.pow(pq, alpha), w),
-                "step witness does not verify",
-            )
-            return alpha, w
 
-        rebuilt = _step(
-            ring, poly, covered, values, q_pt,
-            lambda *_: (step.cofactors, step.combiners), recorded_witness, check,
-        )
-        _check_record(rebuilt, step, check)
-        poly, values = rebuilt.result, rebuilt.values
-        covered.append(q_pt)
-    return poly
+            def recorded_witness(a, pq) -> tuple:
+                alpha, w = step.alpha, step.witness
+                check(
+                    isinstance(alpha, int) and alpha >= 1, "alpha must be a positive integer"
+                )
+                check(
+                    isinstance(w, GoodPointWitness)
+                    and verify_witness(ring, a, ring.pow(pq, alpha), w),
+                    "step witness does not verify",
+                )
+                return alpha, w
+
+            rebuilt = _step(
+                ring, poly, covered, values, q_pt,
+                lambda *_: (step.cofactors, step.combiners), recorded_witness, check,
+            )
+            _check_record(rebuilt, step, check)
+            poly, values = rebuilt.result, rebuilt.values
+            covered.append(q_pt)
+        return poly
+    except (TypeError, AttributeError) as err:
+        raise GoodRingsError(f"trace replay failed: malformed record ({err})") from err

@@ -161,6 +161,17 @@ def test_check_good_product_ring():
     assert out["payload"]["all_good"] is True
 
 
+def test_check_good_on_a_product_scans_each_factor():
+    # 250,000 product pairs, found good from 20^2 + 25^2 factor pairs
+    start = time.perf_counter()
+    code, out = invoke("check-good", "--ring", "prod(Z/20,Z/25)")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out["payload"] == {
+        "pairs_checked": 250000, "all_good": True, "max_N_seen": 1, "failures": [],
+    }
+
+
 def test_check_good_infinite_ring_is_an_error():
     code, out = invoke("check-good", "--ring", "Z")
     assert code == 2

@@ -684,6 +684,34 @@ def test_replay_rejects_a_field_that_is_not_a_value(record, field):
         replay_trace(ring, bad)
 
 
+def _junk_element(trace, case):
+    step = trace.steps[-1]
+    pt = step.new_point
+    if case == "base_certificate":
+        base = dataclasses.replace(trace.base_point, certificate=object())
+        return dataclasses.replace(trace, base_point=base)
+    if case == "new_point_certificate":
+        return _tamper_last_step(trace, new_point=dataclasses.replace(pt, certificate=object()))
+    if case == "new_point_coordinate":
+        coords = (object(),) + pt.coordinates[1:]
+        return _tamper_last_step(trace, new_point=dataclasses.replace(pt, coordinates=coords))
+    if case == "cofactor":
+        return _tamper_last_step(trace, cofactors=((object(), 1),) + step.cofactors[1:])
+    return _tamper_last_step(trace, witness=dataclasses.replace(step.witness, lam=object()))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["base_certificate", "new_point_certificate", "new_point_coordinate", "cofactor", "witness_lam"],
+)
+def test_replay_rejects_a_junk_element_inside_a_record(case):
+    # a foreign object one level down, inside a point, a pair or a witness,
+    # is a replay failure too, not a TypeError or AttributeError
+    poly, trace = _traced_instance()
+    with pytest.raises(GoodRingsError, match="trace replay failed: malformed record"):
+        replay_trace(Z, _junk_element(trace, case))
+
+
 # ---------------------------------------------------------------------------
 # product rings: one construction per factor, recombined at the lcm degree
 

@@ -1,9 +1,17 @@
-"""The README's Python quick start runs as written."""
+"""The README's Python quick start and command-line examples run as written."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from goodrings.cli import run
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+# each "$ goodrings ..." line and the JSON line printed below it
+CLI_EXAMPLES = re.findall(r"^\$ goodrings (.*)\n(.*)$", README.read_text(), re.M)
 
 
 def test_readme_quick_start_runs():
@@ -11,3 +19,32 @@ def test_readme_quick_start_runs():
     assert len(blocks) == 1
     # the block imports goodrings, so it runs against the package under test
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def _matches(expected, actual) -> bool:
+    """JSON equality, except that the string "..." matches any string."""
+    if expected == "...":
+        return isinstance(actual, str)
+    if isinstance(expected, dict):
+        return (
+            isinstance(actual, dict)
+            and expected.keys() == actual.keys()
+            and all(_matches(v, actual[k]) for k, v in expected.items())
+        )
+    if isinstance(expected, list):
+        return (
+            isinstance(actual, list)
+            and len(expected) == len(actual)
+            and all(map(_matches, expected, actual))
+        )
+    return type(expected) is type(actual) and expected == actual
+
+
+def test_readme_cli_examples_are_found():
+    assert len(CLI_EXAMPLES) == 13
+
+
+@pytest.mark.parametrize("command, printed", CLI_EXAMPLES, ids=[c for c, _ in CLI_EXAMPLES])
+def test_readme_cli_example_prints_what_it_shows(command, printed):
+    code, text = run(shlex.split(command))
+    assert _matches(json.loads(printed), json.loads(text))

@@ -1,10 +1,12 @@
 """Witness search, verification, decisions, refutations, unit quotients."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goodrings import cli
 from goodrings.core import (
     NotPrimitiveError,
     PreconditionError,
@@ -22,6 +24,7 @@ from goodrings.rings import (
 from goodrings.witness import (
     Exhausted,
     GoodPointWitness,
+    GoodRingReport,
     RatioCriterion,
     Refuted,
     Witness,
@@ -249,6 +252,62 @@ def test_check_good_ring_product():
     ring = ProductRing((IntegersMod(2), PrimeField(3)))
     report = check_good_ring_exhaustive(ring)
     assert report.all_good
+
+
+def _check_good_pair_by_pair(ring):
+    """Reference check: find_good_witness on every pair of the ring itself,
+    so a product's own bezout, reduce_mod, unit_residue_witness and
+    divide_exact run on every product pair."""
+    elts = list(ring.elements())
+    max_n, failures = 0, []
+    for a in elts:
+        for b in elts:
+            try:
+                outcome = find_good_witness(ring, a, b, bound=ring.size())
+            except NotPrimitiveError:
+                continue
+            if isinstance(outcome, Witness):
+                max_n = max(max_n, outcome.witness.N)
+            else:
+                failures.append((a, b, outcome))
+    return GoodRingReport(len(elts) ** 2, not failures, max_n, tuple(failures))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "prod(Z/1,Z/4)",
+        "prod(Z/4)",
+        "prod(prod(Z/2,Z/3),GF(5))",
+        "prod(GF(2),GF(2),GF(2),Z/4)",
+        "prod(Z/12,prod(Z/1,GF(7)))",
+        "prod(Z/8,Z/9)",
+    ],
+)
+def test_check_good_product_factorwise_matches_pair_by_pair(spec, monkeypatch):
+    ring = parse_ring(spec)
+    assert check_good_ring_exhaustive(ring) == _check_good_pair_by_pair(ring)
+    argv = ["check-good", "--ring", spec]
+    factorwise = cli.run(argv)
+    monkeypatch.setattr(cli, "check_good_ring_exhaustive", _check_good_pair_by_pair)
+    assert cli.run(argv) == factorwise
+
+
+def test_product_pair_witness_is_the_tuple_of_factor_witnesses():
+    ring = parse_ring("prod(Z/8,Z/9)")
+    for a in ring.elements():
+        for b in ring.elements():
+            try:
+                w = find_good_witness(ring, a, b).witness
+            except NotPrimitiveError:
+                continue
+            parts = [find_good_witness(f, x, y).witness for f, x, y in zip(ring.factors, a, b)]
+            assert w == GoodPointWitness(
+                lcm(*(p.N for p in parts)),
+                tuple(p.lam for p in parts),
+                tuple(p.epsilon for p in parts),
+                tuple(p.epsilon_inverse for p in parts),
+            )
 
 
 def test_check_good_ring_rejects_infinite():
