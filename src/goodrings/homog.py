@@ -11,8 +11,8 @@ Over a product ring the construction runs once per factor, and the trace
 holds one trace per factor; see _construct_product.
 
 Each step polynomial is evaluated once per point. A step's values at the
-covered points carry over to the next step, which needs them both for its
-precondition and for its post-check R(p) = P(p)^(alpha*N).
+covered points carry over to the next step, whose post-check
+R(p) = P(p)^(alpha*N) needs them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import re
 import struct
 from dataclasses import dataclass, fields
 from math import comb, gcd, lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     BezoutCertificate,
@@ -35,7 +35,7 @@ from .core import (
     ensure,
     verify_certificate,
 )
-from .rings import Integers, PrimeField, ProductRing, _signed_terms, _split_top_level
+from .rings import Integers, PrimeField, ProductRing, format_terms, parse_terms
 from .rings import _int_chain, _int_xgcd
 from .witness import (
     Exhausted,
@@ -74,11 +74,6 @@ def monomial_exponents(n_vars: int, degree: int) -> Iterator[tuple]:
     for e in range(degree, -1, -1):
         for rest in monomial_exponents(n_vars - 1, degree - e):
             yield (e,) + rest
-
-
-def _compound(text: str) -> bool:
-    """True when a formatted coefficient needs parentheses inside a term."""
-    return len(_signed_terms(text)) > 1
 
 
 class HomogeneousPolynomial:
@@ -342,81 +337,40 @@ class HomogeneousPolynomial:
         return f"<HomogeneousPolynomial {self.format()} over {self.ring.spec_string()}>"
 
     def format(self) -> str:
-        """Canonical text: terms in graded-lex descending order, coefficient
-        1 elided, compound coefficients parenthesized."""
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for exps in sorted(self.terms, reverse=True):
-            cs = self.ring.format_element(self.terms[exps])
-            var = "*".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(exps)
-                if e
+        """Canonical text in the term grammar of rings.format_terms, terms
+        in graded-lex descending order."""
+        return format_terms(
+            (
+                "*".join(
+                    f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                    for i, e in enumerate(exps)
+                    if e
+                ),
+                self.ring.format_element(self.terms[exps]),
             )
-            if not var:
-                pieces.append(f"({cs})" if _compound(cs) else cs)
-            elif cs == "1":
-                pieces.append(var)
-            elif cs == "-1":
-                pieces.append("-" + var)
-            elif _compound(cs):
-                pieces.append(f"({cs})*{var}")
-            else:
-                pieces.append(f"{cs}*{var}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += piece if piece.startswith("-") else "+" + piece
-        return out
+            for exps in sorted(self.terms, reverse=True)
+        )
 
     @classmethod
     def parse(cls, ring: Ring, n_vars: int, text: str) -> "HomogeneousPolynomial":
-        """Parse the term grammar; accepts any term order and whitespace."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ParseError("empty polynomial literal")
-        if s == "0":
+        """Parse the term grammar of rings.parse_terms in x1..xn; accepts
+        any term order and whitespace."""
+        if text.replace(" ", "") == "0":
             return cls.zero(ring, n_vars)
-        terms: dict = {}
-        degree: Optional[int] = None
-        for term in _signed_terms(s):
-            negate = False
-            if term and term[0] == "+":
-                term = term[1:]
-            elif term and term[0] == "-":
-                negate = True
-                term = term[1:]
-            if not term:
-                raise ParseError(f"malformed term in {text!r}")
-            exps = [0] * n_vars
-            coeff = ring.one()
-            for factor in _split_top_level(term, "*"):
-                m = _VAR_RE.match(factor)
-                if m:
-                    idx = int(m.group(1)) - 1
-                    if not 0 <= idx < n_vars:
-                        raise ParseError(f"variable {factor!r} out of range")
-                    exps[idx] += int(m.group(3)) if m.group(3) else 1
-                    continue
-                try:
-                    c = ring.parse_element(factor)
-                except ParseError:
-                    if factor.startswith("(") and factor.endswith(")"):
-                        c = ring.parse_element(factor[1:-1])
-                    else:
-                        raise
-                coeff = ring.mul(coeff, c)
-            if negate:
-                coeff = ring.neg(coeff)
-            d = sum(exps)
-            if degree is None:
-                degree = d
-            elif d != degree:
-                raise ParseError(f"terms of mixed total degree in {text!r}")
-            key = tuple(exps)
-            terms[key] = ring.add(terms.get(key, ring.zero()), coeff)
-        ensure(degree is not None, f"no terms in {text!r}")
-        return cls(ring, n_vars, degree, terms)
+
+        def power(factor: str):
+            m = _VAR_RE.match(factor)
+            if not m:
+                return None
+            if not 1 <= int(m.group(1)) <= n_vars:
+                raise ParseError(f"variable {factor!r} out of range")
+            return int(m.group(1)) - 1, int(m.group(3) or 1)
+
+        terms = parse_terms(text, ring, n_vars, power)
+        degrees = {sum(exps) for exps in terms}
+        if len(degrees) > 1:
+            raise ParseError(f"terms of mixed total degree in {text!r}")
+        return cls(ring, n_vars, degrees.pop(), terms)
 
 
 def linear_form_for_point(ring: Ring, point: PrimitivePoint) -> HomogeneousPolynomial:
@@ -712,8 +666,6 @@ def extend_unit_valued(
     covered: Sequence[PrimitivePoint],
     new_point: PrimitivePoint,
     witness_bound: int = 10000,
-    *,
-    covered_values: Optional[Sequence] = None,
 ) -> tuple:
     """One inductive step: from P unit-valued on the covered points, build R
     unit-valued on covered + new, together with the step record.
@@ -721,15 +673,6 @@ def extend_unit_valued(
     R = (P^alpha)^N + lam * prod(B_t) * W^e, where the B_t are degree-1
     forms vanishing at their covered point, (N, lam, eps) is a witness for
     (prod B_t(q), P(q)^alpha), W(q) = 1, and e pads the degree.
-
-    covered_values, when given, are P's values at the covered points, in
-    order, and P is not evaluated there; without them P is evaluated once
-    per covered point. Supplied values need no trust. Every B_t vanishes at
-    its point, so R(p) = P(p)^(alpha*N) at each covered p, and the
-    post-check evaluates R there and requires R(p) = v^(alpha*N) with that
-    value a unit. A wrong v fails that check; one that passes it makes
-    P(p)^(alpha*N) a unit, hence P(p) a unit, which is all the step needs.
-    The step record keeps R's own values, never the supplied ones.
     """
     pts = list(covered)
     k = len(pts)
@@ -744,19 +687,11 @@ def extend_unit_valued(
     n = poly.n_vars
     if len(new_point.coordinates) != n or any(len(p) != n for p in pts):
         raise PreconditionError("points and polynomial disagree on dimension")
-    if covered_values is None:
-        covered_values = [poly.eval(p.coordinates) for p in pts]
-    elif len(covered_values) != k:
-        raise PreconditionError("one covered value per covered point is required")
-    for v in covered_values:
-        if not ring.is_unit(v):
-            raise PreconditionError(
-                "the polynomial is not unit-valued on a covered point"
-            )
+    values = [poly.eval(p.coordinates) for p in pts]
+    if not all(ring.is_unit(v) for v in values):
+        raise PreconditionError("the polynomial is not unit-valued on a covered point")
     witness = _least_witness(ring, k, poly.degree, witness_bound)
-    step = _step(
-        ring, poly, pts, covered_values, new_point, _combination, witness, ensure
-    )
+    step = _step(ring, poly, pts, values, new_point, _combination, witness, ensure)
     return step.result, step
 
 
@@ -766,7 +701,15 @@ def construct_unit_valued(
     """Build a homogeneous polynomial taking unit values at all the given
     primitive points, plus the full construction trace: a ProductTrace over
     a ProductRing, which is built one factor at a time, else a
-    ConstructionTrace."""
+    ConstructionTrace.
+
+    Each step is _step run on the constructor's own choices, as in
+    extend_unit_valued, on the values at the covered points carried over
+    from the step before. Each is a unit: the base form takes the value 1
+    at the base point, _step's post-check requires R's value at a covered
+    point to be a unit, and R's value at the new point is the witness unit
+    eps.
+    """
     pts = list(points)
     if not pts:
         raise PreconditionError("at least one point is required")
@@ -786,20 +729,14 @@ def construct_unit_valued(
     if isinstance(ring, ProductRing):
         return _construct_product(ring, pts, witness_bound)
     base = pts[0]
-    current = linear_form_for_point(ring, base)
-    base_form = current
+    base_form = current = linear_form_for_point(ring, base)
     steps = []
-    covered = [base]
     values = (ring.one(),)  # linear_form_for_point checked the base value
-    for q in pts[1:]:
-        current, step = extend_unit_valued(
-            ring, current, covered, q, witness_bound, covered_values=values
-        )
+    for k, q in enumerate(pts[1:], 1):
+        witness = _least_witness(ring, k, current.degree, witness_bound)
+        step = _step(ring, current, pts[:k], values, q, _combination, witness, ensure)
         steps.append(step)
-        covered.append(q)
-        values = step.values
-    if not all(ring.is_unit(v) for v in values):
-        raise GoodRingsError("the constructed polynomial is not unit-valued")
+        current, values = step.result, step.values
     return current, ConstructionTrace(base, base_form, tuple(steps))
 
 

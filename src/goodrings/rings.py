@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, Optional, Sequence
 
 from . import polyuniv as pu
@@ -130,74 +130,98 @@ def _signed_terms(text: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# shared univariate-in-T element grammar
+# the term grammar, shared by polynomials in T and forms in x1..xn
+
+
+def parse_terms(text: str, ring: Ring, n_vars: int, power) -> dict:
+    """Parse a sum of signed terms, each a '*'-product of coefficients in
+    ring and variable powers, into {exponent tuple: coefficient} with like
+    terms merged. power(factor) returns (variable index, exponent) when the
+    factor is a power of one of the n_vars variables, else None; every other
+    factor is a coefficient, parenthesized or not."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ParseError("empty polynomial literal")
+    terms: dict = {}
+    for term in _signed_terms(s):
+        body = term[1:] if term[0] in "+-" else term
+        if not body:
+            raise ParseError(f"malformed term in {text!r}")
+        exps = [0] * n_vars
+        coeff = ring.one()
+        for factor in _split_top_level(body, "*"):
+            var = power(factor)
+            if var is None:
+                coeff = ring.mul(coeff, _coefficient(ring, factor, text))
+            else:
+                exps[var[0]] += var[1]
+        if term[0] == "-":
+            coeff = ring.neg(coeff)
+        key = tuple(exps)
+        terms[key] = ring.add(terms.get(key, ring.zero()), coeff)
+    return terms
+
+
+def _coefficient(ring: Ring, factor: str, text: str):
+    """A coefficient factor of text: an element literal of ring, bare or in
+    one pair of parentheses."""
+    literals = [factor]
+    if factor.startswith("(") and factor.endswith(")"):
+        literals.append(factor[1:-1])
+    for literal in literals:
+        try:
+            return ring.parse_element(literal)
+        except (ParseError, ZeroDivisionError):
+            pass
+    raise ParseError(f"bad coefficient {factor!r} in {text!r}")
+
+
+def format_terms(pairs) -> str:
+    """The text of a sum of (monomial text, coefficient text) pairs in
+    print order, zero coefficients left out: coefficient 1 is elided, -1
+    becomes a leading '-', and a compound coefficient (one with a sign
+    between terms) is parenthesized. No pairs give "0"."""
+    out = ""
+    for mono, cs in pairs:
+        rest = cs[1:]
+        if ("+" in rest or "-" in rest) and len(_signed_terms(cs)) > 1:
+            cs = f"({cs})"
+        if not mono:
+            piece = cs
+        elif cs == "1":
+            piece = mono
+        elif cs == "-1":
+            piece = "-" + mono
+        else:
+            piece = f"{cs}*{mono}"
+        out += piece if not out or piece.startswith("-") else "+" + piece
+    return out or "0"
+
+
+_T_POWER = re.compile(r"^T(\^([0-9]+))?$")
+
+
+def _t_power(factor: str):
+    m = _T_POWER.match(factor)
+    return (0, int(m.group(2) or 1)) if m else None
 
 
 def _poly_parse_T(text: str, field) -> tuple:
     """Parse a polynomial literal in T into an ascending coefficient tuple."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ParseError("empty polynomial literal")
-    coeffs: dict[int, object] = {}
-    for term in _signed_terms(s):
-        if term in ("+", "-") or not term:
-            raise ParseError(f"malformed term in {text!r}")
-        sign = 1
-        if term[0] == "+":
-            term = term[1:]
-        elif term[0] == "-":
-            sign = -1
-            term = term[1:]
-        exp = 0
-        coeff = field.one()
-        saw_coeff = False
-        for factor in term.split("*"):
-            m = re.match(r"^T(\^([0-9]+))?$", factor)
-            if m:
-                exp += int(m.group(2)) if m.group(2) else 1
-            else:
-                try:
-                    c = field.parse_element(factor)
-                except (ParseError, ZeroDivisionError) as exc:
-                    raise ParseError(f"bad coefficient {factor!r} in {text!r}") from exc
-                coeff = field.mul(coeff, c)
-                saw_coeff = True
-        if exp == 0 and not saw_coeff:
-            raise ParseError(f"malformed term in {text!r}")
-        if sign < 0:
-            coeff = field.neg(coeff)
-        prev = coeffs.get(exp, field.zero())
-        coeffs[exp] = field.add(prev, coeff)
-    out = [field.zero()] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
+    terms = parse_terms(text, field, 1, _t_power)
+    out = [field.zero()] * (max(terms)[0] + 1)
+    for (e,), c in terms.items():
         out[e] = c
     return pu.trim(field, out)
 
 
 def _poly_format_T(poly: tuple, field) -> str:
-    if not poly:
-        return "0"
-    pieces = []
     zero = field.zero()
-    for e in range(len(poly) - 1, -1, -1):
-        c = poly[e]
-        if field.eq(c, zero):
-            continue
-        cs = field.format_element(c)
-        if e == 0:
-            pieces.append(cs)
-        else:
-            var = "T" if e == 1 else f"T^{e}"
-            if cs == "1":
-                pieces.append(var)
-            elif cs == "-1":
-                pieces.append("-" + var)
-            else:
-                pieces.append(f"{cs}*{var}")
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out += piece if piece.startswith("-") else "+" + piece
-    return out
+    return format_terms(
+        ("" if e == 0 else "T" if e == 1 else f"T^{e}", field.format_element(c))
+        for e, c in reversed(list(enumerate(poly)))
+        if not field.eq(c, zero)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +588,19 @@ class ProductRing(Ring):
     def mul(self, x, y):
         return tuple(f.mul(a, b) for f, a, b in zip(self.factors, x, y))
 
-    def unit_inverse(self, x):
-        invs = []
-        for f, c in zip(self.factors, x):
-            inv = f.unit_inverse(c)
-            if inv is None:
+    def _per_factor(self, method: str, *args) -> Optional[tuple]:
+        """The tuple of each factor's method on its components of args, or
+        None as soon as one factor gives None."""
+        parts = []
+        for f, *components in zip(self.factors, *args):
+            part = getattr(f, method)(*components)
+            if part is None:
                 return None
-            invs.append(inv)
-        return tuple(invs)
+            parts.append(part)
+        return tuple(parts)
+
+    def unit_inverse(self, x):
+        return self._per_factor("unit_inverse", x)
 
     def bezout(self, xs):
         per_factor = []
@@ -586,22 +615,10 @@ class ProductRing(Ring):
         return tuple(f.reduce_mod(m, v) for f, m, v in zip(self.factors, a, x))
 
     def unit_residue_witness(self, a, r):
-        parts = []
-        for f, m, v in zip(self.factors, a, r):
-            eps = f.unit_residue_witness(m, v)
-            if eps is None:
-                return None
-            parts.append(eps)
-        return tuple(parts)
+        return self._per_factor("unit_residue_witness", a, r)
 
     def divide_exact(self, y, x):
-        parts = []
-        for f, num, den in zip(self.factors, y, x):
-            z = f.divide_exact(num, den)
-            if z is None:
-                return None
-            parts.append(z)
-        return tuple(parts)
+        return self._per_factor("divide_exact", y, x)
 
     def is_finite(self):
         return all(f.is_finite() for f in self.factors)
@@ -616,35 +633,20 @@ class ProductRing(Ring):
         return itertools.product(*(f.elements() for f in self.factors))
 
     def units_count(self):
-        n = 1
-        for f in self.factors:
-            c = f.units_count()
-            if c is None:
-                return None
-            n *= c
-        return n
+        counts = self._per_factor("units_count")
+        return None if counts is None else prod(counts)
 
     def quotient_size(self, a):
-        n = 1
-        for f, m in zip(self.factors, a):
-            s = f.quotient_size(m)
-            if s is None:
-                return None
-            n *= s
-        return n
+        sizes = self._per_factor("quotient_size", a)
+        return None if sizes is None else prod(sizes)
 
     def quotient_residues(self, a):
         its = [f.quotient_residues(m) for f, m in zip(self.factors, a)]
         return itertools.product(*its)
 
     def unit_image_in_quotient(self, a):
-        images = []
-        for f, m in zip(self.factors, a):
-            img = f.unit_image_in_quotient(m)
-            if img is None:
-                return None
-            images.append(sorted(img, key=repr))
-        return set(itertools.product(*images))
+        images = self._per_factor("unit_image_in_quotient", a)
+        return None if images is None else set(itertools.product(*images))
 
     def parse_element(self, text):
         t = text.replace(" ", "")

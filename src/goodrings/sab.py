@@ -125,20 +125,15 @@ def sab_mul(alg: SabAlgebra, z1: SabElement, z2: SabElement) -> SabElement:
         base.add(base.mul(z1.x, z2.y), base.mul(z1.y, z2.x)),
         base.mul(alg.a, base.mul(z1.y, z2.y)),
     )
-    out = SabElement(x, y)
-    # the corrected evaluation pair must be multiplicative
-    e1, e2 = _evaluations(alg, z1), _evaluations(alg, z2)
-    eo = _evaluations(alg, out)
-    ensure(base.eq(eo[0], base.mul(e1[0], e2[0])), "th -> 0 is not multiplicative")
-    ensure(base.eq(eo[1], base.mul(e1[1], e2[1])), "th -> a is not multiplicative")
-    return out
+    return SabElement(x, y)
 
 
 def sab_is_unit(alg: SabAlgebra, z: SabElement) -> Optional[SabElement]:
     """The inverse of z when it is a unit, else None.
 
     z = x + y*th is a unit iff x and x + y*a are units; the inverse is
-    x^-1 - y*x^-1*(x+ya)^-1*th, verified by multiplication.
+    x^-1 - y*x^-1*s^-1*th with s = x + y*a. Multiplied out, the product's
+    th-part is y*x^-1*s^-1*(s - x - a*y) = 0 and its 1-part is x*x^-1 = 1.
     """
     base = alg.base
     ev0, eva = _evaluations(alg, z)
@@ -148,9 +143,7 @@ def sab_is_unit(alg: SabAlgebra, z: SabElement) -> Optional[SabElement]:
     s_inv = base.unit_inverse(eva)
     if s_inv is None:
         return None
-    inv = SabElement(x_inv, base.neg(base.mul(z.y, base.mul(x_inv, s_inv))))
-    ensure(alg.eq(sab_mul(alg, z, inv), alg.one()), "the closed-form inverse does not invert")
-    return inv
+    return SabElement(x_inv, base.neg(base.mul(z.y, base.mul(x_inv, s_inv))))
 
 
 # ---------------------------------------------------------------------------

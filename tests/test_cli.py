@@ -196,6 +196,18 @@ def test_quotient_units_by_a_unit(ring_spec, a):
     assert out["payload"] == {"group_status": "finite", "order": 1, "carrier": 1}
 
 
+def test_witness_locq_unit_lift_past_the_zero_shift():
+    # the residue of T-4 mod T^2-2*T is T-4 itself, whose root 4 = 2^2 is
+    # forbidden, so the lift eps = r + c*a skips c = 0 and takes c = 1
+    from goodrings.rings import parse_ring
+
+    ring = parse_ring("locQ(2)")
+    assert not ring.is_unit(ring.parse_element("T-4"))
+    code, out = invoke("witness", "--ring", "locQ(2)", "--a", "T^2-2*T", "--b", "T-4")
+    assert code == 0
+    assert out["payload"] == {"N": 1, "lambda": "(1)/(1)", "epsilon": "(T^2-T-4)/(1)"}
+
+
 def test_quotient_units_unknown_case():
     code, out = invoke("quotient-units", "--ring", "Q[T]", "--a", "T")
     assert code == 0

@@ -2,11 +2,13 @@
 
 import dataclasses
 from collections import Counter
+from fractions import Fraction
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goodrings import polyuniv as pu
 from goodrings.core import (
     GoodRingsError,
     ParseError,
@@ -226,19 +228,88 @@ def test_mul_rejects_degree_past_64_bit_fields():
     assert top.terms == {(2**64 - 1, 0): 1}
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    st.dictionaries(
-        st.tuples(st.integers(0, 2), st.integers(0, 2))
-        .filter(lambda e: e[0] + e[1] <= 2)
-        .map(lambda e: (e[0], e[1], 2 - e[0] - e[1])),
-        st.integers(-9, 9),
-        max_size=5,
+def _poly_coefficients(field, values):
+    return st.lists(values, max_size=3).map(lambda cs: pu.trim(field, tuple(cs)))
+
+
+def _loc2_coefficients(ring):
+    # a numerator over a denominator with no root in {0, 2, 4, 8, ...}
+    num = _poly_coefficients(ring.field, st.fractions(-2, 2, max_denominator=3))
+    den = st.sampled_from(["1", "T-1", "T^2+1", "3*T-1"])
+    return st.tuples(num, den).map(
+        lambda nd: ring.mul(
+            (nd[0], (Fraction(1),)), ring.unit_inverse(ring.parse_element(nd[1]))
+        )
     )
+
+
+# coefficient strategies per ring, canonical elements only; the polynomial
+# rings and locQ give compound coefficients, which format parenthesizes
+ROUND_TRIP_COEFFICIENTS = {
+    "Z": lambda ring: st.integers(-9, 9),
+    "Z/12": lambda ring: st.integers(0, 11),
+    "GF(3)[T]": lambda ring: _poly_coefficients(ring.field, st.integers(0, 2)),
+    "Q[T]": lambda ring: _poly_coefficients(
+        ring.field, st.fractions(-3, 3, max_denominator=4)
+    ),
+    "prod(Z,Z/5)": lambda ring: st.tuples(st.integers(-9, 9), st.integers(0, 4)),
+    "locQ(2)": _loc2_coefficients,
+}
+
+
+@pytest.mark.parametrize("spec", list(ROUND_TRIP_COEFFICIENTS))
+def test_format_parse_round_trip(spec):
+    ring = parse_ring(spec)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2))
+            .filter(lambda e: e[0] + e[1] <= 2)
+            .map(lambda e: (e[0], e[1], 2 - e[0] - e[1])),
+            ROUND_TRIP_COEFFICIENTS[spec](ring),
+            max_size=5,
+        )
+    )
+    def round_trip(terms):
+        f = HomogeneousPolynomial(ring, 3, 2, terms)
+        assert HomogeneousPolynomial.parse(ring, 3, f.format()) == f
+
+    round_trip()
+
+
+@pytest.mark.parametrize(
+    "spec, literal, expected",
+    [
+        # a coefficient of a T-literal may be parenthesized once, as one of
+        # a form may: ((1/2)*T) is the form coefficient (1/2)*T
+        ("Q[T]", "((1/2)*T)*x1", "1/2*T*x1"),
+        ("GF(3)[T]", "((2))*x2", "2*x2"),
+        # T^0 alone is the empty product 1, as x1^0 is
+        ("Q[T]", "T^0*x1", "x1"),
+        ("locQ(2)", "(T^0)/(1)*x1", "x1"),
+    ],
 )
-def test_format_parse_round_trip(terms):
-    f = HomogeneousPolynomial(Z, 3, 2, terms)
-    assert HomogeneousPolynomial.parse(Z, 3, f.format()) == f
+def test_parse_coefficient_grammar_is_the_term_grammar(spec, literal, expected):
+    ring = parse_ring(spec)
+    assert P(literal, ring=ring) == P(expected, ring=ring)
+
+
+@pytest.mark.parametrize(
+    "spec, literal, factor",
+    [
+        ("Z", "x1*y", "y"),
+        ("Z", "*x1", ""),
+        ("prod(Z,Z/5)", "(1,2,3)*x1", "(1,2,3)"),
+        ("locQ(2)", "(1)/(T-2)*x1", "(1)/(T-2)"),
+        # every term is read before the degrees are compared
+        ("Z", "x1^2+x2+y", "y"),
+    ],
+)
+def test_parse_names_the_bad_coefficient(spec, literal, factor):
+    with pytest.raises(ParseError) as info:
+        P(literal, ring=parse_ring(spec))
+    assert str(info.value) == f"bad coefficient {factor!r} in {literal!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +493,6 @@ def test_extend_rejects_non_unit_value():
         extend_unit_valued(Z, bad, pts, require_primitive(Z, (0, 1)))
     out, _ = extend_unit_valued(Z, poly, pts, require_primitive(Z, (0, 1)))
     assert out.eval((0, 1)) in (1, -1)
-
-
-def test_extend_accepts_checked_covered_values():
-    pts = _points(Z, [(1, 0)])
-    q = require_primitive(Z, (0, 1))
-    poly = P("x1")
-    out, step = extend_unit_valued(Z, poly, pts, q)
-    again, _ = extend_unit_valued(Z, poly, pts, q, covered_values=(1,))
-    assert again == out
-    assert step.values == (out.eval((1, 0)), out.eval((0, 1)))
-    # alpha*N is odd here, so a unit of the wrong sign shows in R(p)
-    assert step.alpha * step.witness.N % 2 == 1
-    with pytest.raises(GoodRingsError) as info:
-        extend_unit_valued(Z, poly, pts, q, covered_values=(-1,))
-    assert not isinstance(info.value, PreconditionError)
-    with pytest.raises(PreconditionError):
-        extend_unit_valued(Z, poly, pts, q, covered_values=(2,))
-    with pytest.raises(PreconditionError):
-        extend_unit_valued(Z, poly, pts, q, covered_values=())
 
 
 def test_extend_postcheck_raises_without_assert(monkeypatch):

@@ -239,6 +239,33 @@ def test_rational_poly_parse_format():
     assert QT.parse_element("-T") == (Fraction(0), Fraction(-1))
 
 
+@pytest.mark.parametrize(
+    "ring, literal, expected",
+    [
+        # T^0 alone is the empty product 1
+        (F3T, "T^0", "1"),
+        (QT, "T^2-T^0", "T^2-1"),
+        (LOC2, "T^0", "1"),
+        # a coefficient may be parenthesized once, as in a form
+        (QT, "(1/2)*T", "1/2*T"),
+        (QT, "(-1)*T^2", "-T^2"),
+        (F3T, "(2)", "2"),
+        (LOC2, "(2)", "2"),
+    ],
+)
+def test_polynomial_literal_follows_the_term_grammar(ring, literal, expected):
+    assert ring.eq(ring.parse_element(literal), ring.parse_element(expected))
+
+
+@pytest.mark.parametrize(
+    "ring, literal",
+    [(QT, "((2))*T"), (QT, "(T)"), (F3T, "(T+1)*T"), (QT, "(1/0)*T"), (QT, "T*")],
+)
+def test_polynomial_literal_rejects_bad_coefficients(ring, literal):
+    with pytest.raises(ParseError, match="bad coefficient"):
+        ring.parse_element(literal)
+
+
 def test_rational_poly_bezout():
     a = QT.parse_element("T^2-T")
     b = QT.parse_element("T-2")
