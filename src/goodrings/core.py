@@ -3,8 +3,10 @@
 Every ring exposes exact arithmetic on canonical, hashable element
 representations. Residue canonicity matters: reduce_mod(a, x) must return
 equal representatives exactly when x and y agree modulo the ideal aA, since
-quotient enumeration (quotient_size, quotient_residues, the unit image)
-counts residues as set members.
+quotient_residues lists each class once by that representative and
+unit_residue_witness decides its class from it. Ring's units_count,
+quotient_size and quotient_residues give the infinite-ring answers; a ring
+with finite quotients overrides them with closed forms.
 """
 
 from __future__ import annotations
@@ -142,38 +144,19 @@ class Ring:
     def elements(self) -> Iterator:
         raise InfiniteRingError(f"cannot enumerate {self.spec_string()}")
 
-    def units(self) -> Iterator:
-        for x in self.elements():
-            if self.is_unit(x):
-                yield x
-
     def units_count(self) -> Optional[int]:
-        """Number of units, or None when not enumerable."""
-        if self.is_finite():
-            return sum(1 for _ in self.units())
+        """Number of units, or None when not known to be finite."""
         return None
 
     def quotient_size(self, a) -> Optional[int]:
         """Size of A/aA, or None when infinite or unknown."""
-        if self.is_finite():
-            return len({self.reduce_mod(a, x) for x in self.elements()})
         return None
 
     def quotient_residues(self, a) -> Iterator:
         """Canonical representatives of A/aA, deterministic order."""
-        if not self.is_finite():
-            raise InfiniteRingError(
-                f"cannot enumerate a quotient of {self.spec_string()}"
-            )
-        residues = {self.reduce_mod(a, x) for x in self.elements()}
-        return iter(sorted(residues, key=repr))
-
-    def unit_image_in_quotient(self, a) -> Optional[set]:
-        """Image of the unit group under reduction mod aA, or None when
-        not computable."""
-        if self.is_finite():
-            return {self.reduce_mod(a, u) for u in self.units()}
-        return None
+        raise InfiniteRingError(
+            f"cannot enumerate a quotient of {self.spec_string()}"
+        )
 
     def parse_element(self, text: str):
         raise NotImplementedError

@@ -282,12 +282,6 @@ class Integers(Ring):
             raise InfiniteRingError("Z/0 is infinite")
         return iter(range(abs(a)))
 
-    def unit_image_in_quotient(self, a):
-        m = abs(a)
-        if m == 0:
-            return {1, -1}
-        return {1 % m, (m - 1) % m}
-
     def parse_element(self, text):
         t = text.replace(" ", "")
         if not _INT_RE.match(t):
@@ -377,6 +371,16 @@ class IntegersMod(Ring):
 
     def elements(self):
         return iter(range(self.n))
+
+    def units_count(self):
+        return sum(1 for x in range(self.n) if gcd(x, self.n) == 1)
+
+    def quotient_size(self, a):
+        # reduce_mod(a, x) is x mod gcd(a, n): the residues are range(gcd(a, n))
+        return gcd(a, self.n)
+
+    def quotient_residues(self, a):
+        return iter(range(gcd(a, self.n)))
 
     def parse_element(self, text):
         t = text.replace(" ", "")
@@ -518,21 +522,10 @@ class UnivariatePolyRing(Ring):
 
     def quotient_residues(self, a):
         if self.quotient_size(a) is None:
-            raise InfiniteRingError(
-                f"cannot enumerate a quotient of {self.spec_string()}"
-            )
+            return super().quotient_residues(a)
         # the residues are the polynomials of degree below deg(a)
-        p = self.field.characteristic
-        for tup in itertools.product(range(p), repeat=pu.deg(a)):
-            yield pu.trim(self.field, tup)
-
-    def unit_image_in_quotient(self, a):
-        p = self.field.characteristic
-        if len(a) == 1:
-            return {()}
-        if not a or not p:
-            return None
-        return {(c,) for c in range(1, p)}
+        tups = itertools.product(range(self.field.characteristic), repeat=pu.deg(a))
+        return (pu.trim(self.field, tup) for tup in tups)
 
     def parse_element(self, text):
         return _poly_parse_T(text, self.field)
@@ -643,10 +636,6 @@ class ProductRing(Ring):
     def quotient_residues(self, a):
         its = [f.quotient_residues(m) for f, m in zip(self.factors, a)]
         return itertools.product(*its)
-
-    def unit_image_in_quotient(self, a):
-        images = self._per_factor("unit_image_in_quotient", a)
-        return None if images is None else set(itertools.product(*images))
 
     def parse_element(self, text):
         t = text.replace(" ", "")
@@ -776,9 +765,7 @@ class LocalizedRationalPoly(Ring):
 
     def bezout(self, xs):
         g, coeffs = _poly_chain(self.field, [x[0] for x in xs])
-        if not g:
-            return None
-        if self._z_part(g) != (Fraction(1),):
+        if not self._in_S(g):
             return None
         # sum c_i * num_i = g, so sum (c_i d_i / g) x_i = 1; g is in S
         return tuple(
@@ -838,19 +825,13 @@ class LocalizedRationalPoly(Ring):
         return (num, den)
 
     def quotient_size(self, a):
-        if self.eq(a, self.zero()):
-            return None
-        return 1 if self._z_part(a[0]) == (Fraction(1),) else None
+        # A/aA is the zero ring when a is a unit, and infinite otherwise
+        return 1 if self._in_S(a[0]) else None
 
     def quotient_residues(self, a):
         if self.quotient_size(a) == 1:
             return iter([self.zero()])
         return super().quotient_residues(a)
-
-    def unit_image_in_quotient(self, a):
-        if self.quotient_size(a) == 1:
-            return {self.zero()}
-        return None
 
     def parse_element(self, text):
         t = text.replace(" ", "")

@@ -79,6 +79,17 @@ def verify_witness(ring: Ring, a, b, w: GoodPointWitness) -> bool:
     return ring.eq(lhs, w.epsilon)
 
 
+def _witness_at(ring: Ring, a, b, N: int, eps) -> Witness:
+    """The verified witness b^N + lam*a = eps for a unit eps in the class of
+    b^N mod aA. With a = 0 this is N = 1, eps = b: 0/0 divides to zero."""
+    inv = ring.unit_inverse(eps)
+    lam = ring.divide_exact(ring.sub(eps, ring.pow(b, N)), a)
+    ensure(inv is not None and lam is not None, "the unit lift did not divide out")
+    w = GoodPointWitness(N, lam, eps, inv)
+    ensure(verify_witness(ring, a, b, w), "the found witness does not verify")
+    return Witness(w)
+
+
 def find_good_witness(ring: Ring, a, b, bound: int = 10000) -> Union[Witness, Exhausted]:
     """Scan N = 1..bound for a unit in the class of b^N mod aA.
 
@@ -89,20 +100,13 @@ def find_good_witness(ring: Ring, a, b, bound: int = 10000) -> Union[Witness, Ex
     """
     require_primitive(ring, (a, b))
     if ring.eq(a, ring.zero()):
-        inv = ring.unit_inverse(b)
-        ensure(inv is not None, "primitive (0, b) forces b to be a unit")
-        return Witness(GoodPointWitness(1, ring.zero(), b, inv))
+        return _witness_at(ring, a, b, 1, b)
     r = ring.one()
     for N in range(1, bound + 1):
         r = ring.reduce_mod(a, ring.mul(b, r))
         eps = ring.unit_residue_witness(a, r)
         if eps is not None:
-            inv = ring.unit_inverse(eps)
-            lam = ring.divide_exact(ring.sub(eps, ring.pow(b, N)), a)
-            ensure(inv is not None and lam is not None, "the unit lift did not divide out")
-            w = GoodPointWitness(N, lam, eps, inv)
-            ensure(verify_witness(ring, a, b, w), "the found witness does not verify")
-            return Witness(w)
+            return _witness_at(ring, a, b, N, eps)
     return Exhausted(bound=bound)
 
 
@@ -118,8 +122,9 @@ class UnitQuotientReport:
 def unit_quotient_group(ring: Ring, a, limit: int = 20000) -> UnitQuotientReport:
     """The group (A/aA)^x / image(A^x), when the quotient is enumerable.
 
-    carrier is the number of unit residues; order divides it by the image
-    size. Quotient-unit membership is certified through bezout against a.
+    carrier is the number of unit residues, certified through bezout
+    against a; order divides it by the number of those whose class holds a
+    unit of A, the test the witness scan applies to b^N.
     """
     if ring.eq(a, ring.zero()):
         # reduction mod (0) is the identity, so the units map onto themselves
@@ -135,17 +140,13 @@ def unit_quotient_group(ring: Ring, a, limit: int = 20000) -> UnitQuotientReport
             "unknown",
             reason=f"quotient has {size} residues, above the limit {limit}",
         )
-    carrier = 0
+    carrier = image = 0
     for r in ring.quotient_residues(a):
         if ring.bezout((r, a)) is not None:
             carrier += 1
-    image = ring.unit_image_in_quotient(a)
-    if image is None:
-        return UnitQuotientReport(
-            "unknown", reason="unit image in the quotient is not computable"
-        )
-    ensure(carrier % len(image) == 0, "unit image must be a subgroup")
-    return UnitQuotientReport("finite", order=carrier // len(image), carrier=carrier)
+            image += ring.unit_residue_witness(a, r) is not None
+    ensure(image and carrier % image == 0, "unit image must be a subgroup")
+    return UnitQuotientReport("finite", order=carrier // image, carrier=carrier)
 
 
 @dataclass(frozen=True)
@@ -210,12 +211,9 @@ def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:
         raise UnsupportedRingError("the rational-split decision works over Q[T]")
     require_primitive(ring, (a, b))
     if not a:
-        inv = ring.unit_inverse(b)
-        ensure(inv is not None, "primitive (0, b) forces b to be a unit")
-        return Witness(GoodPointWitness(1, ring.zero(), b, inv))
+        return _witness_at(ring, a, b, 1, b)
     if len(a) == 1:
-        lam = ring.divide_exact(ring.sub(ring.one(), b), a)
-        return Witness(GoodPointWitness(1, lam, ring.one(), ring.one()))
+        return _witness_at(ring, a, b, 1, ring.one())
     field = ring.field
     roots = pu.rational_roots(field, a)
     lin_prod: tuple = (Fraction(1),)
@@ -237,13 +235,7 @@ def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:
             N = 2
             continue
         return Refuted(RatioCriterion(roots=tuple(roots), ratio=ratio))
-    c = base**N
-    eps = (c,)
-    lam = ring.divide_exact(ring.sub(eps, ring.pow(b, N)), a)
-    ensure(lam is not None, "b^N - c must vanish on the roots of a")
-    w = GoodPointWitness(N, lam, eps, ring.unit_inverse(eps))
-    ensure(verify_witness(ring, a, b, w), "the decided witness does not verify")
-    return Witness(w)
+    return _witness_at(ring, a, b, N, (base**N,))
 
 
 def refute_integer_poly_point(ring: Ring, a, b) -> Optional[RationalEvaluation]:

@@ -196,6 +196,32 @@ def test_quotient_units_by_a_unit(ring_spec, a):
     assert out["payload"] == {"group_status": "finite", "order": 1, "carrier": 1}
 
 
+@pytest.mark.parametrize(
+    "ring_spec, a, payload",
+    [
+        ("Z", "0", {"group_status": "finite", "order": 1, "carrier": 2}),
+        ("GF(3)[T]", "0", {"group_status": "finite", "order": 1, "carrier": 2}),
+        ("Q[T]", "0", {"group_status": "finite", "order": 1}),
+        ("locQ(2)", "0", {"group_status": "finite", "order": 1}),
+        ("Z/1", "0", {"group_status": "finite", "order": 1, "carrier": 1}),
+        ("prod(Z,Z/6)", "(0,0)", {"group_status": "finite", "order": 1, "carrier": 4}),
+        (
+            "prod(Z,Z/6)",
+            "(0,2)",
+            {
+                "group_status": "unknown",
+                "reason": "the quotient of prod(Z,Z/6) by this element is not enumerable",
+            },
+        ),
+        ("prod(Q[T],Z/4)", "(3,2)", {"group_status": "finite", "order": 1, "carrier": 1}),
+    ],
+)
+def test_quotient_units_edge_payloads(ring_spec, a, payload):
+    code, out = invoke("quotient-units", "--ring", ring_spec, "--a", a)
+    assert code == 0
+    assert out["payload"] == payload
+
+
 def test_witness_locq_unit_lift_past_the_zero_shift():
     # the residue of T-4 mod T^2-2*T is T-4 itself, whose root 4 = 2^2 is
     # forbidden, so the lift eps = r + c*a skips c = 0 and takes c = 1

@@ -1,5 +1,6 @@
 """Witness search, verification, decisions, refutations, unit quotients."""
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goodrings import cli
+from goodrings import polyuniv as pu
 from goodrings.core import (
     NotPrimitiveError,
     PreconditionError,
@@ -234,6 +236,65 @@ def test_unit_quotient_by_a_unit_is_trivial(ring, a):
 def test_unit_quotient_unknown_over_qt_nonunit():
     report = unit_quotient_group(QT, QT.parse_element("T"))
     assert report.status == "unknown"
+
+
+def _units(ring, window):
+    """The units of A in window, by exhaustive inverse search; window must
+    hold each unit's inverse too."""
+    return [x for x in window if any(ring.mul(x, y) == ring.one() for y in window)]
+
+
+def _brute_unit_quotient(ring, a, window, units):
+    """(order, carrier) of (A/aA)^x / image(A^x) from ring arithmetic alone:
+    the unit residues by exhaustive inverse search among the reductions of
+    window, which must reach every residue, and the image as the reductions
+    of the units of A."""
+    one = ring.reduce_mod(a, ring.one())
+    residues = {ring.reduce_mod(a, x) for x in window}
+    unit_residues = [
+        r for r in residues
+        if any(ring.reduce_mod(a, ring.mul(r, s)) == one for s in residues)
+    ]
+    image = {ring.reduce_mod(a, u) for u in units}
+    assert image <= set(unit_residues)
+    return len(unit_residues) // len(image), len(unit_residues)
+
+
+def _unit_quotient_cases():
+    """(ring, moduli, window) for Z/n with 2 <= n <= 40 and prod(Z/4,GF(5)),
+    each for every a, and GF(2)[T], GF(3)[T] for every a of degree 1 to 3."""
+    for n in range(2, 41):
+        yield IntegersMod(n), range(n), range(n)
+    ring = parse_ring("prod(Z/4,GF(5))")
+    yield ring, list(ring.elements()), list(ring.elements())
+    for p in (2, 3):
+        # the polynomials of degree at most 3 reach every residue mod such
+        # an a; GF(p)[T] is a domain, so its units are the nonzero
+        # constants, which the window holds with their inverses
+        ring = parse_ring(f"GF({p})[T]")
+        window = [pu.trim(ring.field, cs) for cs in itertools.product(range(p), repeat=4)]
+        yield ring, [a for a in window if len(a) >= 2], window
+
+
+def test_unit_quotient_group_matches_brute_force():
+    mismatches = []
+    for ring, moduli, window in _unit_quotient_cases():
+        units = _units(ring, window)
+        for a in moduli:
+            report = unit_quotient_group(ring, a)
+            got = (report.status, report.order, report.carrier)
+            want = ("finite", *_brute_unit_quotient(ring, a, window, units))
+            if got != want:
+                mismatches.append((ring.spec_string(), a, got, want))
+    assert mismatches == []
+
+
+def test_unit_quotient_z12_mod_4():
+    # (Z/12)/(4) = Z/4: both unit residues 1 and 3 are images of units of Z/12
+    ring = IntegersMod(12)
+    assert {ring.reduce_mod(4, u) for u in _units(ring, range(12))} == {1, 3}
+    report = unit_quotient_group(ring, 4)
+    assert (report.order, report.carrier) == (1, 2)
 
 
 def test_unit_quotient_limit():
