@@ -1,8 +1,10 @@
 """Ring protocol, Bezout certificates, and primitive points.
 
-Every ring exposes exact arithmetic on canonical, hashable element
-representations. Residue canonicity matters: reduce_mod(a, x) must return
-equal representatives exactly when x and y agree modulo the ideal aA, since
+Every ring exposes exact arithmetic on canonical, hashable elements, so two
+are equal exactly when they compare equal with ==; a ring is finite exactly
+when elements() enumerates it, and an infinite one raises InfiniteRingError
+there. Residue canonicity matters: reduce_mod(a, x) must return equal
+representatives exactly when x and y agree modulo the ideal aA, since
 quotient_residues lists each class once by that representative and
 unit_residue_witness decides its class from it. Ring's units_count,
 quotient_size and quotient_residues give the infinite-ring answers; a ring
@@ -73,8 +75,9 @@ class PrimitivePoint:
 class Ring:
     """Abstract commutative ring with certified unit-ideal tests.
 
-    Subclasses provide canonical hashable element representations and the
-    primitive operations; generic helpers (sub, pow, equality) are derived.
+    Subclasses provide canonical hashable element representations, compared
+    with ==, and the primitive operations; sub and pow are derived. elements()
+    enumerates a finite ring and raises InfiniteRingError on an infinite one.
     """
 
     def zero(self):
@@ -94,9 +97,6 @@ class Ring:
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
-
-    def eq(self, x, y) -> bool:
-        return x == y
 
     def pow(self, x, n: int):
         if n < 0:
@@ -134,12 +134,6 @@ class Ring:
     def divide_exact(self, y, x) -> Optional[object]:
         """Some z with x*z == y, or None when y is not a multiple of x."""
         raise NotImplementedError
-
-    def is_finite(self) -> bool:
-        return False
-
-    def size(self) -> int:
-        raise InfiniteRingError(f"{self.spec_string()} is not finite")
 
     def elements(self) -> Iterator:
         raise InfiniteRingError(f"cannot enumerate {self.spec_string()}")
@@ -184,7 +178,7 @@ def verify_certificate(ring: Ring, xs: Sequence, cert: BezoutCertificate) -> boo
     acc = ring.zero()
     for u, x in zip(cert.coefficients, xs):
         acc = ring.add(acc, ring.mul(u, x))
-    return ring.eq(acc, ring.one())
+    return acc == ring.one()
 
 
 def is_primitive(ring: Ring, coords: Sequence) -> Optional[PrimitivePoint]:

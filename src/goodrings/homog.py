@@ -101,7 +101,7 @@ class HomogeneousPolynomial:
                 raise ValueError(
                     f"exponents {exps} do not fit degree {degree} in {n_vars} variables"
                 )
-            if not ring.eq(c, zero):
+            if c != zero:
                 clean[exps] = c
         self.ring = ring
         self.n_vars = n_vars
@@ -120,15 +120,14 @@ class HomogeneousPolynomial:
         Such keys have the right length, no negative entry and the right
         degree by construction, so checking them again would prove nothing
         while costing a pass over every term of every product. Zero
-        coefficients are still dropped, with ring.eq.
+        coefficients are still dropped.
         """
         zero = ring.zero()
-        eq = ring.eq
         poly = object.__new__(cls)
         poly.ring = ring
         poly.n_vars = n_vars
         poly.degree = degree
-        poly.terms = {e: c for e, c in terms.items() if not eq(c, zero)}
+        poly.terms = {e: c for e, c in terms.items() if c != zero}
         return poly
 
     @property
@@ -536,7 +535,8 @@ def _step(
     constructor passes its own choices, replay the recorded ones. Failed
     identities go to check(cond, message). W(q) is the sum that both
     callers' certificate check of new_point has verified, so W(q) = 1 needs
-    no check here. The record keeps R's own values, new_point's last.
+    no check here, nor does B_t(p_t) = sum u_ij*(p_i*p_j - p_j*p_i) = 0.
+    The record keeps R's own values, new_point's last.
     """
     n = poly.n_vars
     k = len(covered)
@@ -562,10 +562,9 @@ def _step(
             lin[j] = ring.add(lin[j], ring.mul(u, pc[i]))
             lin[i] = ring.sub(lin[i], ring.mul(u, pc[j]))
         form = HomogeneousPolynomial.linear(ring, lin)
-        check(ring.eq(form.eval(pc), ring.zero()), "a form does not vanish at its point")
         v = form.eval(q)
         combination = ring.add(ring.mul(pq, c_t), ring.mul(w_t, v))
-        check(ring.eq(combination, ring.one()), "combination identity broken")
+        check(combination == ring.one(), "combination identity broken")
         forms.append(form)
         prod_b = prod_b.mul(form)
         a_val = ring.mul(a_val, v)
@@ -578,13 +577,13 @@ def _step(
     tail = prod_b.mul(w_form.pow(e)).scale(w.lam)
     result = head.add(tail)
     at_q = result.eval(q)
-    check(ring.eq(at_q, w.epsilon), "the result does not take the witness unit at q")
+    check(at_q == w.epsilon, "the result does not take the witness unit at q")
     point_values = []
     for p, v in zip(covered, values):
         expected = ring.pow(v, alpha * w.N)
         value = result.eval(p.coordinates)
         check(
-            ring.eq(value, expected) and ring.is_unit(expected),
+            value == expected and ring.is_unit(expected),
             "the result is not the unit P(p)^(alpha*N) at a covered point",
         )
         point_values.append(value)
@@ -811,7 +810,7 @@ def _splits(p, n: int, r: int) -> bool:
 
 def _check_record(rebuilt, recorded, check) -> None:
     """Require a rebuilt record to equal the recorded one, field by field
-    with ==, which is Ring.eq; the message names the fields that differ."""
+    with ==; the message names the fields that differ."""
     if rebuilt != recorded:
         differ = [
             f.name

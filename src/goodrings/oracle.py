@@ -17,6 +17,7 @@ from .core import (
     InfiniteRingError,
     NotPrimitiveError,
     PreconditionError,
+    Ring,
     UnsupportedRingError,
 )
 from .rings import IntegersMod, ProductRing
@@ -111,7 +112,7 @@ def _raw_ops(carrier) -> tuple:
             return SabElement(bto(z[0]), bto(z[1]))
 
         return elements, (bzero, bzero), (bone, bzero), add, mul, to_library
-    if hasattr(carrier, "is_finite") and not carrier.is_finite():
+    if isinstance(carrier, Ring):  # every finite Ring is handled above
         raise InfiniteRingError("the unit-set oracle needs a finite carrier")
     raise UnsupportedRingError(
         f"no raw arithmetic for {type(carrier).__name__}"

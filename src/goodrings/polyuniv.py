@@ -16,7 +16,7 @@ from math import gcd
 def trim(field, coeffs) -> tuple:
     cs = list(coeffs)
     zero = field.zero()
-    while cs and field.eq(cs[-1], zero):
+    while cs and cs[-1] == zero:
         cs.pop()
     return tuple(cs)
 
@@ -80,7 +80,7 @@ def divmod_poly(field, f: tuple, g: tuple) -> tuple[tuple, tuple]:
         for i in range(len(g) - 1):
             r[k + i] = field.sub(r[k + i], field.mul(c, g[i]))
         r.pop()
-        while r and field.eq(r[-1], zero):
+        while r and r[-1] == zero:
             r.pop()
     return trim(field, q), tuple(r)
 
@@ -118,7 +118,7 @@ def rational_roots(field, f: tuple) -> list[Fraction]:
     zero = field.zero()
     # strip X^v so the constant term is nonzero
     v = 0
-    while v < len(f) and field.eq(f[v], zero):
+    while v < len(f) and f[v] == zero:
         v += 1
     roots = set()
     if v > 0:
@@ -133,7 +133,7 @@ def rational_roots(field, f: tuple) -> list[Fraction]:
         for p in _divisors(a0):
             for q in _divisors(an):
                 for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if field.eq(eval_at(field, body, cand), zero):
+                    if eval_at(field, body, cand) == zero:
                         roots.add(cand)
     return sorted(roots)
 

@@ -65,10 +65,6 @@ class SabAlgebra:
     def mul(self, z1: SabElement, z2: SabElement) -> SabElement:
         return sab_mul(self, z1, z2)
 
-    def eq(self, z1: SabElement, z2: SabElement) -> bool:
-        base = self.base
-        return base.eq(z1.x, z2.x) and base.eq(z1.y, z2.y)
-
     def is_unit(self, z: SabElement) -> Optional[SabElement]:
         return sab_is_unit(self, z)
 
@@ -165,8 +161,8 @@ def witness_to_polynomial(
     x_var = HomogeneousPolynomial.monomial(ring, 2, (1, 0), ring.one())
     inner = HomogeneousPolynomial.linear(ring, cert.coefficients)
     poly = y_var.pow(w.N).add(x_var.mul(inner.pow(w.N - 1)).scale(w.lam))
-    ensure(ring.eq(poly.eval((ring.zero(), ring.one())), ring.one()), "P(0, 1) is not 1")
-    ensure(ring.eq(poly.eval((a, b)), w.epsilon), "P(a, b) is not the witness unit")
+    ensure(poly.eval((ring.zero(), ring.one())) == ring.one(), "P(0, 1) is not 1")
+    ensure(poly.eval((a, b)) == w.epsilon, "P(a, b) is not the witness unit")
     return poly
 
 

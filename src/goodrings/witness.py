@@ -15,7 +15,6 @@ from typing import Optional, Union
 
 from . import polyuniv as pu
 from .core import (
-    InfiniteRingError,
     NotPrimitiveError,
     PreconditionError,
     Ring,
@@ -73,10 +72,10 @@ def verify_witness(ring: Ring, a, b, w: GoodPointWitness) -> bool:
     """Check b^N + lam*a == eps and eps*eps_inv == 1. Pure recomputation."""
     if not isinstance(w.N, int) or w.N < 1:
         return False
-    if not ring.eq(ring.mul(w.epsilon, w.epsilon_inverse), ring.one()):
+    if ring.mul(w.epsilon, w.epsilon_inverse) != ring.one():
         return False
     lhs = ring.add(ring.pow(b, w.N), ring.mul(w.lam, a))
-    return ring.eq(lhs, w.epsilon)
+    return lhs == w.epsilon
 
 
 def _witness_at(ring: Ring, a, b, N: int, eps) -> Witness:
@@ -99,7 +98,7 @@ def find_good_witness(ring: Ring, a, b, bound: int = 10000) -> Union[Witness, Ex
     holds the unit 1, at N = i.
     """
     require_primitive(ring, (a, b))
-    if ring.eq(a, ring.zero()):
+    if a == ring.zero():
         return _witness_at(ring, a, b, 1, b)
     r = ring.one()
     for N in range(1, bound + 1):
@@ -119,26 +118,30 @@ class UnitQuotientReport:
     reason: Optional[str] = None
 
 
-def unit_quotient_group(ring: Ring, a, limit: int = 20000) -> UnitQuotientReport:
+# unit_quotient_group enumerates quotients of at most this many residues
+_QUOTIENT_LIMIT = 20000
+
+
+def unit_quotient_group(ring: Ring, a) -> UnitQuotientReport:
     """The group (A/aA)^x / image(A^x), when the quotient is enumerable.
 
     carrier is the number of unit residues, certified through bezout
     against a; order divides it by the number of those whose class holds a
     unit of A, the test the witness scan applies to b^N.
     """
-    if ring.eq(a, ring.zero()):
+    size = ring.quotient_size(a)
+    if size is not None and size > _QUOTIENT_LIMIT:
+        return UnitQuotientReport(
+            "unknown",
+            reason=f"quotient has {size} residues, above the limit {_QUOTIENT_LIMIT}",
+        )
+    if a == ring.zero():
         # reduction mod (0) is the identity, so the units map onto themselves
         return UnitQuotientReport("finite", order=1, carrier=ring.units_count())
-    size = ring.quotient_size(a)
     if size is None:
         return UnitQuotientReport(
             "unknown",
             reason=f"the quotient of {ring.spec_string()} by this element is not enumerable",
-        )
-    if size > limit:
-        return UnitQuotientReport(
-            "unknown",
-            reason=f"quotient has {size} residues, above the limit {limit}",
         )
     carrier = image = 0
     for r in ring.quotient_residues(a):
@@ -167,37 +170,36 @@ def check_good_ring_exhaustive(ring: Ring) -> GoodRingReport:
     unit 1. So failures is always empty. A product's pair is primitive
     exactly when each component pair is, and then its good exponents are
     the intersection of theirs, a subgroup of Z: its least N is the lcm of
-    theirs. So a product is checked one factor at a time.
+    theirs. So a product is checked one factor at a time, once every factor
+    is enumerated: elements() raises InfiniteRingError on an infinite one.
     """
-    if not ring.is_finite():
-        raise InfiniteRingError(
-            f"exhaustive check would not terminate on {ring.spec_string()}"
-        )
-    pairs, least_ns = _least_exponents(ring)
+    factors = [(f, list(f.elements())) for f in _factors(ring)]
+    pairs, least_ns = 1, {1}
+    for factor, elts in factors:
+        pairs *= len(elts) ** 2
+        least_ns = {lcm(n, m) for n in least_ns for m in _least_exponents(factor, elts)}
     return GoodRingReport(pairs, True, max(least_ns, default=0), ())
 
 
-def _least_exponents(ring: Ring) -> tuple:
-    """A finite ring's pair count and its primitive pairs' least Ns."""
+def _factors(ring: Ring) -> list:
+    """A product's factors with nested products flattened; else [ring]."""
     if isinstance(ring, ProductRing):
-        pairs, least_ns = 1, {1}
-        for factor in ring.factors:
-            factor_pairs, factor_ns = _least_exponents(factor)
-            pairs *= factor_pairs
-            least_ns = {lcm(n, m) for n in least_ns for m in factor_ns}
-        return pairs, least_ns
-    elts = list(ring.elements())
-    bound = ring.size()
+        return [g for f in ring.factors for g in _factors(f)]
+    return [ring]
+
+
+def _least_exponents(ring: Ring, elts: list) -> set:
+    """The least Ns of the primitive pairs of a finite ring with elements elts."""
     least_ns = set()
     for a in elts:
         for b in elts:
             try:
-                outcome = find_good_witness(ring, a, b, bound=bound)
+                outcome = find_good_witness(ring, a, b, bound=len(elts))
             except NotPrimitiveError:
                 continue
             ensure(isinstance(outcome, Witness), "a finite ring's scan exhausted at |A|")
             least_ns.add(outcome.witness.N)
-    return len(elts) ** 2, least_ns
+    return least_ns
 
 
 def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:

@@ -175,6 +175,30 @@ def test_check_good_on_a_product_scans_each_factor():
 def test_check_good_infinite_ring_is_an_error():
     code, out = invoke("check-good", "--ring", "Z")
     assert code == 2
+    assert out["status"] == "error"
+    assert out["diagnostics"] == ["cannot enumerate Z"]
+
+
+@pytest.mark.parametrize("spec", ["prod(Z/4,Z)", "prod(GF(10007),Z)"])
+def test_check_good_product_with_an_infinite_factor_is_an_error(spec):
+    # every factor is enumerated before any pair is scanned
+    start = time.perf_counter()
+    code, out = invoke("check-good", "--ring", spec)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["diagnostics"] == ["cannot enumerate Z"]
+
+
+def test_quotient_units_limit_holds_at_a_zero():
+    start = time.perf_counter()
+    code, out = invoke("quotient-units", "--ring", "GF(1000000007)", "--a", "0")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out["payload"] == {
+        "group_status": "unknown",
+        "reason": "quotient has 1000000007 residues, above the limit 20000",
+    }
 
 
 def test_quotient_units_classic_values():

@@ -189,11 +189,11 @@ def test_arithmetic_commutes_with_evaluation(case):
     ring, n_vars, t1, t2, lift, pt = case
     f = HomogeneousPolynomial(ring, n_vars, 3, t1)
     g = HomogeneousPolynomial(ring, n_vars, 3, t2)
-    assert ring.eq(f.add(g).eval(pt), ring.add(f.eval(pt), g.eval(pt)))
+    assert f.add(g).eval(pt) == ring.add(f.eval(pt), g.eval(pt))
     h = g.mul(HomogeneousPolynomial.monomial(ring, n_vars, lift, ring.one()))
     product = f.mul(h)
     assert product.degree == 6 + sum(lift)
-    assert ring.eq(product.eval(pt), ring.mul(f.eval(pt), h.eval(pt)))
+    assert product.eval(pt) == ring.mul(f.eval(pt), h.eval(pt))
     for poly in (h, product):
         for exps in poly.terms:
             assert type(exps) is tuple and len(exps) == n_vars
