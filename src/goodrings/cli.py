@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .core import GoodRingsError, ParseError, Ring, ensure, require_primitive
 from .homog import (
@@ -222,7 +223,10 @@ def _cmd_bridge(args) -> tuple:
     return 0, CommandResult("ok", _witness_payload(ring, w), ())
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use and then shared: parse_args leaves it
+    unchanged, and building it costs more than most commands."""
     parser = _Parser(prog="goodrings", description="good-ring computations")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -10,7 +10,7 @@ unit_inverse.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 
 def trim(field, coeffs) -> tuple:
@@ -111,8 +111,19 @@ def xgcd(field, f: tuple, g: tuple) -> tuple[tuple, tuple, tuple]:
 
 def rational_roots(field, f: tuple) -> list[Fraction]:
     """All rational roots of a polynomial over the rationals field, ascending,
-    without multiplicity. Uses the rational root bound on a
-    cleared-denominator copy."""
+    without multiplicity.
+
+    The roots are found by lifting roots modulo a small prime (Loos, SIAM J.
+    Comput. 1983; von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 15). With X^v stripped, g = f / gcd(f, f') is squarefree with the
+    same nonzero roots. Scaled to coprime integer coefficients c0 .. cn, g
+    has each root p/q (lowest terms, q > 0) with |p| <= |c0| and q <= |cn|.
+    At the least prime l not dividing cn where every root of g mod l is
+    simple, each rational root reduces to its own root mod l. Newton's
+    iteration lifts that root to l^k > 2|c0||cn|, where p/q is the only
+    fraction within the bounds, and a half-run extended Euclid reads it back.
+    A candidate is kept only if f vanishes at it exactly.
+    """
     if not f:
         raise ValueError("zero polynomial has every rational root")
     zero = field.zero()
@@ -120,31 +131,62 @@ def rational_roots(field, f: tuple) -> list[Fraction]:
     v = 0
     while v < len(f) and f[v] == zero:
         v += 1
-    roots = set()
-    if v > 0:
-        roots.add(zero)
+    roots = [zero] if v > 0 else []
     body = f[v:]
     if len(body) > 1:
-        den_lcm = 1
-        for c in body:
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in body]
-        a0, an = abs(ints[0]), abs(ints[-1])
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if eval_at(field, body, cand) == zero:
-                        roots.add(cand)
+        d, _, _ = xgcd(field, body, _derivative(body))
+        g, _ = divmod_poly(field, body, d)
+        den = lcm(*(c.denominator for c in g))
+        cs = [int(c * den) for c in g]
+        content = gcd(*cs)
+        cs = [c // content for c in cs]
+        c0, cn = abs(cs[0]), abs(cs[-1])
+        dcs = _derivative(cs)
+        ell, residues = _simple_root_prime(cs, dcs)
+        for x in residues:
+            m = ell
+            while m <= 2 * c0 * cn:
+                m *= m
+                x = (x - _eval_mod(cs, x, m) * pow(_eval_mod(dcs, x, m), -1, m)) % m
+            cand = _fraction_from_residue(x, m, c0)
+            if eval_at(field, body, cand) == zero:
+                roots.append(cand)
     return sorted(roots)
 
 
-def _divisors(n: int) -> list[int]:
-    ds = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            ds.append(d)
-            if d != n // d:
-                ds.append(n // d)
-        d += 1
-    return sorted(ds)
+def _derivative(f) -> tuple:
+    return tuple(i * c for i, c in enumerate(f))[1:]
+
+
+def _eval_mod(cs, x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _simple_root_prime(cs: list, dcs: tuple) -> tuple[int, list[int]]:
+    """The least prime l not dividing the leading coefficient at which every
+    root of cs mod l is simple, with those roots."""
+    ell = 1
+    while True:
+        ell += 1
+        if cs[-1] % ell == 0 or any(ell % d == 0 for d in range(2, isqrt(ell) + 1)):
+            continue
+        residues = [r for r in range(ell) if _eval_mod(cs, r, ell) == 0]
+        if all(_eval_mod(dcs, r, ell) for r in residues):
+            return ell, residues
+
+
+def _fraction_from_residue(x: int, m: int, num_bound: int) -> Fraction:
+    """r/t from the first row of the extended Euclid on (m, x) whose
+    remainder r = t*x mod m is at most num_bound. When some p/q = x mod m
+    in lowest terms has |p| <= num_bound and 0 < q <= m / (num_bound + 1),
+    this is it (von zur Gathen and Gerhard, Theorem 5.26)."""
+    r0, r1 = m, x
+    t0, t1 = 0, 1
+    while r1 > num_bound:
+        quo = r0 // r1
+        r0, r1 = r1, r0 - quo * r1
+        t0, t1 = t1, t0 - quo * t1
+    return Fraction(r1, t1)

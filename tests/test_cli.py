@@ -292,6 +292,32 @@ def test_decide_qt_rejects_wrong_ring():
     assert code == 2
 
 
+def test_refute_zt_on_a_root_near_ten_to_the_24():
+    # the root's size does not matter: no divisor of it is enumerated
+    start = time.perf_counter()
+    code, out = invoke(
+        "refute-zt", "--ring", "Q[T]", "--a", "T-1234567890123456789012345", "--b", "2"
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out["status"] == "refuted"
+    assert out["payload"]["root"] == "1234567890123456789012345"
+    assert out["payload"]["value"] == "2"
+
+
+def test_decide_qt_with_roots_near_ten_to_the_15():
+    # a = (T - r1)(T - r2) with |r1*r2| about 10^30; b(r1) = -b(r2), so the
+    # ratio rule gives N = 2, epsilon = b(r1)^2 and b^2 - epsilon = 4a
+    r1, r2 = 10**15 + 37, -(10**15 - 11)
+    a = f"T^2{-(r1 + r2):+d}*T{r1 * r2:+d}"
+    b = f"2*T{-(r1 + r2):+d}"
+    start = time.perf_counter()
+    code, out = invoke("decide-qt", "--ring", "Q[T]", "--a", a, "--b", b)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out["payload"] == {"N": 2, "lambda": "-4", "epsilon": str((r1 - r2) ** 2)}
+
+
 def test_refute_zt_example():
     code, out = invoke("refute-zt", "--ring", "Q[T]", "--a", "1-2*T", "--b", "T")
     assert code == 0
@@ -433,19 +459,39 @@ def test_malformed_input_is_a_usage_error(argv):
     assert out["diagnostics"]
 
 
-def test_golden_outputs(monkeypatch, capsys):
-    """Every command recorded in tests/golden/cli.jsonl prints exactly its
-    recorded stdout and exits with its recorded code."""
+def _golden_mismatches(cases, monkeypatch, capsys) -> list:
+    """The cases whose stdout or exit code differs from the recording."""
     mismatches = []
-    for line in GOLDEN.read_text().splitlines():
-        case = json.loads(line)
+    for case in cases:
         monkeypatch.setattr(sys, "argv", ["goodrings", *case["argv"]])
         with pytest.raises(SystemExit) as exit_info:
             main()
         stdout = capsys.readouterr().out
         if (stdout, exit_info.value.code) != (case["stdout"], case["exit"]):
             mismatches.append((case["argv"], stdout, exit_info.value.code))
-    assert mismatches == []
+    return mismatches
+
+
+def _golden_cases() -> list:
+    return [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+
+
+def test_golden_outputs(monkeypatch, capsys):
+    """Every command recorded in tests/golden/cli.jsonl prints exactly its
+    recorded stdout and exits with its recorded code."""
+    assert _golden_mismatches(_golden_cases(), monkeypatch, capsys) == []
+
+
+def test_golden_outputs_repeat_in_one_process(monkeypatch, capsys):
+    """The parser is built once per process and shared by every command: the
+    golden file still passes in order, and then in reverse order after a
+    usage error."""
+    cases = _golden_cases()
+    assert _golden_mismatches(cases, monkeypatch, capsys) == []
+    code, out = invoke("witness", "--ring", "Z", "--a", "5")
+    assert code == 2
+    assert out["status"] == "error"
+    assert _golden_mismatches(cases[::-1], monkeypatch, capsys) == []
 
 
 def test_json_output_is_deterministic():

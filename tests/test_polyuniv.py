@@ -1,0 +1,118 @@
+"""Rational roots of Q-polynomials against a divisor-enumeration reference."""
+
+from fractions import Fraction
+from math import isqrt, lcm
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from goodrings import polyuniv as pu
+from goodrings.rings import Rationals
+
+Q = Rationals()
+
+
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
+
+
+def _reference_roots(f: tuple) -> list[Fraction]:
+    """The rational root theorem by brute force: every root p/q of the
+    cleared-denominator body has p dividing its constant term and q its
+    leading one."""
+    v = next(i for i, c in enumerate(f) if c != 0)
+    body = f[v:]
+    den = lcm(*(c.denominator for c in body))
+    ints = [int(c * den) for c in body]
+    roots = {Fraction(0)} if v else set()
+    if len(body) > 1:
+        for p in _divisors(abs(ints[0])):
+            for q in _divisors(abs(ints[-1])):
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    if pu.eval_at(Q, body, cand) == 0:
+                        roots.add(cand)
+    return sorted(roots)
+
+
+def _product(factors) -> tuple:
+    f = (Fraction(1),)
+    for fac in factors:
+        f = pu.mul(Q, f, fac)
+    return f
+
+
+_ratios = st.builds(Fraction, st.integers(1, 5), st.integers(1, 3))
+
+
+@st.composite
+def _rootless(draw) -> tuple:
+    """A Q-polynomial of degree >= 2 with no rational root: either positive
+    definite (even powers, positive coefficients) or T^k - c with c a
+    positive integer that is not a k-th power, whose real root is
+    irrational."""
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(_ratios, min_size=2, max_size=3))
+        f = [Fraction(0)] * (2 * len(coeffs) - 1)
+        f[::2] = coeffs
+        return tuple(f)
+    k = draw(st.integers(2, 3))
+    c = draw(st.integers(2, 12).filter(lambda c: round(c ** (1 / k)) ** k != c))
+    return (Fraction(-c),) + (Fraction(0),) * (k - 1) + (Fraction(1),)
+
+
+@st.composite
+def _polynomial(draw) -> tuple:
+    """(f, planted roots): products of (q*T - p)^e, T^v and rootless
+    factors, times a nonzero rational scalar."""
+    roots = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)),
+            max_size=3,
+            unique=True,
+        )
+    )
+    factors = []
+    for r in roots:
+        e = draw(st.integers(1, 2))
+        factors += [(Fraction(-r.numerator), Fraction(r.denominator))] * e
+    v = draw(st.integers(0, 2))
+    factors += [(Fraction(0), Fraction(1))] * v
+    factors += draw(st.lists(_rootless(), max_size=2))
+    scalar = draw(_ratios) * draw(st.sampled_from((1, -1)))
+    f = pu.scale(Q, scalar, _product(factors))
+    planted = set(roots) | ({Fraction(0)} if v else set())
+    return f, sorted(planted)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_polynomial())
+def test_rational_roots_match_the_divisor_reference(case):
+    f, planted = case
+    found = pu.rational_roots(Q, f)
+    assert found == _reference_roots(f)
+    assert found == planted
+
+
+def test_rational_roots_of_a_constant():
+    assert pu.rational_roots(Q, (Fraction(7, 3),)) == []
+    with pytest.raises(ValueError):
+        pu.rational_roots(Q, ())
+
+
+def test_rational_roots_near_ten_to_the_25():
+    # far past a divisor scan: the roots are checked by substitution only
+    big = 10**25 + 13
+    small = Fraction(-(10**25 + 7), 10**12 + 1)
+    f = _product(
+        [
+            (Fraction(-big), Fraction(1)),
+            (Fraction(-big), Fraction(1)),
+            (Fraction(-small.numerator), Fraction(small.denominator)),
+            (Fraction(1), Fraction(0), Fraction(1)),
+            (Fraction(0), Fraction(1)),
+        ]
+    )
+    found = pu.rational_roots(Q, pu.scale(Q, Fraction(2, 7), f))
+    assert found == [small, Fraction(0), Fraction(big)]
+    assert all(pu.eval_at(Q, f, r) == 0 for r in found)
