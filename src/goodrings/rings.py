@@ -97,6 +97,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, k) with p^k exactly dividing n >= 1, ascending in p; []
+    for n = 1. Trial division, which stops once the cofactor is 1 or a prime
+    that _is_prime recognises below _PRIMALITY_LIMIT."""
+    powers, d = [], 2
+    while n > 1 and not (n < _PRIMALITY_LIMIT and _is_prime(n)):
+        while n % d and d * d <= n:
+            d += 1
+        if n % d:
+            break  # no factor up to sqrt(n): the cofactor is prime
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        powers.append((d, k))
+    if n > 1:
+        powers.append((n, 1))
+    return powers
+
+
 def _top_level_cuts(text: str, seps: str) -> list[int]:
     """Indices of the characters of seps that lie outside all parentheses.
     Raises ParseError when the parentheses do not balance."""
@@ -364,7 +384,8 @@ class IntegersMod(Ring):
         return iter(range(self.n))
 
     def units_count(self):
-        return sum(1 for x in range(self.n) if gcd(x, self.n) == 1)
+        # Euler's phi: p^(k-1) * (p-1) units mod each prime power p^k
+        return prod(p ** (k - 1) * (p - 1) for p, k in _prime_powers(self.n))
 
     def quotient_size(self, a):
         # reduce_mod(a, x) is x mod gcd(a, n): the residues are range(gcd(a, n))

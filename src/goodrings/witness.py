@@ -22,7 +22,7 @@ from .core import (
     ensure,
     require_primitive,
 )
-from .rings import ProductRing, RationalPoly
+from .rings import IntegersMod, ProductRing, RationalPoly, _prime_powers
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,6 @@ class UnitQuotientReport:
     status: str  # "finite" | "infinite" | "unknown"
     order: Optional[int] = None
     carrier: Optional[int] = None
-    generator: Optional[object] = None
     reason: Optional[str] = None
 
 
@@ -172,6 +171,8 @@ def check_good_ring_exhaustive(ring: Ring) -> GoodRingReport:
     the intersection of theirs, a subgroup of Z: its least N is the lcm of
     theirs. So a product is checked one factor at a time, once every factor
     is enumerated: elements() raises InfiniteRingError on an infinite one.
+    Z/n is the product of its Z/p^k by the Chinese remainder theorem, so it
+    is checked by those prime-power factors, in sum p^(2k) pairs, not n^2.
     """
     factors = [(f, list(f.elements())) for f in _factors(ring)]
     pairs, least_ns = 1, {1}
@@ -182,9 +183,14 @@ def check_good_ring_exhaustive(ring: Ring) -> GoodRingReport:
 
 
 def _factors(ring: Ring) -> list:
-    """A product's factors with nested products flattened; else [ring]."""
+    """A product's factors with nested products flattened, and Z/n split into
+    its Z/p^k when n has two or more prime factors; else [ring]."""
     if isinstance(ring, ProductRing):
         return [g for f in ring.factors for g in _factors(f)]
+    if isinstance(ring, IntegersMod):
+        powers = _prime_powers(ring.n)
+        if len(powers) > 1:
+            return [IntegersMod(p**k) for p, k in powers]
     return [ring]
 
 

@@ -172,6 +172,17 @@ def test_check_good_on_a_product_scans_each_factor():
     }
 
 
+def test_check_good_on_z_n_scans_its_prime_power_factors():
+    # 9,000,000 pairs of Z/3000, found good from 8^2 + 3^2 + 125^2 factor pairs
+    start = time.perf_counter()
+    code, out = invoke("check-good", "--ring", "Z/3000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out["payload"] == {
+        "pairs_checked": 9000000, "all_good": True, "max_N_seen": 1, "failures": [],
+    }
+
+
 def test_check_good_infinite_ring_is_an_error():
     code, out = invoke("check-good", "--ring", "Z")
     assert code == 2
@@ -199,6 +210,15 @@ def test_quotient_units_limit_holds_at_a_zero():
         "group_status": "unknown",
         "reason": "quotient has 1000000007 residues, above the limit 20000",
     }
+
+
+def test_quotient_units_at_a_zero_counts_units_by_factoring():
+    # phi(1000000007) comes from the factorization, not from a count of residues
+    start = time.perf_counter()
+    code, out = invoke("quotient-units", "--ring", "prod(Z,Z/1000000007)", "--a", "(0,0)")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out["payload"] == {"group_status": "finite", "order": 1, "carrier": 2000000012}
 
 
 def test_quotient_units_classic_values():

@@ -41,7 +41,7 @@ def _matches(expected, actual) -> bool:
 
 
 def test_readme_cli_examples_are_found():
-    assert len(CLI_EXAMPLES) == 13
+    assert len(CLI_EXAMPLES) == 14
 
 
 @pytest.mark.parametrize("command, printed", CLI_EXAMPLES, ids=[c for c, _ in CLI_EXAMPLES])

@@ -1,8 +1,8 @@
 """Ring instances: axioms, grammars, certificates, residue contracts."""
 
+import itertools
 from fractions import Fraction
-
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -454,6 +454,45 @@ def test_is_prime_agrees_with_trial_division():
     # shows it composite
     assert not rings._is_prime(318665857834031151167461)
     assert rings._is_prime(2**61 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10**9))
+def test_prime_powers_split_n_into_coprime_prime_powers(n):
+    powers = rings._prime_powers(n)
+    primes = [p for p, _ in powers]
+    assert primes == sorted(set(primes))
+    assert all(rings._is_prime(p) and k >= 1 for p, k in powers)
+    # distinct primes, so the prime powers are pairwise coprime
+    assert all(gcd(p**k, q**j) == 1 for (p, k), (q, j) in itertools.combinations(powers, 2))
+    assert prod(p**k for p, k in powers) == n
+
+
+@pytest.mark.parametrize(
+    "n, powers",
+    [
+        (1, []),
+        (2, [(2, 1)]),
+        (97, [(97, 1)]),
+        (2**61 - 1, [(2**61 - 1, 1)]),
+        (2**20, [(2, 20)]),
+        (1000003**3, [(1000003, 3)]),
+    ],
+)
+def test_prime_powers_keep_primes_and_prime_powers_whole(n, powers):
+    assert rings._prime_powers(n) == powers
+
+
+def test_prime_powers_past_the_primality_limit():
+    # the primality test is asked only about cofactors below its limit
+    big = rings._PRIMALITY_LIMIT - 168  # the largest prime below it
+    assert rings._prime_powers(12 * big) == [(2, 2), (3, 1), (big, 1)]
+    assert rings._prime_powers(10**30) == [(2, 30), (5, 30)]
+
+
+def test_integers_mod_units_count_is_the_coprime_count():
+    for n in range(1, 501):
+        assert IntegersMod(n).units_count() == sum(gcd(x, n) == 1 for x in range(n))
 
 
 @pytest.mark.parametrize("spec", ["GF({p})", "GF({p})[T]", "locQ({p})", "prod(Z,GF({p}))"])

@@ -343,6 +343,8 @@ def _check_good_pair_by_pair(ring):
         "prod(GF(2),GF(2),GF(2),Z/4)",
         "prod(Z/12,prod(Z/1,GF(7)))",
         "prod(Z/8,Z/9)",
+        "Z/60",
+        "Z/72",
     ],
 )
 def test_check_good_product_factorwise_matches_pair_by_pair(spec, monkeypatch):
@@ -352,6 +354,13 @@ def test_check_good_product_factorwise_matches_pair_by_pair(spec, monkeypatch):
     factorwise = cli.run(argv)
     monkeypatch.setattr(cli, "check_good_ring_exhaustive", _check_good_pair_by_pair)
     assert cli.run(argv) == factorwise
+
+
+def test_check_good_integers_mod_by_prime_powers_matches_pair_by_pair():
+    # Z/n is checked through its Z/p^k factors; the reference scans Z/n itself
+    for n in range(1, 65):
+        ring = IntegersMod(n)
+        assert check_good_ring_exhaustive(ring) == _check_good_pair_by_pair(ring), n
 
 
 def test_product_pair_witness_is_the_tuple_of_factor_witnesses():
