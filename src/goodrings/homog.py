@@ -297,30 +297,62 @@ class HomogeneousPolynomial:
         return HomogeneousPolynomial._from_trusted(self.ring, self.n_vars, n, acc)
 
     def eval(self, coords: Sequence):
+        """The value at coords, read from one power table per coordinate.
+
+        Each term then costs a table lookup and a multiplication per
+        variable. A form with more terms than its degree gets dense tables,
+        a list of every power 0..degree built by one multiplication each.
+        Any other form gets sparse tables, a dict over only the exponents
+        that occur, each computed by ring.pow: a dense table of a short
+        literal such as x2^100000 + x1^100000 would build every power below
+        the degree, a cost quadratic in the degree.
+        """
         if len(coords) != self.n_vars:
             raise ValueError("wrong number of coordinates")
         ring = self.ring
+        terms = self.terms
+        if not terms:
+            return ring.zero()
+        mul = ring.mul
+        if self.degree < len(terms):
+            tables = []
+            for x in coords:
+                table = [ring.one()]
+                for _ in range(self.degree):
+                    table.append(mul(table[-1], x))
+                tables.append(table)
+        else:
+            tables = [
+                {e: ring.pow(x, e) for e in set(column)}
+                for x, column in zip(coords, zip(*terms))
+            ]
         if isinstance(ring, Integers):
-            caches: list = [{0: 1, 1: x} for x in coords]
             total = 0
-            for exps, c in self.terms.items():
-                term = c
-                for cache, x, e in zip(caches, coords, exps):
-                    if e:
-                        p = cache.get(e)
-                        if p is None:
-                            p = x**e
-                            cache[e] = p
-                        term *= p
-                total += term
+            if self.n_vars == 2:
+                t1, t2 = tables
+                for (e1, e2), c in terms.items():
+                    total += c * t1[e1] * t2[e2]
+            elif self.n_vars == 3:
+                t1, t2, t3 = tables
+                for (e1, e2, e3), c in terms.items():
+                    total += c * t1[e1] * t2[e2] * t3[e3]
+            elif self.n_vars == 4:
+                t1, t2, t3, t4 = tables
+                for (e1, e2, e3, e4), c in terms.items():
+                    total += c * t1[e1] * t2[e2] * t3[e3] * t4[e4]
+            else:
+                for exps, c in terms.items():
+                    for table, e in zip(tables, exps):
+                        c *= table[e]
+                    total += c
             return total
+        add = ring.add
         total = ring.zero()
-        for exps, c in self.terms.items():
-            term = c
-            for x, e in zip(coords, exps):
+        for exps, c in terms.items():
+            for table, e in zip(tables, exps):
                 if e:
-                    term = ring.mul(term, ring.pow(x, e))
-            total = ring.add(total, term)
+                    c = mul(c, table[e])
+            total = add(total, c)
         return total
 
     def __eq__(self, other) -> bool:

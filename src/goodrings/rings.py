@@ -266,6 +266,11 @@ class Integers(Ring):
     def mul(self, x, y):
         return x * y
 
+    def pow(self, x, n: int):
+        if n < 0:
+            raise ValueError("negative ring power")
+        return x**n
+
     def unit_inverse(self, x):
         return x if x in (1, -1) else None
 
@@ -345,6 +350,12 @@ class IntegersMod(Ring):
 
     def mul(self, x, y):
         return (x * y) % self.n
+
+    def pow(self, x, n: int):
+        # the builtin would read a negative n as a power of the inverse
+        if n < 0:
+            raise ValueError("negative ring power")
+        return pow(x, n, self.n)
 
     def unit_inverse(self, x):
         if gcd(x, self.n) != 1:

@@ -63,10 +63,31 @@ class SabAlgebra:
         return self.add(z1, self.neg(z2))
 
     def mul(self, z1: SabElement, z2: SabElement) -> SabElement:
-        return sab_mul(self, z1, z2)
+        """(x1 + y1*th)(x2 + y2*th) = x1*x2 + (x1*y2 + y1*x2 + a*y1*y2)*th."""
+        base = self.base
+        x = base.mul(z1.x, z2.x)
+        y = base.add(
+            base.add(base.mul(z1.x, z2.y), base.mul(z1.y, z2.x)),
+            base.mul(self.a, base.mul(z1.y, z2.y)),
+        )
+        return SabElement(x, y)
 
     def is_unit(self, z: SabElement) -> Optional[SabElement]:
-        return sab_is_unit(self, z)
+        """The inverse of z when it is a unit, else None.
+
+        z = x + y*th is a unit iff x and x + y*a are units; the inverse is
+        x^-1 - y*x^-1*s^-1*th with s = x + y*a. Multiplied out, the product's
+        th-part is y*x^-1*s^-1*(s - x - a*y) = 0 and its 1-part is x*x^-1 = 1.
+        """
+        base = self.base
+        # z at th -> 0 and at th -> a; both substitutions kill th*(th - a)
+        x_inv = base.unit_inverse(z.x)
+        if x_inv is None:
+            return None
+        s_inv = base.unit_inverse(base.add(z.x, base.mul(z.y, self.a)))
+        if s_inv is None:
+            return None
+        return SabElement(x_inv, base.neg(base.mul(z.y, base.mul(x_inv, s_inv))))
 
     def elements(self):
         for x in self.base.elements():
@@ -101,45 +122,6 @@ def _group_body(s: str) -> str:
     if not (s.startswith("(") and s.endswith(")")):
         raise ParseError(f"expected a parenthesized component, got {s!r}")
     return s[1:-1]
-
-
-def _evaluations(alg: SabAlgebra, z: SabElement) -> tuple:
-    """The pair (z at th->0, z at th->a); both substitutions kill th*(th-a)."""
-    base = alg.base
-    return z.x, base.add(z.x, base.mul(z.y, alg.a))
-
-
-def sab_add(alg: SabAlgebra, z1: SabElement, z2: SabElement) -> SabElement:
-    return alg.add(z1, z2)
-
-
-def sab_mul(alg: SabAlgebra, z1: SabElement, z2: SabElement) -> SabElement:
-    """(x1 + y1*th)(x2 + y2*th) = x1*x2 + (x1*y2 + y1*x2 + a*y1*y2)*th."""
-    base = alg.base
-    x = base.mul(z1.x, z2.x)
-    y = base.add(
-        base.add(base.mul(z1.x, z2.y), base.mul(z1.y, z2.x)),
-        base.mul(alg.a, base.mul(z1.y, z2.y)),
-    )
-    return SabElement(x, y)
-
-
-def sab_is_unit(alg: SabAlgebra, z: SabElement) -> Optional[SabElement]:
-    """The inverse of z when it is a unit, else None.
-
-    z = x + y*th is a unit iff x and x + y*a are units; the inverse is
-    x^-1 - y*x^-1*s^-1*th with s = x + y*a. Multiplied out, the product's
-    th-part is y*x^-1*s^-1*(s - x - a*y) = 0 and its 1-part is x*x^-1 = 1.
-    """
-    base = alg.base
-    ev0, eva = _evaluations(alg, z)
-    x_inv = base.unit_inverse(ev0)
-    if x_inv is None:
-        return None
-    s_inv = base.unit_inverse(eva)
-    if s_inv is None:
-        return None
-    return SabElement(x_inv, base.neg(base.mul(z.y, base.mul(x_inv, s_inv))))
 
 
 # ---------------------------------------------------------------------------

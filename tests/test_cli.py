@@ -430,6 +430,19 @@ def test_bridge_from_poly_loops_over_terms_not_degree():
     assert out["payload"] == {"N": 10000000000, "lambda": "6", "epsilon": "6"}
 
 
+def test_bridge_from_poly_evaluates_a_sparse_literal_in_linear_time():
+    # two terms of degree 10**6 over Z: powering only the exponents that occur
+    # takes about 0.1 s; a table of every power up to the degree is quadratic
+    start = time.perf_counter()
+    code, out = invoke(
+        "bridge", "--from-poly", "--ring", "Z", "--a", "2", "--b", "3",
+        "--poly", "x2^1000000+x1^1000000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out["diagnostics"] == ["P(a, b) must be a unit"]
+
+
 def test_text_format():
     code, text = run(
         ["witness", "--ring", "Z", "--a", "5", "--b", "2", "--format", "text"]

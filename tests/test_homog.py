@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from goodrings import polyuniv as pu
 from goodrings.core import (
@@ -128,6 +128,52 @@ def test_eval():
     assert f.eval((2, 3)) == 4 - 6 + 9
     with pytest.raises(ValueError):
         f.eval((1, 2, 3))
+
+
+_EVAL_RINGS = (
+    Z,
+    IntegersMod(1),
+    IntegersMod(12),
+    PrimeField(7),
+    ProductRing([Z, IntegersMod(6)]),
+)
+
+
+def _eval_element(ring):
+    if isinstance(ring, ProductRing):
+        return st.tuples(*(_eval_element(f) for f in ring.factors))
+    if isinstance(ring, IntegersMod):
+        return st.integers(-9, 9).map(lambda x: x % ring.n)
+    return st.integers(-9, 9)
+
+
+@st.composite
+def _eval_case(draw):
+    ring = draw(st.sampled_from(_EVAL_RINGS))
+    n_vars = draw(st.integers(1, 5))
+    degree = draw(st.integers(0, 6))
+    monomials = list(monomial_exponents(n_vars, degree))
+    # up to every monomial, so both sides of the dense/sparse rule occur
+    exps = draw(st.lists(st.sampled_from(monomials), unique=True, max_size=len(monomials)))
+    terms = {e: draw(_eval_element(ring)) for e in exps}
+    pt = tuple(draw(_eval_element(ring)) for _ in range(n_vars))
+    return HomogeneousPolynomial(ring, n_vars, degree, terms), pt
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_eval_case())
+@example((HomogeneousPolynomial.zero(Z, 3, 4), (0, -1, 2)))
+@example((HomogeneousPolynomial.constant(IntegersMod(12), 3, 5), (0, 0, 0)))
+def test_eval_matches_the_sum_of_powered_terms(case):
+    poly, pt = case
+    ring = poly.ring
+    expected = ring.zero()
+    for exps, c in poly.terms.items():
+        term = c
+        for x, e in zip(pt, exps):
+            term = ring.mul(term, ring.pow(x, e))
+        expected = ring.add(expected, term)
+    assert poly.eval(pt) == expected
 
 
 def test_format_canonical():

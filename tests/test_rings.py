@@ -490,6 +490,16 @@ def test_prime_powers_past_the_primality_limit():
     assert rings._prime_powers(10**30) == [(2, 30), (5, 30)]
 
 
+@pytest.mark.parametrize("ring", [Z, IntegersMod(1), Z12, F5], ids=lambda r: r.spec_string())
+def test_builtin_pow_agrees_with_square_and_multiply(ring):
+    for x in range(-7, 13) if ring is Z else ring.elements():
+        for n in range(9):
+            assert ring.pow(x, n) == Ring.pow(ring, x, n)
+        assert ring.pow(x, 0) == ring.one()
+        with pytest.raises(ValueError):
+            ring.pow(x, -1)
+
+
 def test_integers_mod_units_count_is_the_coprime_count():
     for n in range(1, 501):
         assert IntegersMod(n).units_count() == sum(gcd(x, n) == 1 for x in range(n))
