@@ -5,10 +5,10 @@ are equal exactly when they compare equal with ==; a ring is finite exactly
 when elements() enumerates it, and an infinite one raises InfiniteRingError
 there. Residue canonicity matters: reduce_mod(a, x) must return equal
 representatives exactly when x and y agree modulo the ideal aA, since
-quotient_residues lists each class once by that representative and
-unit_residue_witness decides its class from it. Ring's units_count,
-quotient_size and quotient_residues give the infinite-ring answers; a ring
-with finite quotients overrides them with closed forms.
+unit_residue_witness decides a class from its representative. Ring's
+quotient_size and unit_quotient give the answers of a ring whose only finite
+quotients are by units; a ring with other finite quotients overrides them
+with closed forms.
 """
 
 from __future__ import annotations
@@ -138,19 +138,15 @@ class Ring:
     def elements(self) -> Iterator:
         raise InfiniteRingError(f"cannot enumerate {self.spec_string()}")
 
-    def units_count(self) -> Optional[int]:
-        """Number of units, or None when not known to be finite."""
-        return None
-
     def quotient_size(self, a) -> Optional[int]:
         """Size of A/aA, or None when infinite or unknown."""
         return None
 
-    def quotient_residues(self, a) -> Iterator:
-        """Canonical representatives of A/aA, deterministic order."""
-        raise InfiniteRingError(
-            f"cannot enumerate a quotient of {self.spec_string()}"
-        )
+    def unit_quotient(self, a) -> tuple[Optional[int], int]:
+        """(carrier, order) of (A/aA)^x / image(A^x): the number of units of
+        A/aA (None when infinite) and the group's size. Defined at a = 0 and
+        wherever quotient_size(a) is not None."""
+        return (None if a == self.zero() else 1), 1
 
     def parse_element(self, text: str):
         raise NotImplementedError

@@ -85,6 +85,17 @@ def divmod_poly(field, f: tuple, g: tuple) -> tuple[tuple, tuple]:
     return trim(field, q), tuple(r)
 
 
+def powmod(field, f: tuple, n: int, m: tuple) -> tuple:
+    """f^n mod m for n >= 0, by square and multiply."""
+    acc, base = (field.one(),), f
+    while n:
+        if n & 1:
+            acc = divmod_poly(field, mul(field, acc, base), m)[1]
+        base = divmod_poly(field, mul(field, base, base), m)[1]
+        n >>= 1
+    return divmod_poly(field, acc, m)[1]
+
+
 def monic(field, f: tuple) -> tuple:
     if not f:
         return ()

@@ -15,7 +15,7 @@ from math import gcd, prod
 from typing import Iterator, Optional, Sequence
 
 from . import polyuniv as pu
-from .core import InfiniteRingError, ParseError, Ring, ensure
+from .core import ParseError, Ring, ensure
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _FRACTION_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -115,6 +115,11 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     if n > 1:
         powers.append((n, 1))
     return powers
+
+
+def _phi(n: int) -> int:
+    """Euler's phi of n >= 1: p^(k-1) * (p-1) units mod each prime power p^k."""
+    return prod(p ** (k - 1) * (p - 1) for p, k in _prime_powers(n))
 
 
 def _top_level_cuts(text: str, seps: str) -> list[int]:
@@ -296,16 +301,15 @@ class Integers(Ring):
         q, rem = divmod(y, x)
         return q if rem == 0 else None
 
-    def units_count(self):
-        return 2
-
     def quotient_size(self, a):
         return abs(a) if a else None
 
-    def quotient_residues(self, a):
+    def unit_quotient(self, a):
         if a == 0:
-            raise InfiniteRingError("Z/0 is infinite")
-        return iter(range(abs(a)))
+            return 2, 1
+        # the units 1 and -1 of Z stay apart mod |a| exactly when |a| > 2
+        carrier = _phi(abs(a))
+        return carrier, (carrier // 2 if abs(a) > 2 else carrier)
 
     def parse_element(self, text):
         t = text.replace(" ", "")
@@ -394,16 +398,13 @@ class IntegersMod(Ring):
     def elements(self):
         return iter(range(self.n))
 
-    def units_count(self):
-        # Euler's phi: p^(k-1) * (p-1) units mod each prime power p^k
-        return prod(p ** (k - 1) * (p - 1) for p, k in _prime_powers(self.n))
-
     def quotient_size(self, a):
-        # reduce_mod(a, x) is x mod gcd(a, n): the residues are range(gcd(a, n))
+        # reduce_mod(a, x) is x mod gcd(a, n): the quotient is Z/gcd(a, n)
         return gcd(a, self.n)
 
-    def quotient_residues(self, a):
-        return iter(range(gcd(a, self.n)))
+    def unit_quotient(self, a):
+        # every unit of Z/g lifts to a unit of Z/n when g divides n
+        return _phi(gcd(a, self.n)), 1
 
     def parse_element(self, text):
         t = text.replace(" ", "")
@@ -531,10 +532,6 @@ class UnivariatePolyRing(Ring):
         q, rem = pu.divmod_poly(self.field, y, x)
         return q if not rem else None
 
-    def units_count(self):
-        p = self.field.characteristic
-        return p - 1 if p else None
-
     def quotient_size(self, a):
         p = self.field.characteristic
         if len(a) == 1:
@@ -543,12 +540,25 @@ class UnivariatePolyRing(Ring):
             return None
         return p ** pu.deg(a)
 
-    def quotient_residues(self, a):
-        if self.quotient_size(a) is None:
-            return super().quotient_residues(a)
-        # the residues are the polynomials of degree below deg(a)
-        tups = itertools.product(range(self.field.characteristic), repeat=pu.deg(a))
-        return (pu.trim(self.field, tup) for tup in tups)
+    def unit_quotient(self, a):
+        field, p = self.field, self.field.characteristic
+        if not p or len(a) == 1:
+            return super().unit_quotient(a)
+        if not a:
+            return p - 1, 1
+        # found[d] sums the degrees of a's distinct irreducible factors of
+        # degree d, as gcd(T^(p^d) - T, a) is the product of those of degree
+        # dividing d (von zur Gathen & Gerhard, Modern Computer Algebra, 14.2).
+        # Each leaves 1 - p^-d of its part's residues units, and the p - 1
+        # constants stay apart mod a.
+        h = t = (field.zero(), field.one())
+        carrier, found = p ** pu.deg(a), {}
+        for d in range(1, pu.deg(a) + 1):
+            h = pu.powmod(field, h, p, a)
+            g, _, _ = pu.xgcd(field, pu.sub(field, h, t), a)
+            found[d] = pu.deg(g) - sum(v for e, v in found.items() if d % e == 0)
+            carrier = carrier // p ** found[d] * (p**d - 1) ** (found[d] // d)
+        return carrier, carrier // (p - 1)
 
     def parse_element(self, text):
         return _poly_parse_T(text, self.field)
@@ -639,17 +649,13 @@ class ProductRing(Ring):
     def elements(self):
         return itertools.product(*(f.elements() for f in self.factors))
 
-    def units_count(self):
-        counts = self._per_factor("units_count")
-        return None if counts is None else prod(counts)
-
     def quotient_size(self, a):
         sizes = self._per_factor("quotient_size", a)
         return None if sizes is None else prod(sizes)
 
-    def quotient_residues(self, a):
-        its = [f.quotient_residues(m) for f, m in zip(self.factors, a)]
-        return itertools.product(*its)
+    def unit_quotient(self, a):
+        carriers, orders = zip(*(f.unit_quotient(m) for f, m in zip(self.factors, a)))
+        return (None if None in carriers else prod(carriers)), prod(orders)
 
     def parse_element(self, text):
         t = text.replace(" ", "")
@@ -837,11 +843,6 @@ class LocalizedRationalPoly(Ring):
     def quotient_size(self, a):
         # A/aA is the zero ring when a is a unit, and infinite otherwise
         return 1 if self._in_S(a[0]) else None
-
-    def quotient_residues(self, a):
-        if self.quotient_size(a) == 1:
-            return iter([self.zero()])
-        return super().quotient_residues(a)
 
     def parse_element(self, text):
         t = text.replace(" ", "")

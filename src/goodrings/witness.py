@@ -111,44 +111,35 @@ def find_good_witness(ring: Ring, a, b, bound: int = 10000) -> Union[Witness, Ex
 
 @dataclass(frozen=True)
 class UnitQuotientReport:
-    status: str  # "finite" | "infinite" | "unknown"
+    """(A/aA)^x / image(A^x): its order and carrier, or why it is unknown."""
+
+    status: str  # "finite" | "unknown"
     order: Optional[int] = None
     carrier: Optional[int] = None
     reason: Optional[str] = None
 
 
-# unit_quotient_group enumerates quotients of at most this many residues
+# unit_quotient_group factors only quotients of at most this many residues
 _QUOTIENT_LIMIT = 20000
 
 
 def unit_quotient_group(ring: Ring, a) -> UnitQuotientReport:
-    """The group (A/aA)^x / image(A^x), when the quotient is enumerable.
-
-    carrier is the number of unit residues, certified through bezout
-    against a; order divides it by the number of those whose class holds a
-    unit of A, the test the witness scan applies to b^N.
-    """
+    """The group (A/aA)^x / image(A^x) from the ring's closed form: finite at
+    a = 0 and when A/aA has at most _QUOTIENT_LIMIT residues, else unknown.
+    A pair (a, b) is good when some b^N lands in the group's identity."""
     size = ring.quotient_size(a)
     if size is not None and size > _QUOTIENT_LIMIT:
         return UnitQuotientReport(
             "unknown",
             reason=f"quotient has {size} residues, above the limit {_QUOTIENT_LIMIT}",
         )
-    if a == ring.zero():
-        # reduction mod (0) is the identity, so the units map onto themselves
-        return UnitQuotientReport("finite", order=1, carrier=ring.units_count())
-    if size is None:
+    if size is None and a != ring.zero():
         return UnitQuotientReport(
             "unknown",
             reason=f"the quotient of {ring.spec_string()} by this element is not enumerable",
         )
-    carrier = image = 0
-    for r in ring.quotient_residues(a):
-        if ring.bezout((r, a)) is not None:
-            carrier += 1
-            image += ring.unit_residue_witness(a, r) is not None
-    ensure(image and carrier % image == 0, "unit image must be a subgroup")
-    return UnitQuotientReport("finite", order=carrier // image, carrier=carrier)
+    carrier, order = ring.unit_quotient(a)
+    return UnitQuotientReport("finite", order=order, carrier=carrier)
 
 
 @dataclass(frozen=True)

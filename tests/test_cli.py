@@ -221,6 +221,33 @@ def test_quotient_units_at_a_zero_counts_units_by_factoring():
     assert out["payload"] == {"group_status": "finite", "order": 1, "carrier": 2000000012}
 
 
+@pytest.mark.parametrize(
+    "ring_spec, a, payload",
+    [
+        # 2^14 residues; T^14+T+1 has irreducible factors of degrees 2, 5, 7
+        ("GF(2)[T]", "T^14+T+1", {"group_status": "finite", "order": 11811, "carrier": 11811}),
+        ("GF(3)[T]", "T^9+T+2", {"group_status": "finite", "order": 6400, "carrier": 12800}),
+        ("GF(19997)[T]", "T+1", {"group_status": "finite", "order": 1, "carrier": 19996}),
+        ("Z", "19999", {"group_status": "finite", "order": 8568, "carrier": 17136}),
+        ("Z", "20000", {"group_status": "finite", "order": 4000, "carrier": 8000}),
+        (
+            "Z",
+            "20001",
+            {
+                "group_status": "unknown",
+                "reason": "quotient has 20001 residues, above the limit 20000",
+            },
+        ),
+    ],
+)
+def test_quotient_units_at_the_limit_takes_a_closed_form(ring_spec, a, payload):
+    start = time.perf_counter()
+    code, out = invoke("quotient-units", "--ring", ring_spec, "--a", a)
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert out["payload"] == payload
+
+
 def test_quotient_units_classic_values():
     code, out = invoke("quotient-units", "--ring", "Z", "--a", "8")
     assert code == 0

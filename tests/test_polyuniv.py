@@ -1,4 +1,5 @@
-"""Rational roots of Q-polynomials against a divisor-enumeration reference."""
+"""Rational roots of Q-polynomials against a divisor-enumeration reference,
+and powers modulo a polynomial against repeated multiplication."""
 
 from fractions import Fraction
 from math import isqrt, lcm
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goodrings import polyuniv as pu
-from goodrings.rings import Rationals
+from goodrings.rings import PrimeField, Rationals
 
 Q = Rationals()
 
@@ -116,3 +117,13 @@ def test_rational_roots_near_ten_to_the_25():
     found = pu.rational_roots(Q, pu.scale(Q, Fraction(2, 7), f))
     assert found == [small, Fraction(0), Fraction(big)]
     assert all(pu.eval_at(Q, f, r) == 0 for r in found)
+
+
+def test_powmod_is_the_reduced_power():
+    field = PrimeField(3)
+    m = (2, 0, 1, 1)  # T^3 + T^2 + 2
+    for f in [(), (1,), (0, 1), (2, 1, 0, 1, 2)]:
+        acc = (1,)
+        for n in range(12):
+            assert pu.powmod(field, f, n, m) == pu.divmod_poly(field, acc, m)[1]
+            acc = pu.mul(field, acc, f)

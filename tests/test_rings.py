@@ -175,7 +175,7 @@ def test_integers_spec_and_units():
     assert Z.unit_inverse(1) == 1
     assert Z.unit_inverse(-1) == -1
     assert Z.unit_inverse(2) is None
-    assert Z.units_count() == 2
+    assert Z.unit_quotient(0) == (2, 1)
 
 
 def test_integers_reduce_is_least_nonnegative():
@@ -286,8 +286,8 @@ def test_polynomial_rings_share_one_class():
     assert isinstance(F3T.field, PrimeField) and F3T.field.characteristic == 3
     assert isinstance(QT.field, Ring) and isinstance(LOC2.field, Ring)
     assert QT.field.characteristic == 0
-    assert F3T.units_count() == 2
-    assert QT.units_count() is None
+    assert F3T.unit_quotient(()) == (2, 1)
+    assert QT.unit_quotient(()) == (None, 1)
     assert F3T.quotient_size((1, 0, 1)) == 9
     assert QT.quotient_size((1, 0, 1)) is None
 
@@ -502,7 +502,7 @@ def test_builtin_pow_agrees_with_square_and_multiply(ring):
 
 def test_integers_mod_units_count_is_the_coprime_count():
     for n in range(1, 501):
-        assert IntegersMod(n).units_count() == sum(gcd(x, n) == 1 for x in range(n))
+        assert IntegersMod(n).unit_quotient(0) == (sum(gcd(x, n) == 1 for x in range(n)), 1)
 
 
 @pytest.mark.parametrize("spec", ["GF({p})", "GF({p})[T]", "locQ({p})", "prod(Z,GF({p}))"])
@@ -519,10 +519,10 @@ def test_infinite_enumeration_raises():
         Z.elements()
     with pytest.raises(InfiniteRingError):
         list(QT.elements())
-    with pytest.raises(InfiniteRingError):
-        Z.quotient_residues(0)
+    assert Z.quotient_size(0) is None
 
 
 def test_product_residue_enumeration():
-    residues = list(PROD.quotient_residues((2, 0)))
-    assert len(residues) == 2 * 5
+    # (Z/4 x GF(5)) / (2, 0) is Z/2 x GF(5): one unit residue times four
+    assert PROD.quotient_size((2, 0)) == 2 * 5
+    assert PROD.unit_quotient((2, 0)) == (1 * 4, 1)

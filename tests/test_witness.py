@@ -228,7 +228,7 @@ def test_unit_quotient_carrier_counts_unit_residues():
 def test_unit_quotient_by_a_unit_is_trivial(ring, a):
     x = ring.parse_element(a)
     assert ring.quotient_size(x) == 1
-    assert list(ring.quotient_residues(x)) == [ring.zero()]
+    assert ring.unit_quotient(x) == (1, 1)
     report = unit_quotient_group(ring, x)
     assert (report.status, report.order, report.carrier) == ("finite", 1, 1)
 
@@ -246,34 +246,53 @@ def _units(ring, window):
 
 def _brute_unit_quotient(ring, a, window, units):
     """(order, carrier) of (A/aA)^x / image(A^x) from ring arithmetic alone:
-    the unit residues by exhaustive inverse search among the reductions of
-    window, which must reach every residue, and the image as the reductions
-    of the units of A."""
-    one = ring.reduce_mod(a, ring.one())
+    the unit residues by search among the reductions of window, which must
+    reach every residue, and the image as the reductions of the units of A.
+    A finite ring's element is a unit or a zero divisor, so the search for
+    each residue stops at its inverse or at a nonzero annihilator."""
+    one, zero = ring.reduce_mod(a, ring.one()), ring.reduce_mod(a, ring.zero())
     residues = {ring.reduce_mod(a, x) for x in window}
-    unit_residues = [
-        r for r in residues
-        if any(ring.reduce_mod(a, ring.mul(r, s)) == one for s in residues)
-    ]
+
+    def is_unit(r):
+        for s in residues:
+            rs = ring.reduce_mod(a, ring.mul(r, s))
+            if rs == one or (rs == zero and s != zero):
+                return rs == one
+        raise AssertionError("a residue is neither a unit nor a zero divisor")
+
+    unit_residues = [r for r in residues if is_unit(r)]
     image = {ring.reduce_mod(a, u) for u in units}
     assert image <= set(unit_residues)
     return len(unit_residues) // len(image), len(unit_residues)
 
 
+def _polys(ring, max_deg):
+    """The polynomials of GF(p)[T] of degree at most max_deg, 0 included."""
+    p = ring.field.characteristic
+    return [pu.trim(ring.field, cs) for cs in itertools.product(range(p), repeat=max_deg + 1)]
+
+
 def _unit_quotient_cases():
-    """(ring, moduli, window) for Z/n with 2 <= n <= 40 and prod(Z/4,GF(5)),
-    each for every a, and GF(2)[T], GF(3)[T] for every a of degree 1 to 3."""
+    """(ring, moduli, window) for Z with 1 <= |a| <= 60; Z/n with
+    2 <= n <= 40, prod(Z/4,GF(5)) and prod(GF(2)[T],Z/3), each for every
+    finite quotient; and GF(p)[T] for every a of degree 1 to 6 (p = 2), 3
+    (p = 3) or 2 (p = 5)."""
+    window = range(-60, 61)
+    yield Integers(), [a for a in window if a], window
     for n in range(2, 41):
         yield IntegersMod(n), range(n), range(n)
     ring = parse_ring("prod(Z/4,GF(5))")
     yield ring, list(ring.elements()), list(ring.elements())
-    for p in (2, 3):
-        # the polynomials of degree at most 3 reach every residue mod such
-        # an a; GF(p)[T] is a domain, so its units are the nonzero
+    for p, max_deg in ((2, 6), (3, 3), (5, 2)):
+        # the polynomials of degree below max_deg reach every residue mod
+        # such an a; GF(p)[T] is a domain, so its units are the nonzero
         # constants, which the window holds with their inverses
         ring = parse_ring(f"GF({p})[T]")
-        window = [pu.trim(ring.field, cs) for cs in itertools.product(range(p), repeat=4)]
-        yield ring, [a for a in window if len(a) >= 2], window
+        moduli = [a for a in _polys(ring, max_deg) if len(a) >= 2]
+        yield ring, moduli, _polys(ring, max_deg - 1)
+    ring = parse_ring("prod(GF(2)[T],Z/3)")
+    window = list(itertools.product(_polys(ring.factors[0], 2), range(3)))
+    yield ring, [a for a in window if a[0]], window
 
 
 def test_unit_quotient_group_matches_brute_force():
