@@ -153,17 +153,22 @@ class GoodRingReport:
 def check_good_ring_exhaustive(ring: Ring) -> GoodRingReport:
     """Test every pair (a, b) in A^2 of a finite ring for goodness.
 
-    find_good_witness tests each pair for primitivity and verifies the
-    witness it returns. Its scan cannot exhaust at the bound |A|: a = 0 is
-    answered before it, and otherwise b is a unit mod aA, so within
-    ord(b) <= |A/aA| <= |A| steps it meets the class of 1, which holds the
-    unit 1. So failures is always empty. A product's pair is primitive
-    exactly when each component pair is, and then its good exponents are
-    the intersection of theirs, a subgroup of Z: its least N is the lcm of
-    theirs. So a product is checked one factor at a time, once every factor
-    is enumerated: elements() raises InfiniteRingError on an infinite one.
-    Z/n is the product of its Z/p^k by the Chinese remainder theorem, so it
-    is checked by those prime-power factors, in sum p^(2k) pairs, not n^2.
+    Primitivity and the witness scan run once per class of b mod aA:
+    aA + bA depends only on b + aA, the canonical residues of reduce_mod
+    make the scan and its eps the same across the class, and eps - b^N then
+    lies in aA for every member (see _least_exponents). _witness_at builds
+    and verifies a witness for every primitive pair. The scan cannot
+    exhaust at the bound |A|: a = 0 is answered before it, and otherwise b
+    is a unit mod aA, so within ord(b) <= |A/aA| <= |A| steps it meets the
+    class of 1, which holds the unit 1. So failures is always empty.
+
+    A product's pair is primitive exactly when each component pair is, and
+    then its good exponents are the intersection of theirs, a subgroup of
+    Z: its least N is the lcm of theirs. So a product is checked one factor
+    at a time, once every factor is enumerated: elements() raises
+    InfiniteRingError on an infinite one. Z/n is the product of its Z/p^k
+    by the Chinese remainder theorem, so it is checked by those prime-power
+    factors, in sum p^(2k) pairs, not n^2.
     """
     factors = [(f, list(f.elements())) for f in _factors(ring)]
     pairs, least_ns = 1, {1}
@@ -186,15 +191,34 @@ def _factors(ring: Ring) -> list:
 
 
 def _least_exponents(ring: Ring, elts: list) -> set:
-    """The least Ns of the primitive pairs of a finite ring with elements elts."""
+    """The least Ns of the primitive pairs of a finite ring with elements elts.
+
+    For each a, find_good_witness runs once per class r = reduce_mod(a, b)
+    of b mod aA, and its (N, eps), or None when the class is not primitive,
+    serves every b of the class. This is exact: (1) aA + bA depends only on
+    b + aA; (2) reduce_mod returns the canonical residue, so the scan
+    r_N = reduce_mod(a, b*r_{N-1}) and unit_residue_witness's choice of eps
+    are the same for every b of the class, which gets the least N and eps
+    that find_good_witness would give it; (3) eps - b^N lies in aA for every
+    member, so divide_exact succeeds. _witness_at still builds and verifies
+    a witness for every primitive pair.
+    """
     least_ns = set()
     for a in elts:
+        classes = {}
         for b in elts:
+            r = ring.reduce_mod(a, b)
+            if r in classes:
+                if classes[r] is not None:
+                    _witness_at(ring, a, b, *classes[r])
+                continue
             try:
                 outcome = find_good_witness(ring, a, b, bound=len(elts))
             except NotPrimitiveError:
+                classes[r] = None
                 continue
             ensure(isinstance(outcome, Witness), "a finite ring's scan exhausted at |A|")
+            classes[r] = outcome.witness.N, outcome.witness.epsilon
             least_ns.add(outcome.witness.N)
     return least_ns
 

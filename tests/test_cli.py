@@ -183,6 +183,17 @@ def test_check_good_on_z_n_scans_its_prime_power_factors():
     }
 
 
+def test_check_good_on_a_prime_field_searches_once_per_class():
+    # 160,801 pairs of GF(401), each verified; the search runs once per a
+    start = time.perf_counter()
+    code, out = invoke("check-good", "--ring", "GF(401)")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out["payload"] == {
+        "pairs_checked": 160801, "all_good": True, "max_N_seen": 1, "failures": [],
+    }
+
+
 def test_check_good_infinite_ring_is_an_error():
     code, out = invoke("check-good", "--ring", "Z")
     assert code == 2

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from goodrings import cli
 from goodrings import polyuniv as pu
+from goodrings import witness
 from goodrings.core import (
     NotPrimitiveError,
     PreconditionError,
@@ -364,6 +365,9 @@ def _check_good_pair_by_pair(ring):
         "prod(Z/8,Z/9)",
         "Z/60",
         "Z/72",
+        "Z/81",
+        "Z/125",
+        "Z/128",
     ],
 )
 def test_check_good_product_factorwise_matches_pair_by_pair(spec, monkeypatch):
@@ -380,6 +384,54 @@ def test_check_good_integers_mod_by_prime_powers_matches_pair_by_pair():
     for n in range(1, 65):
         ring = IntegersMod(n)
         assert check_good_ring_exhaustive(ring) == _check_good_pair_by_pair(ring), n
+
+
+def test_least_exponents_per_class_matches_find_good_witness_per_pair(monkeypatch):
+    # the reference searches every pair; the class reuse must build a
+    # witness with the same N and eps for each primitive pair, and none for
+    # the others
+    built, witness_at = {}, witness._witness_at
+
+    def recording(ring, a, b, N, eps):
+        assert (a, b) not in built
+        built[a, b] = N, eps
+        return witness_at(ring, a, b, N, eps)
+
+    rings = [IntegersMod(n) for n in range(1, 121)]
+    rings += [PrimeField(p) for p in range(2, 62) if all(p % q for q in range(2, p))]
+    for ring in rings:
+        elts = list(ring.elements())
+        expected = {}
+        for a in elts:
+            for b in elts:
+                try:
+                    w = find_good_witness(ring, a, b, bound=len(elts)).witness
+                except NotPrimitiveError:
+                    continue
+                expected[a, b] = w.N, w.epsilon
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(witness, "_witness_at", recording)
+            least_ns = witness._least_exponents(ring, elts)
+        assert built == expected, ring
+        assert least_ns == {n for n, _ in expected.values()}, ring
+
+
+@pytest.mark.parametrize(
+    "spec, primitive_pairs",
+    # p^2 - 1 for GF(p), p^(2k) - p^(2k-2) for Z/p^k
+    [("GF(31)", 960), ("Z/27", 648), ("Z/32", 768)],
+)
+def test_check_good_verifies_one_witness_per_primitive_pair(spec, primitive_pairs, monkeypatch):
+    calls = []
+
+    def counting(ring, a, b, w):
+        calls.append((a, b))
+        return verify_witness(ring, a, b, w)
+
+    monkeypatch.setattr(witness, "verify_witness", counting)
+    check_good_ring_exhaustive(parse_ring(spec))
+    assert len(calls) == len(set(calls)) == primitive_pairs
 
 
 def test_product_pair_witness_is_the_tuple_of_factor_witnesses():
