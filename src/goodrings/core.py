@@ -128,7 +128,8 @@ class Ring:
 
     def unit_residue_witness(self, a, r) -> Optional[object]:
         """Given a canonical residue r mod aA, return a unit eps in the class
-        r + aA, or None when no unit lies in the class."""
+        r + aA, or None when no unit lies in the class. Exact on every ring:
+        None is a proof, never a search that gave up."""
         raise NotImplementedError
 
     def divide_exact(self, y, x) -> Optional[object]:

@@ -326,7 +326,7 @@ class HomogeneousPolynomial:
                 {e: ring.pow(x, e) for e in set(column)}
                 for x, column in zip(coords, zip(*terms))
             ]
-        if isinstance(ring, Integers):
+        if isinstance(ring, Integers) and 2 <= self.n_vars <= 4:
             total = 0
             if self.n_vars == 2:
                 t1, t2 = tables
@@ -336,15 +336,10 @@ class HomogeneousPolynomial:
                 t1, t2, t3 = tables
                 for (e1, e2, e3), c in terms.items():
                     total += c * t1[e1] * t2[e2] * t3[e3]
-            elif self.n_vars == 4:
+            else:
                 t1, t2, t3, t4 = tables
                 for (e1, e2, e3, e4), c in terms.items():
                     total += c * t1[e1] * t2[e2] * t3[e3] * t4[e4]
-            else:
-                for exps, c in terms.items():
-                    for table, e in zip(tables, exps):
-                        c *= table[e]
-                    total += c
             return total
         add = ring.add
         total = ring.zero()
@@ -674,11 +669,12 @@ def _least_witness(ring: Ring, k: int, degree: int, bound: int):
     """The constructor's witness choice for a step over k covered points
     from a polynomial of the given degree: the least witness for (a,
     P(q)^alpha) with alpha = 1, raised to the least alpha with N*alpha*
-    degree >= k when N is too small for the filler."""
+    degree >= k when N is too small for the filler. That alpha makes
+    N*alpha*degree >= k, so the loop repeats only on a smaller N >= 1."""
 
     def choose(a, pq) -> tuple:
         alpha = 1
-        for _ in range(64):
+        while True:
             outcome = find_good_witness(ring, a, ring.pow(pq, alpha), bound=bound)
             if isinstance(outcome, Exhausted):
                 raise WitnessSearchExhausted(outcome.bound)
@@ -686,7 +682,6 @@ def _least_witness(ring: Ring, k: int, degree: int, bound: int):
             if w.N * alpha * degree >= k:
                 return alpha, w
             alpha = -(-k // (w.N * degree))
-        raise GoodRingsError("witness exponent adjustment failed to settle")
 
     return choose
 

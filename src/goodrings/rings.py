@@ -15,7 +15,7 @@ from math import gcd, prod
 from typing import Iterator, Optional, Sequence
 
 from . import polyuniv as pu
-from .core import ParseError, Ring, ensure
+from .core import ParseError, Ring
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _FRACTION_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -678,9 +678,6 @@ class ProductRing(Ring):
 # ---------------------------------------------------------------------------
 # Q[T] localized away from {0} and the powers of p
 
-# the unit lift tries eps = r + c*a over this many scalar candidates c
-_LOCQ_SHIFT_CANDIDATES = 400
-
 
 class LocalizedRationalPoly(Ring):
     """Fractions num/den of rational polynomials with den in the
@@ -792,42 +789,41 @@ class LocalizedRationalPoly(Ring):
     def reduce_mod(self, a, x):
         if a == self.zero():
             return x
+        # s inverts den mod g: g has roots only in {0} u {p^k}, where den in S has none
         g = self._z_part(a[0])
         num, den = x
-        gg, s, _ = pu.xgcd(self.field, den, g)
-        ensure(gg == (Fraction(1),), "denominator not invertible mod the ideal")
+        _, s, _ = pu.xgcd(self.field, den, g)
         _, res = pu.divmod_poly(
             self.field, pu.mul(self.field, num, s), g
         )
         return (res, (Fraction(1),))
 
     def _scalar_candidates(self) -> Iterator[Fraction]:
+        """Every rational once: 0, then +-num/den by increasing num + den."""
         yield Fraction(0)
-        produced = 1
-        s = 2
-        while produced < _LOCQ_SHIFT_CANDIDATES:
+        for s in itertools.count(2):
             for den in range(1, s):
                 num = s - den
-                if gcd(num, den) != 1:
-                    continue
-                yield Fraction(num, den)
-                yield Fraction(-num, den)
-                produced += 2
-                if produced >= _LOCQ_SHIFT_CANDIDATES:
-                    return
-            s += 1
+                if gcd(num, den) == 1:
+                    yield Fraction(num, den)
+                    yield Fraction(-num, den)
 
     def unit_residue_witness(self, a, r):
         if a == self.zero():
             return r if self.unit_inverse(r) is not None else None
         if self.unit_inverse(a) is not None:
             return self.one()
-        # bounded deterministic search over eps = r + c*a, c a scalar
+        # eps = r + c*a is a unit iff num(r)*den(a) + c*num(a)*den(r) has no root
+        # in F = {0} u {p^k}. A common root of num(r) and _z_part(num(a)) is one
+        # for every c: no unit (tested after c = 0, as r is often a unit). Else
+        # each w in F is a root for at most one c, none where num(a)(w) = 0, and
+        # those c converge as w = p^k grows; the candidates list every rational.
         for c in self._scalar_candidates():
             eps = self.add(r, self.mul(((c,) if c else (), (Fraction(1),)), a))
             if self.unit_inverse(eps) is not None:
                 return eps
-        return None
+            if c == 0 and pu.deg(pu.xgcd(self.field, r[0], self._z_part(a[0]))[0]) >= 1:
+                return None
 
     def divide_exact(self, y, x):
         if x == self.zero():

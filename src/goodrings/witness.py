@@ -92,14 +92,14 @@ def _witness_at(ring: Ring, a, b, N: int, eps) -> Witness:
 def find_good_witness(ring: Ring, a, b, bound: int = 10000) -> Union[Witness, Exhausted]:
     """Scan N = 1..bound for a unit in the class of b^N mod aA.
 
-    Returns the minimal-N witness or Exhausted. The scan needs no cycle
-    check: b is a unit mod aA, so a residue that repeats after i steps
-    means b^i = 1 mod aA, and the scan already met the class of 1, which
-    holds the unit 1, at N = i.
+    Returns the minimal-N witness (unit_residue_witness is exact), or
+    Exhausted. At a = 0, reduce_mod gives b, a unit as (0, b) is primitive,
+    so N = 1 and eps = b once bound >= 1. The scan needs no cycle check: b
+    is a unit mod aA, so a residue that repeats after i steps means b^i = 1
+    mod aA, and the scan already met the class of 1, which holds the unit
+    1, at N = i.
     """
     require_primitive(ring, (a, b))
-    if a == ring.zero():
-        return _witness_at(ring, a, b, 1, b)
     r = ring.one()
     for N in range(1, bound + 1):
         r = ring.reduce_mod(a, ring.mul(b, r))
@@ -158,9 +158,9 @@ def check_good_ring_exhaustive(ring: Ring) -> GoodRingReport:
     make the scan and its eps the same across the class, and eps - b^N then
     lies in aA for every member (see _least_exponents). _witness_at builds
     and verifies a witness for every primitive pair. The scan cannot
-    exhaust at the bound |A|: a = 0 is answered before it, and otherwise b
-    is a unit mod aA, so within ord(b) <= |A/aA| <= |A| steps it meets the
-    class of 1, which holds the unit 1. So failures is always empty.
+    exhaust at the bound |A| >= 1: b is a unit mod aA (at a = 0, b is a
+    unit), so within ord(b) <= |A/aA| <= |A| steps it meets the class of 1,
+    which holds the unit 1. So failures is always empty.
 
     A product's pair is primitive exactly when each component pair is, and
     then its good exponents are the intersection of theirs, a subgroup of
@@ -238,16 +238,13 @@ def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:
     if len(a) == 1:
         return _witness_at(ring, a, b, 1, ring.one())
     field = ring.field
+    # the roots are distinct: a is squarefree and split iff there are deg(a)
     roots = pu.rational_roots(field, a)
-    lin_prod: tuple = (Fraction(1),)
-    for th in roots:
-        lin_prod = pu.mul(field, lin_prod, (-th, Fraction(1)))
-    if lin_prod != pu.monic(field, a):
+    if len(roots) != pu.deg(a):
         raise PreconditionError(
             "the coefficient polynomial must be squarefree with all roots rational"
         )
-    vals = [pu.eval_at(field, b, th) for th in roots]
-    ensure(all(v != 0 for v in vals), "a primitive pair cannot share a root")
+    vals = [pu.eval_at(field, b, th) for th in roots]  # nonzero: (a, b) is primitive
     base = vals[0]
     N = 1
     for v in vals:

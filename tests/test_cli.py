@@ -35,6 +35,13 @@ def test_witness_exhaustion_exit_code():
     assert out["payload"]["bound"] == 2
 
 
+def test_witness_bound_applies_at_a_zero():
+    code, out = invoke("witness", "--ring", "Z", "--a", "0", "--b", "1", "--bound", "0")
+    assert code == 3
+    assert out["status"] == "exhausted"
+    assert out["payload"] == {"bound": 0}
+
+
 def test_witness_non_primitive_pair_is_an_error():
     code, out = invoke("witness", "--ring", "Z", "--a", "6", "--b", "3")
     assert code == 2

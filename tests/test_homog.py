@@ -8,6 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from goodrings import homog
 from goodrings import polyuniv as pu
 from goodrings.core import (
     GoodRingsError,
@@ -41,6 +42,7 @@ from goodrings.rings import (
     RationalPoly,
     parse_ring,
 )
+from goodrings.witness import find_good_witness, verify_witness
 
 Z = Integers()
 QT = RationalPoly()
@@ -961,3 +963,19 @@ def test_replay_rejects_a_product_trace_over_another_ring():
     for other in (Z, parse_ring("prod(Z,Z/5,Z/5)")):
         with pytest.raises(GoodRingsError, match="trace replay failed"):
             replay_trace(other, trace)
+
+
+def test_least_witness_raises_alpha_until_it_settles(monkeypatch):
+    searched = []
+
+    def find(ring, a, b, bound):
+        searched.append(b)
+        return find_good_witness(ring, a, b, bound=bound)
+
+    monkeypatch.setattr(homog, "find_good_witness", find)
+    alpha, w = homog._least_witness(Z, 4, 1, 100)(5, 2)
+    # 2 needs N = 2, so alpha = 2; 4 needs N = 1, so alpha = 4; 16 settles
+    assert searched == [2, 4, 16]
+    assert alpha == 4
+    assert (w.N, w.lam, w.epsilon) == (1, -3, 1)
+    assert verify_witness(Z, 5, 16, w)

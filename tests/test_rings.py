@@ -1,11 +1,12 @@
 """Ring instances: axioms, grammars, certificates, residue contracts."""
 
 import itertools
+import time
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from goodrings import polyuniv as pu
 from goodrings import rings
@@ -356,6 +357,92 @@ def test_localized_results_are_canonical(case):
         assert num == pu.trim(ring.field, num)
         assert den[-1] == 1 and ring._in_S(den)
         assert pu.xgcd(ring.field, num, den)[0] == (Fraction(1),)
+
+
+# classes of locQ with no unit: the numerator of x shares a root in
+# {0} u {p^k} with that of a
+_LOCQ_NO_UNIT = [
+    (3, "T^3-12*T^2+27*T", "T^2+5*T"),
+    (2, "T^4-6*T^3+8*T^2", "7/3*T^3+T"),
+    (5, "(1/7)*T^5-T^4+T^3+2*T^2", "T^4-T^2"),
+]
+
+
+def test_localized_lift_proves_a_class_has_no_unit():
+    cases = []
+    for p, a, x in _LOCQ_NO_UNIT:
+        ring = LocalizedRationalPoly(p)
+        a = ring.parse_element(a)
+        cases.append((ring, a, ring.reduce_mod(a, ring.parse_element(x))))
+    start = time.perf_counter()
+    for _ in range(10):
+        for ring, a, r in cases:
+            assert ring.unit_residue_witness(a, r) is None
+    # a proof, not a walk over hundreds of scalar candidates
+    assert time.perf_counter() - start < 0.5
+
+
+def test_localized_lift_tries_scalars_in_order():
+    a = LOC2.parse_element("T^3")
+    r = LOC2.reduce_mod(a, LOC2.parse_element("88/3*T^2-208*T+896/3"))
+    for c in (0, 1, -1):
+        assert not LOC2.is_unit(LOC2.add(r, LOC2.mul(LOC2.parse_element(str(c)), a)))
+    eps = LOC2.unit_residue_witness(a, r)
+    assert eps == LOC2.add(r, LOC2.mul(LOC2.parse_element("2"), a))
+    assert LOC2.format_element(eps) == "(2*T^3+88/3*T^2-208*T+896/3)/(1)"
+
+
+def _value(f, z):
+    return sum(c * z**i for i, c in enumerate(f))
+
+
+def _has_root_in_F(f, p):
+    # a root z has |z| < 1 + max |c_i / c_n| (Cauchy), so finitely many p^k
+    bound = 1 + max(abs(c / f[-1]) for c in f)
+    powers = itertools.takewhile(lambda w: w <= bound, (p**k for k in itertools.count(1)))
+    return any(_value(f, w) == 0 for w in (0, *powers))
+
+
+@st.composite
+def _locq_lift_case(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    zs = draw(st.lists(st.sampled_from([0, p, p**2, p**3]), max_size=3))
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    h = draw(st.lists(small, min_size=1, max_size=3).filter(lambda cs: cs[-1] != 0))
+    h = tuple(h)
+    assume(not _has_root_in_F(h, p))
+    num_a = h
+    for z in zs:
+        num_a = pu.mul(QT.field, num_a, (Fraction(-z), Fraction(1)))
+    den = draw(st.sampled_from(["1", "T-1", "T^2+1", "3*T-1"]))
+    num_x = pu.trim(QT.field, tuple(draw(st.lists(small, max_size=4))))
+    mode = draw(st.sampled_from(["free", "shared", "other"]))
+    if mode == "shared" and zs:
+        num_x = pu.mul(QT.field, num_x, (Fraction(-draw(st.sampled_from(zs))), Fraction(1)))
+    others = [w for w in (0, p, p**2, p**3) if w not in zs]
+    if mode == "other" and len(zs) >= 2 and others:
+        # a residue that is no unit by itself, for it vanishes at w: the
+        # lift must try c != 0
+        cs = draw(st.lists(small, min_size=1, max_size=len(zs) - 1))
+        w = draw(st.sampled_from(others))
+        num_x = pu.mul(QT.field, pu.trim(QT.field, tuple(cs)), (Fraction(-w), Fraction(1)))
+        den = "1"
+    ring = LocalizedRationalPoly(p)
+    x = ring.mul((num_x, (Fraction(1),)), ring.unit_inverse(ring.parse_element(den)))
+    return ring, set(zs), (num_a, (Fraction(1),)), x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_locq_lift_case())
+def test_localized_lift_is_exact(case):
+    ring, zs, a, x = case
+    r = ring.reduce_mod(a, x)
+    eps = ring.unit_residue_witness(a, r)
+    if any(_value(r[0], z) == 0 for z in zs):
+        assert eps is None
+    else:
+        assert eps is not None and ring.is_unit(eps)
+        assert ring.divide_exact(ring.sub(eps, r), a) is not None
 
 
 def _ring_with_element(ring, elems):

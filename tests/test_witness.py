@@ -161,6 +161,23 @@ def test_decide_qt_requires_split_squarefree():
         decide_good_point_rational_split(
             QT, QT.parse_element("T^2"), QT.parse_element("T-1")
         )
+    # (T-1)^2 (T+2) splits but is not squarefree
+    with pytest.raises(PreconditionError):
+        decide_good_point_rational_split(
+            QT, QT.parse_element("T^3-3*T+2"), QT.parse_element("T")
+        )
+    # (T-1)(T^2+1) is squarefree but does not split
+    with pytest.raises(PreconditionError):
+        decide_good_point_rational_split(
+            QT, QT.parse_element("T^3-T^2+T-1"), QT.parse_element("T")
+        )
+    # a non-monic split squarefree a is accepted: 2(T-1)(T+1)
+    a, b = QT.parse_element("2*T^2-2"), QT.parse_element("T")
+    outcome = decide_good_point_rational_split(QT, a, b)
+    assert isinstance(outcome, Witness)
+    w = outcome.witness
+    assert (w.N, w.lam, w.epsilon) == (2, (Fraction(-1, 2),), (Fraction(1),))
+    assert verify_witness(QT, a, b, w)
 
 
 def test_decide_qt_wrong_ring():
@@ -465,3 +482,24 @@ def test_locq_witness_search():
     out = find_good_witness(loc, a, b)
     assert isinstance(out, Witness)
     assert verify_witness(loc, a, b, out.witness)
+
+
+_UNIT_B = [
+    ("Z", "-1"),
+    ("Z/6", "5"),
+    ("GF(5)[T]", "2"),
+    ("Q[T]", "3/2"),
+    ("locQ(2)", "(T-3)/(T+1)"),
+    ("prod(Z,Z/5)", "(-1,2)"),
+]
+
+
+@pytest.mark.parametrize("spec, b", _UNIT_B)
+def test_the_bound_applies_at_a_zero(spec, b):
+    ring = parse_ring(spec)
+    b = ring.parse_element(b)
+    assert find_good_witness(ring, ring.zero(), b, bound=0) == Exhausted(0)
+    outcome = find_good_witness(ring, ring.zero(), b, bound=1)
+    assert isinstance(outcome, Witness)
+    w = outcome.witness
+    assert (w.N, w.epsilon, w.lam) == (1, b, ring.zero())
