@@ -76,8 +76,10 @@ class Ring:
     """Abstract commutative ring with certified unit-ideal tests.
 
     Subclasses provide canonical hashable element representations, compared
-    with ==, and the primitive operations; sub and pow are derived. elements()
-    enumerates a finite ring and raises InfiniteRingError on an infinite one.
+    with ==, and the primitive operations; sub and pow are derived. pow(x, n)
+    squares only while bits of n remain: popcount(n) + n.bit_length() - 1
+    calls to mul for n >= 1. elements() enumerates a finite ring and raises
+    InfiniteRingError on an infinite one.
     """
 
     def zero(self):
@@ -106,8 +108,9 @@ class Ring:
         while n:
             if n & 1:
                 acc = self.mul(acc, base)
-            base = self.mul(base, base)
             n >>= 1
+            if n:
+                base = self.mul(base, base)
         return acc
 
     def unit_inverse(self, x) -> Optional[object]:

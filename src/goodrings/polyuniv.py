@@ -87,13 +87,14 @@ def divmod_poly(field, f: tuple, g: tuple) -> tuple[tuple, tuple]:
 
 def powmod(field, f: tuple, n: int, m: tuple) -> tuple:
     """f^n mod m for n >= 0, by square and multiply."""
-    acc, base = (field.one(),), f
+    acc, base = divmod_poly(field, (field.one(),), m)[1], f
     while n:
         if n & 1:
             acc = divmod_poly(field, mul(field, acc, base), m)[1]
-        base = divmod_poly(field, mul(field, base, base), m)[1]
         n >>= 1
-    return divmod_poly(field, acc, m)[1]
+        if n:
+            base = divmod_poly(field, mul(field, base, base), m)[1]
+    return acc
 
 
 def monic(field, f: tuple) -> tuple:
@@ -118,6 +119,16 @@ def xgcd(field, f: tuple, g: tuple) -> tuple[tuple, tuple, tuple]:
         s0 = scale(field, c, s0)
         t0 = scale(field, c, t0)
     return r0, s0, t0
+
+
+def monic_gcd(field, f: tuple, g: tuple) -> tuple:
+    """xgcd(field, f, g)[0] without the cofactors: 1 at once when f or g
+    is a nonzero constant (von zur Gathen & Gerhard, ch. 3)."""
+    if len(f) == 1 or len(g) == 1:
+        return (field.one(),)
+    while g:
+        f, g = g, divmod_poly(field, f, g)[1]
+    return monic(field, f)
 
 
 def rational_roots(field, f: tuple) -> list[Fraction]:
@@ -145,8 +156,7 @@ def rational_roots(field, f: tuple) -> list[Fraction]:
     roots = [zero] if v > 0 else []
     body = f[v:]
     if len(body) > 1:
-        d, _, _ = xgcd(field, body, _derivative(body))
-        g, _ = divmod_poly(field, body, d)
+        g, _ = divmod_poly(field, body, monic_gcd(field, body, _derivative(body)))
         den = lcm(*(c.denominator for c in g))
         cs = [int(c * den) for c in g]
         content = gcd(*cs)

@@ -555,7 +555,7 @@ class UnivariatePolyRing(Ring):
         carrier, found = p ** pu.deg(a), {}
         for d in range(1, pu.deg(a) + 1):
             h = pu.powmod(field, h, p, a)
-            g, _, _ = pu.xgcd(field, pu.sub(field, h, t), a)
+            g = pu.monic_gcd(field, pu.sub(field, h, t), a)
             found[d] = pu.deg(g) - sum(v for e, v in found.items() if d % e == 0)
             carrier = carrier // p ** found[d] * (p**d - 1) ** (found[d] // d)
         return carrier, carrier // (p - 1)
@@ -717,10 +717,12 @@ class LocalizedRationalPoly(Ring):
             raise ZeroDivisionError("zero denominator")
         if not num:
             return ((), (Fraction(1),))
-        g, _, _ = pu.xgcd(self.field, num, den)
+        g = pu.monic_gcd(self.field, num, den)
         if pu.deg(g) >= 1:
             num, _ = pu.divmod_poly(self.field, num, g)
             den, _ = pu.divmod_poly(self.field, den, g)
+        if den[-1] == 1:
+            return num, den
         inv_lead = self.field.unit_inverse(den[-1])
         return pu.scale(self.field, inv_lead, num), pu.scale(self.field, inv_lead, den)
 
@@ -822,7 +824,7 @@ class LocalizedRationalPoly(Ring):
             eps = self.add(r, self.mul(((c,) if c else (), (Fraction(1),)), a))
             if self.unit_inverse(eps) is not None:
                 return eps
-            if c == 0 and pu.deg(pu.xgcd(self.field, r[0], self._z_part(a[0]))[0]) >= 1:
+            if c == 0 and pu.deg(pu.monic_gcd(self.field, r[0], self._z_part(a[0]))) >= 1:
                 return None
 
     def divide_exact(self, y, x):

@@ -357,6 +357,17 @@ def test_decide_qt_rejects_wrong_ring():
     assert code == 2
 
 
+def test_witness_locq_at_n_one_squares_nothing():
+    # b^1 is b itself: no square of the degree-1000 b, in the search or in
+    # the verification
+    start = time.perf_counter()
+    code, out = invoke("witness", "--ring", "locQ(101)", "--a", "1", "--b", "T^3+7+3/4*T^1000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out["status"] == "ok"
+    assert out["payload"]["N"] == 1
+
+
 def test_refute_zt_on_a_root_near_ten_to_the_24():
     # the root's size does not matter: no divisor of it is enumerated
     start = time.perf_counter()

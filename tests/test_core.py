@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from goodrings.core import (
     require_primitive,
     verify_certificate,
 )
-from goodrings.rings import Integers, IntegersMod, parse_ring
+from goodrings.rings import Integers, IntegersMod, Rationals, parse_ring
 
 Z = Integers()
 
@@ -56,6 +57,28 @@ def test_ring_pow_matches_repeated_multiplication():
     for n in range(8):
         assert r.pow(x, n) == acc
         acc = r.mul(acc, x)
+
+
+class _CountingRationals(Rationals):
+    """The rationals, counting calls to mul."""
+
+    mul_calls = 0
+
+    def mul(self, x, y):
+        self.mul_calls += 1
+        return super().mul(x, y)
+
+
+def test_ring_pow_squares_only_while_bits_remain():
+    # one multiplication per set bit and one square per bit below the top
+    q = _CountingRationals()
+    x = Fraction(-3, 2)
+    acc = q.one()
+    for n in range(130):
+        q.mul_calls = 0
+        assert q.pow(x, n) == acc
+        assert q.mul_calls == (bin(n).count("1") + n.bit_length() - 1 if n else 0)
+        acc = acc * x
 
 
 def test_ring_pow_rejects_negative():

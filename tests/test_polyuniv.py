@@ -1,6 +1,8 @@
 """Rational roots of Q-polynomials against a divisor-enumeration reference,
-and powers modulo a polynomial against repeated multiplication."""
+powers modulo a polynomial against repeated multiplication, and the
+cofactor-free gcd against the extended one."""
 
+import random
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -127,3 +129,39 @@ def test_powmod_is_the_reduced_power():
         for n in range(12):
             assert pu.powmod(field, f, n, m) == pu.divmod_poly(field, acc, m)[1]
             acc = pu.mul(field, acc, f)
+
+
+def _random_poly(rng, field, degree: int) -> tuple:
+    """A polynomial of the given degree (zero at -1) with a nonzero leading
+    coefficient: small fractions over Q, residues over GF(p)."""
+    if field is Q:
+        coeff = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    else:
+        coeff = lambda: rng.randrange(field.characteristic)
+    if degree < 0:
+        return ()
+    lead = 0
+    while lead == 0:
+        lead = coeff()
+    return tuple(coeff() for _ in range(degree)) + (lead,)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(7), Q], ids=["GF(2)", "GF(7)", "Q"])
+def test_monic_gcd_is_the_extended_gcd(field):
+    # degrees 0-8, half the pairs with a planted common factor of degree 0-3;
+    # the zero and the constant operands come up at degrees -1 and 0
+    rng = random.Random(7)
+    zero, one = (), (field.one(),)
+    pairs = [(zero, zero), (zero, one), (one, zero), (one, one)]
+    for _ in range(300):
+        c = _random_poly(rng, field, rng.randint(0, 3)) if rng.random() < 0.5 else one
+        top = 8 - pu.deg(c)
+        f = pu.mul(field, c, _random_poly(rng, field, rng.randint(-1, top)))
+        g = pu.mul(field, c, _random_poly(rng, field, rng.randint(-1, top)))
+        pairs.append((f, g))
+    seen = set()
+    for f, g in pairs:
+        d = pu.monic_gcd(field, f, g)
+        assert d == pu.xgcd(field, f, g)[0]
+        seen.add(pu.deg(d))
+    assert {-1, 0, 1, 2, 3} <= seen

@@ -1,6 +1,7 @@
 """Ring instances: axioms, grammars, certificates, residue contracts."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 from math import gcd, prod
@@ -357,6 +358,28 @@ def test_localized_results_are_canonical(case):
         assert num == pu.trim(ring.field, num)
         assert den[-1] == 1 and ring._in_S(den)
         assert pu.xgcd(ring.field, num, den)[0] == (Fraction(1),)
+
+
+def test_localized_reduced_is_canonical():
+    # random fractions, half with a planted common factor and half with a
+    # monic den: the reduced form keeps the value, with den monic and
+    # gcd(num, den) = 1
+    rng = random.Random(11)
+
+    def poly(degree):  # the zero polynomial at degree -1
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree + 1)]
+        return tuple(cs[:-1]) + (cs[-1] or Fraction(1),) if cs else ()
+
+    for _ in range(300):
+        common = poly(rng.randint(1, 3)) if rng.random() < 0.5 else (Fraction(1),)
+        num = pu.mul(QT.field, common, poly(rng.randint(-1, 5)))
+        den = pu.mul(QT.field, common, poly(rng.randint(0, 5)))
+        if rng.random() < 0.5:
+            den = pu.monic(QT.field, den)
+        rnum, rden = LOC2._reduced(num, den)
+        assert rden[-1] == 1
+        assert pu.xgcd(QT.field, rnum, rden)[0] == (Fraction(1),)
+        assert pu.mul(QT.field, rnum, den) == pu.mul(QT.field, num, rden)
 
 
 # classes of locQ with no unit: the numerator of x shares a root in
