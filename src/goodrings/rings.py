@@ -694,8 +694,7 @@ class LocalizedRationalPoly(Ring):
     # -- canonical form helpers
 
     def _is_forbidden_value(self, z: Fraction) -> bool:
-        if z == 0:
-            return True
+        """Whether a nonzero z is some p^k; callers strip the root 0 first."""
         if z.denominator != 1 or z < self.p:
             return False
         m = int(z)
@@ -736,7 +735,7 @@ class LocalizedRationalPoly(Ring):
         body = f[v:]
         if pu.deg(body) >= 1:
             for z in pu.rational_roots(self.field, body):
-                if z != 0 and self._is_forbidden_value(z):
+                if self._is_forbidden_value(z):
                     lin = (-z, Fraction(1))
                     while True:
                         q, r = pu.divmod_poly(self.field, body, lin)
@@ -778,6 +777,9 @@ class LocalizedRationalPoly(Ring):
             return None
         return self._reduced(den, num)
 
+    def is_unit(self, x):
+        return self._in_S(x[0])
+
     def bezout(self, xs):
         g, coeffs = _poly_chain(self.field, [x[0] for x in xs])
         if not self._in_S(g):
@@ -812,8 +814,8 @@ class LocalizedRationalPoly(Ring):
 
     def unit_residue_witness(self, a, r):
         if a == self.zero():
-            return r if self.unit_inverse(r) is not None else None
-        if self.unit_inverse(a) is not None:
+            return r if self.is_unit(r) else None
+        if self.is_unit(a):
             return self.one()
         # eps = r + c*a is a unit iff num(r)*den(a) + c*num(a)*den(r) has no root
         # in F = {0} u {p^k}. A common root of num(r) and _z_part(num(a)) is one
@@ -822,7 +824,7 @@ class LocalizedRationalPoly(Ring):
         # those c converge as w = p^k grows; the candidates list every rational.
         for c in self._scalar_candidates():
             eps = self.add(r, self.mul(((c,) if c else (), (Fraction(1),)), a))
-            if self.unit_inverse(eps) is not None:
+            if self.is_unit(eps):
                 return eps
             if c == 0 and pu.deg(pu.monic_gcd(self.field, r[0], self._z_part(a[0]))) >= 1:
                 return None

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, prod
 from typing import Optional, Union
 
 from . import polyuniv as pu
 from .core import (
-    NotPrimitiveError,
     PreconditionError,
     Ring,
     UnsupportedRingError,
@@ -153,29 +152,19 @@ class GoodRingReport:
 def check_good_ring_exhaustive(ring: Ring) -> GoodRingReport:
     """Test every pair (a, b) in A^2 of a finite ring for goodness.
 
-    Primitivity and the witness scan run once per class of b mod aA:
-    aA + bA depends only on b + aA, the canonical residues of reduce_mod
-    make the scan and its eps the same across the class, and eps - b^N then
-    lies in aA for every member (see _least_exponents). _witness_at builds
-    and verifies a witness for every primitive pair. The scan cannot
-    exhaust at the bound |A| >= 1: b is a unit mod aA (at a = 0, b is a
-    unit), so within ord(b) <= |A/aA| <= |A| steps it meets the class of 1,
-    which holds the unit 1. So failures is always empty.
-
-    A product's pair is primitive exactly when each component pair is, and
-    then its good exponents are the intersection of theirs, a subgroup of
-    Z: its least N is the lcm of theirs. So a product is checked one factor
-    at a time, once every factor is enumerated: elements() raises
+    Every primitive pair is good at N = 1, the least N there is, and
+    _prove_pairs builds and verifies its witness, so failures is always
+    empty. A product's pair is good at N = 1 when each component pair is:
+    the tuple of their witnesses is its witness. So a product is checked one
+    factor at a time, once every factor is enumerated: elements() raises
     InfiniteRingError on an infinite one. Z/n is the product of its Z/p^k
     by the Chinese remainder theorem, so it is checked by those prime-power
     factors, in sum p^(2k) pairs, not n^2.
     """
     factors = [(f, list(f.elements())) for f in _factors(ring)]
-    pairs, least_ns = 1, {1}
     for factor, elts in factors:
-        pairs *= len(elts) ** 2
-        least_ns = {lcm(n, m) for n in least_ns for m in _least_exponents(factor, elts)}
-    return GoodRingReport(pairs, True, max(least_ns, default=0), ())
+        _prove_pairs(factor, elts)
+    return GoodRingReport(prod(len(elts) ** 2 for _, elts in factors), True, 1, ())
 
 
 def _factors(ring: Ring) -> list:
@@ -190,37 +179,31 @@ def _factors(ring: Ring) -> list:
     return [ring]
 
 
-def _least_exponents(ring: Ring, elts: list) -> set:
-    """The least Ns of the primitive pairs of a finite ring with elements elts.
+def _prove_pairs(ring: Ring, elts: list) -> None:
+    """Build and verify the N = 1 witness of every primitive pair of a finite
+    ring with elements elts, and check that every other pair is not primitive.
 
-    For each a, find_good_witness runs once per class r = reduce_mod(a, b)
-    of b mod aA, and its (N, eps), or None when the class is not primitive,
-    serves every b of the class. This is exact: (1) aA + bA depends only on
-    b + aA; (2) reduce_mod returns the canonical residue, so the scan
-    r_N = reduce_mod(a, b*r_{N-1}) and unit_residue_witness's choice of eps
-    are the same for every b of the class, which gets the least N and eps
-    that find_good_witness would give it; (3) eps - b^N lies in aA for every
-    member, so divide_exact succeeds. _witness_at still builds and verifies
-    a witness for every primitive pair.
+    For each a, unit_residue_witness runs once per class r = reduce_mod(a, b)
+    of b mod aA. A unit eps in the class gives each member b its witness
+    b + lam*a = eps. None is checked with one bezout on the class's first
+    member. This is exact: (1) if b + lam*a is a unit then aA + bA = A, so a
+    class that holds a unit is primitive; (2) aA + bA depends only on b + aA,
+    so one bezout decides the whole class; (3) on a finite ring a primitive
+    class always holds a unit (a finite ring is semilocal, so it has stable
+    range one; on Z/p^k and GF(p) the class c + gZ holds a unit iff
+    gcd(c, g) = 1, iff gcd(a, b, n) = 1), so the ensure never fires, and a
+    counterexample would fail loudly rather than be skipped.
     """
-    least_ns = set()
     for a in elts:
         classes = {}
         for b in elts:
             r = ring.reduce_mod(a, b)
-            if r in classes:
-                if classes[r] is not None:
-                    _witness_at(ring, a, b, *classes[r])
-                continue
-            try:
-                outcome = find_good_witness(ring, a, b, bound=len(elts))
-            except NotPrimitiveError:
-                classes[r] = None
-                continue
-            ensure(isinstance(outcome, Witness), "a finite ring's scan exhausted at |A|")
-            classes[r] = outcome.witness.N, outcome.witness.epsilon
-            least_ns.add(outcome.witness.N)
-    return least_ns
+            if r not in classes:
+                classes[r] = ring.unit_residue_witness(a, r)
+                if classes[r] is None:
+                    ensure(ring.bezout((a, b)) is None, "a primitive class holds no unit")
+            if classes[r] is not None:
+                _witness_at(ring, a, b, 1, classes[r])
 
 
 def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:

@@ -132,6 +132,13 @@ def test_construct_bound_applies_to_steered_steps():
     assert out["payload"] == {"bound": 10}
 
 
+def test_construct_rejects_an_unparenthesized_point():
+    code, out = invoke("construct", "--ring", "Z", "--points", "(1,0);0,1")
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["diagnostics"] == ["point '0,1' is not a parenthesized tuple"]
+
+
 def test_construct_rejects_non_primitive_point():
     code, out = invoke("construct", "--ring", "Z", "--points", "(1,0);(2,2)")
     assert code == 2
@@ -169,7 +176,7 @@ def test_check_good_product_ring():
 
 
 def test_check_good_on_a_product_scans_each_factor():
-    # 250,000 product pairs, found good from 20^2 + 25^2 factor pairs
+    # 250,000 product pairs, found good from 4^2 + 5^2 + 25^2 factor pairs
     start = time.perf_counter()
     code, out = invoke("check-good", "--ring", "prod(Z/20,Z/25)")
     assert time.perf_counter() - start < 2.0
@@ -352,6 +359,13 @@ def test_decide_qt_witness():
     assert out["payload"]["epsilon"] == "1/4"
 
 
+def test_decide_qt_at_a_zero():
+    code, out = invoke("decide-qt", "--ring", "Q[T]", "--a", "0", "--b", "3")
+    assert code == 0
+    assert out["status"] == "ok"
+    assert out["payload"] == {"N": 1, "lambda": "0", "epsilon": "3"}
+
+
 def test_decide_qt_rejects_wrong_ring():
     code, out = invoke("decide-qt", "--ring", "Z", "--a", "5", "--b", "2")
     assert code == 2
@@ -408,6 +422,14 @@ def test_refute_zt_inconclusive():
     assert out["status"] == "ok"
     assert out["payload"]["conclusive"] is False
     assert out["diagnostics"]
+
+
+def test_refute_zt_with_a_constant_a_is_inconclusive():
+    code, out = invoke("refute-zt", "--ring", "Q[T]", "--a", "1", "--b", "T")
+    assert code == 0
+    assert out["status"] == "ok"
+    assert out["payload"] == {"conclusive": False}
+    assert out["diagnostics"] == ["no rational root of a sends b outside the unit circle of Z"]
 
 
 def test_sab_mul():
@@ -469,6 +491,13 @@ def test_bridge_both_directions():
     assert out["payload"] == {"N": 2, "lambda": "-1", "epsilon": "-1"}
 
 
+def test_bridge_to_poly_exhaustion_exit_code():
+    code, out = invoke("bridge", "--ring", "Z", "--a", "7", "--b", "2", "--to-poly", "--bound", "2")
+    assert code == 3
+    assert out["status"] == "exhausted"
+    assert out["payload"] == {"bound": 2}
+
+
 def test_bridge_from_poly_requires_poly():
     code, out = invoke("bridge", "--from-poly", "--ring", "Z", "--a", "5", "--b", "2")
     assert code == 2
@@ -508,6 +537,22 @@ def test_text_format():
     assert lines[0] == "status: ok"
     assert "N: 2" in lines
     assert "lambda: -1" in lines
+
+
+def test_text_format_joins_a_list():
+    code, text = run(
+        ["decide-qt", "--ring", "Q[T]", "--a", "T^2-T", "--b", "T-2", "--format", "text"]
+    )
+    assert code == 0
+    assert "roots: 0; 1" in text.splitlines()
+
+
+def test_text_format_ends_with_the_diagnostics():
+    code, text = run(
+        ["refute-zt", "--ring", "Q[T]", "--a", "T^2+1", "--b", "T", "--format", "text"]
+    )
+    assert code == 0
+    assert text.splitlines()[-1] == "# no rational root of a sends b outside the unit circle of Z"
 
 
 @pytest.mark.parametrize("ring_spec", ["Z/100000007", "GF(1000000007)"])

@@ -198,6 +198,11 @@ def test_integers_mod_reduce_uses_ideal_gcd():
     assert Z12.reduce_mod(8, 11) == 11 % 4
 
 
+def test_integers_mod_divide_exact_refuses_a_non_multiple():
+    # 4*(Z/12) = {0, 4, 8} does not hold 3
+    assert IntegersMod(12).divide_exact(3, 4) is None
+
+
 def test_integers_mod_unit_lift_prefers_one_then_minus_one_then_least():
     for n in range(1, 60):
         ring = IntegersMod(n)

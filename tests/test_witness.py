@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -371,22 +371,22 @@ def _check_good_pair_by_pair(ring):
     return GoodRingReport(len(elts) ** 2, not failures, max_n, tuple(failures))
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "prod(Z/1,Z/4)",
-        "prod(Z/4)",
-        "prod(prod(Z/2,Z/3),GF(5))",
-        "prod(GF(2),GF(2),GF(2),Z/4)",
-        "prod(Z/12,prod(Z/1,GF(7)))",
-        "prod(Z/8,Z/9)",
-        "Z/60",
-        "Z/72",
-        "Z/81",
-        "Z/125",
-        "Z/128",
-    ],
-)
+_FACTORWISE_SPECS = [
+    "prod(Z/1,Z/4)",
+    "prod(Z/4)",
+    "prod(prod(Z/2,Z/3),GF(5))",
+    "prod(GF(2),GF(2),GF(2),Z/4)",
+    "prod(Z/12,prod(Z/1,GF(7)))",
+    "prod(Z/8,Z/9)",
+    "Z/60",
+    "Z/72",
+    "Z/81",
+    "Z/125",
+    "Z/128",
+]
+
+
+@pytest.mark.parametrize("spec", _FACTORWISE_SPECS)
 def test_check_good_product_factorwise_matches_pair_by_pair(spec, monkeypatch):
     ring = parse_ring(spec)
     assert check_good_ring_exhaustive(ring) == _check_good_pair_by_pair(ring)
@@ -403,10 +403,39 @@ def test_check_good_integers_mod_by_prime_powers_matches_pair_by_pair():
         assert check_good_ring_exhaustive(ring) == _check_good_pair_by_pair(ring), n
 
 
-def test_least_exponents_per_class_matches_find_good_witness_per_pair(monkeypatch):
-    # the reference searches every pair; the class reuse must build a
+def test_check_good_asks_bezout_once_per_class_without_a_unit(monkeypatch):
+    # no witness search runs, and bezout runs only to show that a class
+    # holding no unit is not primitive: on a factor Z/m, the class c of b
+    # mod g = gcd(a, m) holds no unit exactly when gcd(c, g) != 1
+    def no_search(*args, **kwargs):
+        raise AssertionError("check-good ran a witness search")
+
+    calls, bezout = [], IntegersMod.bezout
+
+    def counting(ring, xs):
+        a, b = xs
+        calls.append((id(ring), a, b % gcd(a, ring.n)))
+        return bezout(ring, xs)
+
+    monkeypatch.setattr(witness, "find_good_witness", no_search)
+    monkeypatch.setattr(IntegersMod, "bezout", counting)
+    for spec in [f"Z/{n}" for n in range(1, 65)] + _FACTORWISE_SPECS:
+        ring = parse_ring(spec)
+        expected = 0
+        for factor in witness._factors(ring):
+            m = factor.n
+            for a in range(m):
+                g = gcd(a, m)
+                expected += sum(1 for c in range(g) if gcd(c, g) != 1)
+        calls.clear()
+        assert check_good_ring_exhaustive(ring).max_N_seen == 1
+        assert len(calls) == len(set(calls)) == expected, spec
+
+
+def test_prove_pairs_per_class_matches_find_good_witness_per_pair(monkeypatch):
+    # the reference searches every pair; the per-class proof must build a
     # witness with the same N and eps for each primitive pair, and none for
-    # the others
+    # the others, and on a finite ring every such N is 1
     built, witness_at = {}, witness._witness_at
 
     def recording(ring, a, b, N, eps):
@@ -429,9 +458,9 @@ def test_least_exponents_per_class_matches_find_good_witness_per_pair(monkeypatc
         built.clear()
         with monkeypatch.context() as m:
             m.setattr(witness, "_witness_at", recording)
-            least_ns = witness._least_exponents(ring, elts)
+            witness._prove_pairs(ring, elts)
         assert built == expected, ring
-        assert least_ns == {n for n, _ in expected.values()}, ring
+        assert {n for n, _ in expected.values()} == {1}, ring
 
 
 @pytest.mark.parametrize(
