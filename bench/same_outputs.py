@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Print one digest line per benchmark operation and golden CLI command.
+
+    python3 bench/same_outputs.py --seeds 1,2,3 > change.txt
+    python3 bench/same_outputs.py --seeds 1,2,3 --tree ../parent > parent.txt
+    diff parent.txt change.txt
+
+Each line reads `workload seed index kind sha256`, where sha256 is taken of
+the repr of the operation's result: every operation of perfbench's BUILDERS
+for each seed, then every HEAVY operation (seed "-"), then every command of
+this checkout's tests/golden/cli.jsonl (workload "golden", its result the
+exit code and the serialized output of cli.run), so both listings run the
+same commands. Operations are not checked, only digested.
+
+Like the benchmark, it limits every operation's work: limit_work() once, and
+start_work() before each operation. A WorkLimit, any other exception, and a
+repr that fails (an int past the interpreter's digit limit, which is left as
+it is) are digested as outcomes in place of the result. There is no
+wall-clock deadline, so an operation that hangs holds up the listing.
+
+--tree DIR takes src/ and perfbench/ from another checkout, so
+two checkouts' listings can be compared with diff. perfbench/ is imported
+without writing bytecode, and nothing under it changes. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "cli.jsonl"
+HASH_SEED = "0"
+
+
+def _digest(call) -> str:
+    """sha256 of repr(call()), or of the outcome that stood in for it."""
+    from workloads import WorkLimit, start_work
+
+    start_work()
+    try:
+        text = repr(call())
+    except WorkLimit:
+        text = "outcome: WorkLimit"
+    except Exception as exc:
+        text = f"outcome: raised {type(exc).__name__}: {exc}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> int:
+    if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
+        # the benchmark runs under this hash seed; set and dict layouts follow it
+        os.execve(sys.executable, [sys.executable, __file__] + sys.argv[1:], {**os.environ, "PYTHONHASHSEED": HASH_SEED})
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seeds", required=True, help="comma-separated seeds, e.g. 1,2,3")
+    parser.add_argument("--tree", type=Path, default=ROOT)
+    args = parser.parse_args()
+    seeds = [int(s) for s in args.seeds.split(",")]
+    tree = args.tree.resolve()
+    src, bench = tree / "src", tree / "perfbench"
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(src), str(bench)]
+    import goodrings
+    import workloads
+    from goodrings import cli
+
+    if Path(goodrings.__file__).resolve().parent != src / "goodrings":
+        print(f"same_outputs: imported goodrings from {goodrings.__file__}, not {src}", file=sys.stderr)
+        return 2
+    workloads.limit_work()
+    for workload, build in workloads.BUILDERS.items():
+        for seed in seeds:
+            for i, op in enumerate(build(seed)):
+                print(workload, seed, i, op.kind, _digest(op.call), flush=True)
+    for workload, heavy in workloads.HEAVY.items():
+        for i, op in enumerate(heavy()):
+            print(workload, "-", i, op.kind, _digest(op.call), flush=True)
+    for i, line in enumerate(GOLDEN.read_text().splitlines()):
+        argv = json.loads(line)["argv"]
+        print("golden", "-", i, argv[0], _digest(lambda: cli.run(argv)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

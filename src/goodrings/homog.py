@@ -36,7 +36,7 @@ from .core import (
     verify_certificate,
 )
 from .rings import Integers, PrimeField, ProductRing, format_terms, parse_terms
-from .rings import _int_chain, _int_xgcd
+from .rings import _chain, _int_xgcd
 from .witness import (
     Exhausted,
     GoodPointWitness,
@@ -646,7 +646,7 @@ def _combination(ring: Ring, pq, minors: list) -> tuple:
         # runs modulo prod(g_t), which keeps both the scan and the final
         # degree small, unlike targets of the shape 1 - P(q)^n whose
         # pairwise common factors blow the reachable exponent up
-        chains = [_int_chain(m) for m in minors]
+        chains = [_chain(_int_xgcd, ring.mul, 0, m) for m in minors]
         if all(g > 0 and gcd(g, pq) == 1 for g, _ in chains):
             return (
                 tuple(_int_xgcd(pq, g)[1:] for g, _ in chains),
@@ -655,11 +655,14 @@ def _combination(ring: Ring, pq, minors: list) -> tuple:
     cofactors, combiners = [], []
     for m in minors:
         coeffs = ring.bezout((pq,) + m)
-        if coeffs is None:
-            raise GoodRingsError(
-                "could not certify 1 in (P(q), minors); the covered-point "
-                "precondition does not hold"
-            )
+        # never fires: were P(q) and the minors of (p_t, q) in a maximal ideal
+        # M, then q = lam*p_t mod M for a unit lam, as both points are
+        # primitive, and P(q) = lam^d * P(p_t) mod M would be a unit
+        ensure(
+            coeffs is not None,
+            "could not certify 1 in (P(q), minors); the covered-point "
+            "precondition does not hold",
+        )
         cofactors.append((coeffs[0], ring.one()))
         combiners.append(tuple(coeffs[1:]))
     return tuple(cofactors), tuple(combiners)

@@ -9,8 +9,10 @@ parsing on canonical forms.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
+from functools import partial
 from math import gcd, prod
 from typing import Iterator, Optional, Sequence
 
@@ -36,28 +38,14 @@ def _int_xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _int_chain(xs: Sequence[int]) -> tuple[int, list[int]]:
-    """Running extended gcd over a list: (g, coeffs) with sum(c*x) = g >= 0."""
-    g = 0
-    coeffs: list[int] = []
+def _chain(xgcd, mul, zero, xs) -> tuple:
+    """Running extended gcd over a list, from g = zero: (g, coeffs) with
+    sum(c*x) = g, where xgcd(u, v) gives (d, s, t) with s*u + t*v = d and
+    mul multiplies two coefficients."""
+    g, coeffs = zero, []
     for x in xs:
-        g2, s, t = _int_xgcd(g, x)
-        coeffs = [c * s for c in coeffs]
-        coeffs.append(t)
-        g = g2
-    return g, coeffs
-
-
-def _poly_chain(field, fs: Sequence[tuple]) -> tuple[tuple, list[tuple]]:
-    """Running extended gcd over polynomials: (g, coeffs) with
-    sum(c*f) = g, g monic or zero."""
-    g: tuple = ()
-    coeffs: list[tuple] = []
-    for f in fs:
-        g2, s, t = pu.xgcd(field, g, f)
-        coeffs = [pu.mul(field, c, s) for c in coeffs]
-        coeffs.append(t)
-        g = g2
+        g, s, t = xgcd(g, x)
+        coeffs = [mul(c, s) for c in coeffs] + [t]
     return g, coeffs
 
 
@@ -280,7 +268,7 @@ class Integers(Ring):
         return x if x in (1, -1) else None
 
     def bezout(self, xs):
-        g, coeffs = _int_chain(xs)
+        g, coeffs = _chain(_int_xgcd, operator.mul, 0, xs)
         return tuple(coeffs) if g == 1 else None
 
     def reduce_mod(self, a, x):
@@ -367,7 +355,7 @@ class IntegersMod(Ring):
         return pow(x, -1, self.n)
 
     def bezout(self, xs):
-        g, coeffs = _int_chain(list(xs) + [self.n])
+        g, coeffs = _chain(_int_xgcd, operator.mul, 0, [*xs, self.n])
         if g != 1:
             return None
         return tuple(c % self.n for c in coeffs[:-1])
@@ -511,7 +499,7 @@ class UnivariatePolyRing(Ring):
         return (self.field.unit_inverse(x[0]),)
 
     def bezout(self, xs):
-        g, coeffs = _poly_chain(self.field, xs)
+        g, coeffs = _chain(partial(pu.xgcd, self.field), partial(pu.mul, self.field), (), xs)
         return tuple(coeffs) if g == self.one() else None
 
     def reduce_mod(self, a, x):
@@ -629,13 +617,9 @@ class ProductRing(Ring):
         return self._per_factor("unit_inverse", x)
 
     def bezout(self, xs):
-        per_factor = []
-        for i, f in enumerate(self.factors):
-            cert = f.bezout([x[i] for x in xs])
-            if cert is None:
-                return None
-            per_factor.append(cert)
-        return tuple(tuple(cert[j] for cert in per_factor) for j in range(len(xs)))
+        columns = [[x[i] for x in xs] for i in range(len(self.factors))]
+        certs = self._per_factor("bezout", columns)
+        return None if certs is None else tuple(zip(*certs))
 
     def reduce_mod(self, a, x):
         return tuple(f.reduce_mod(m, v) for f, m, v in zip(self.factors, a, x))
@@ -703,13 +687,8 @@ class LocalizedRationalPoly(Ring):
         return m == 1
 
     def _in_S(self, f: tuple) -> bool:
-        if not f:
-            return False
-        if f[0] == 0:
-            return False
-        return not any(
-            self._is_forbidden_value(z) for z in pu.rational_roots(self.field, f)
-        )
+        # a root 0 shows in f[0] without any root finding
+        return bool(f) and f[0] != 0 and len(self._z_part(f)) == 1
 
     def _reduced(self, num: tuple, den: tuple) -> tuple:
         if not den:
@@ -726,23 +705,18 @@ class LocalizedRationalPoly(Ring):
         return pu.scale(self.field, inv_lead, num), pu.scale(self.field, inv_lead, den)
 
     def _z_part(self, f: tuple) -> tuple:
-        """Monic product of (T - z)^e over the roots z of f lying in
-        {0} union {p^k}."""
+        """Monic product of (T - z)^e over the roots z of a nonzero f lying
+        in {0} union {p^k}."""
         v = 0
-        while v < len(f) and f[v] == 0:
+        while f[v] == 0:
             v += 1
-        g = tuple([Fraction(0)] * v + [Fraction(1)])
-        body = f[v:]
-        if pu.deg(body) >= 1:
-            for z in pu.rational_roots(self.field, body):
-                if self._is_forbidden_value(z):
-                    lin = (-z, Fraction(1))
-                    while True:
-                        q, r = pu.divmod_poly(self.field, body, lin)
-                        if r:
-                            break
-                        body = q
-                        g = pu.mul(self.field, g, lin)
+        g, body = (Fraction(0),) * v + (Fraction(1),), f[v:]
+        for z in filter(self._is_forbidden_value, pu.rational_roots(self.field, body)):
+            lin = (-z, Fraction(1))
+            q, r = pu.divmod_poly(self.field, body, lin)
+            while not r:
+                body, g = q, pu.mul(self.field, g, lin)
+                q, r = pu.divmod_poly(self.field, body, lin)
         return g
 
     # -- ring operations
@@ -781,7 +755,8 @@ class LocalizedRationalPoly(Ring):
         return self._in_S(x[0])
 
     def bezout(self, xs):
-        g, coeffs = _poly_chain(self.field, [x[0] for x in xs])
+        field = self.field
+        g, coeffs = _chain(partial(pu.xgcd, field), partial(pu.mul, field), (), [x[0] for x in xs])
         if not self._in_S(g):
             return None
         # sum c_i * num_i = g, so sum (c_i d_i / g) x_i = 1; g is in S

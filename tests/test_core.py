@@ -1,6 +1,7 @@
 """Certificates, primitive points, and the generic ring helpers."""
 
 import ast
+import inspect
 import pathlib
 from fractions import Fraction
 
@@ -84,6 +85,11 @@ def test_ring_pow_squares_only_while_bits_remain():
 def test_ring_pow_rejects_negative():
     with pytest.raises(ValueError):
         Z.pow(2, -1)
+    # Q[T] and GF(5)[T] reach Ring.pow's own check; Z and Z/n override pow
+    for spec in ("Q[T]", "GF(5)[T]"):
+        ring = parse_ring(spec)
+        with pytest.raises(ValueError, match="negative ring power"):
+            ring.pow(ring.parse_element("T+1"), -1)
 
 
 def test_sub_is_add_neg():
@@ -128,3 +134,11 @@ def test_public_names_import():
     for name in goodrings.__all__:
         assert getattr(goodrings, name) is not None
     assert "UnivariatePolyRing" in goodrings.__all__
+    # every public class and function the package binds is exported, and so
+    # is the SearchOutcome alias, which is neither
+    bound = {
+        name
+        for name, obj in vars(goodrings).items()
+        if not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
+    }
+    assert bound | {"SearchOutcome"} <= set(goodrings.__all__)

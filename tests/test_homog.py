@@ -111,9 +111,24 @@ def test_pow_multiplies_by_the_base_n_minus_1_times(monkeypatch, case, n):
     assert all(f is base for f in factors)
 
 
+def test_pow_rejects_negative():
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        P("x1+x2").pow(-1)
+
+
 def test_add_rejects_degree_mismatch():
     with pytest.raises(ValueError):
         P("x1").add(P("x1^2"))
+
+
+@pytest.mark.parametrize(
+    "op, other",
+    [("mul", P("x1", ring=IntegersMod(5))), ("add", P("x1+x3", n_vars=3))],
+    ids=["mul-other-ring", "add-other-arity"],
+)
+def test_arithmetic_rejects_another_polynomial_ring(op, other):
+    with pytest.raises(ValueError, match="different polynomial rings"):
+        getattr(P("x1"), op)(other)
 
 
 def test_zero_passthrough_addition():
@@ -268,6 +283,12 @@ def test_constructor_rejects_malformed_exponents(exps):
         HomogeneousPolynomial(Z, 2, 2, {(1, 1): 1, exps: 1})
 
 
+@pytest.mark.parametrize("n_vars, degree", [(0, 0), (2, -1)], ids=["no-variable", "negative-degree"])
+def test_constructor_rejects_bad_shape(n_vars, degree):
+    with pytest.raises(ValueError):
+        HomogeneousPolynomial(Z, n_vars, degree, {})
+
+
 def test_mul_rejects_degree_past_64_bit_fields():
     big = HomogeneousPolynomial.monomial(Z, 2, (2**63, 0), 1)
     with pytest.raises(ValueError, match=r"2\*\*64 - 1"):
@@ -412,12 +433,25 @@ def test_ideal_slice_requires_prime_field():
         ideal_slice_dimension(Z, gens, 1)
 
 
+def test_ideal_slice_rejects_degree_zero_and_nonlinear_generators():
+    F3 = PrimeField(3)
+    gens = section_ideal_generators(F3, require_primitive(F3, (1, 1, 1))).generators
+    with pytest.raises(ValueError, match="at least 1"):
+        ideal_slice_dimension(F3, gens, 0)
+    with pytest.raises(ValueError, match="degree-1 forms"):
+        ideal_slice_dimension(F3, [P("x1^2+x2*x3", n_vars=3, ring=F3)], 2)
+
+
 # ---------------------------------------------------------------------------
 # the inductive constructor
 
 
 def _points(ring, coords):
     return [require_primitive(ring, c) for c in coords]
+
+
+# 1*5 + 1*2 = 7: the certificate does not verify
+_FAKE_POINT = PrimitivePoint((5, 2), BezoutCertificate((1, 1)))
 
 
 def test_construct_classic_three_points():
@@ -533,6 +567,11 @@ def test_construct_rejects_empty():
         construct_unit_valued(Z, [])
 
 
+def test_construct_rejects_a_failing_certificate():
+    with pytest.raises(PreconditionError, match="certificate does not verify"):
+        construct_unit_valued(Z, [require_primitive(Z, (1, 0)), _FAKE_POINT])
+
+
 def test_extend_rejects_non_unit_value():
     pts = _points(Z, [(1, 0)])
     poly = P("x1+x2")  # value 1 at (1,0) is fine, but use a bad base instead
@@ -541,6 +580,24 @@ def test_extend_rejects_non_unit_value():
         extend_unit_valued(Z, bad, pts, require_primitive(Z, (0, 1)))
     out, _ = extend_unit_valued(Z, poly, pts, require_primitive(Z, (0, 1)))
     assert out.eval((0, 1)) in (1, -1)
+
+
+@pytest.mark.parametrize(
+    "poly, covered, new_point, message",
+    [
+        (P("x1+x2"), [], (0, 1), "at least one covered point"),
+        (HomogeneousPolynomial.zero(Z, 2, 1), [(1, 0)], (0, 1), "degree >= 1"),
+        (HomogeneousPolynomial.constant(Z, 2, 1), [(1, 0)], (0, 1), "degree >= 1"),
+        (P("x1+x2"), [(1, 0)], _FAKE_POINT, "certificate does not verify"),
+        (P("x1+x2"), [(1, 0)], (0, 1, 0), "disagree on dimension"),
+    ],
+    ids=["no-covered-point", "zero", "degree-0", "failing-certificate", "three-coordinates"],
+)
+def test_extend_rejects_bad_input(poly, covered, new_point, message):
+    if not isinstance(new_point, PrimitivePoint):
+        new_point = require_primitive(Z, new_point)
+    with pytest.raises(PreconditionError, match=message):
+        extend_unit_valued(Z, poly, _points(Z, covered), new_point)
 
 
 def test_extend_postcheck_raises_without_assert(monkeypatch):

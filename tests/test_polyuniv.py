@@ -131,6 +131,11 @@ def test_powmod_is_the_reduced_power():
             acc = pu.mul(field, acc, f)
 
 
+def test_divmod_by_the_zero_polynomial_raises():
+    with pytest.raises(ZeroDivisionError):
+        pu.divmod_poly(Q, (Fraction(1),), ())
+
+
 def _random_poly(rng, field, degree: int) -> tuple:
     """A polynomial of the given degree (zero at -1) with a nonzero leading
     coefficient: small fractions over Q, residues over GF(p)."""

@@ -273,6 +273,14 @@ def test_polynomial_literal_rejects_bad_coefficients(ring, literal):
         ring.parse_element(literal)
 
 
+@pytest.mark.parametrize(
+    "literal, message", [("", "empty polynomial literal"), ("T+-1", "malformed term")]
+)
+def test_polynomial_literal_rejects_empty_and_malformed_terms(literal, message):
+    with pytest.raises(ParseError, match=message):
+        QT.parse_element(literal)
+
+
 def test_rational_poly_bezout():
     a = QT.parse_element("T^2-T")
     b = QT.parse_element("T-2")
@@ -317,6 +325,11 @@ def test_product_parse_format():
     assert not PROD.is_unit((2, 2))
 
 
+def test_product_of_no_rings_is_refused():
+    with pytest.raises(ValueError, match="product of no rings"):
+        ProductRing([])
+
+
 def test_localized_units_and_parse():
     # T - 1 avoids {0} and all powers of 2, so it is invertible
     u = LOC2.parse_element("T-1")
@@ -334,6 +347,11 @@ def test_localized_rejects_bad_denominator():
         LOC2.parse_element("(1)/(T-2)")
     with pytest.raises(ParseError):
         LOC2.parse_element("(1)/(0)")
+
+
+def test_localized_rejects_a_second_slash():
+    with pytest.raises(ParseError, match="malformed localized element"):
+        LOC2.parse_element("(1)/(T+1)/(3)")
 
 
 def _locq_triples(p):

@@ -189,6 +189,11 @@ def test_decide_qt_wrong_ring():
 # integer-coefficient refutation
 
 
+def test_refute_integer_poly_wrong_ring():
+    with pytest.raises(UnsupportedRingError):
+        refute_integer_poly_point(Z, 2, 3)
+
+
 def test_refute_integer_poly_example():
     ev = refute_integer_poly_point(QT, QT.parse_element("1-2*T"), QT.parse_element("T"))
     assert ev is not None
