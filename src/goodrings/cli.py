@@ -24,6 +24,7 @@ from .homog import (
 from .rings import _split_top_level, parse_ring
 from .sab import SabAlgebra, polynomial_to_witness, witness_to_polynomial
 from .witness import (
+    _DEFAULT_BOUND,
     Exhausted,
     Refuted,
     Witness,
@@ -237,7 +238,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--a", required=True)
             p.add_argument("--b", required=True)
         if bound:
-            p.add_argument("--bound", type=int, default=10000)
+            p.add_argument("--bound", type=int, default=_DEFAULT_BOUND)
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("witness", help="search for a good-point witness")

@@ -72,13 +72,25 @@ class PrimitivePoint:
         return len(self.coordinates)
 
 
+def power(mul, one, x, n: int):
+    """x^n for n >= 0 by square and multiply from one, squaring x only while
+    bits of n remain: popcount(n) + n.bit_length() - 1 calls to mul, n >= 1."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = mul(acc, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return acc
+
+
 class Ring:
     """Abstract commutative ring with certified unit-ideal tests.
 
     Subclasses provide canonical hashable element representations, compared
-    with ==, and the primitive operations; sub and pow are derived. pow(x, n)
-    squares only while bits of n remain: popcount(n) + n.bit_length() - 1
-    calls to mul for n >= 1. elements() enumerates a finite ring and raises
+    with ==, and the primitive operations; sub and pow are derived, pow
+    through power on mul. elements() enumerates a finite ring and raises
     InfiniteRingError on an infinite one.
     """
 
@@ -103,15 +115,7 @@ class Ring:
     def pow(self, x, n: int):
         if n < 0:
             raise ValueError("negative ring power")
-        acc = self.one()
-        base = x
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return acc
+        return power(self.mul, self.one(), x, n)
 
     def unit_inverse(self, x) -> Optional[object]:
         """Inverse of x when x is a unit, else None."""

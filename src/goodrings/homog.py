@@ -38,6 +38,7 @@ from .core import (
 from .rings import Integers, PrimeField, ProductRing, format_terms, parse_terms
 from .rings import _chain, _int_xgcd
 from .witness import (
+    _DEFAULT_BOUND,
     Exhausted,
     GoodPointWitness,
     find_good_witness,
@@ -278,12 +279,7 @@ class HomogeneousPolynomial:
 
     def _int_linear_power(self, n: int) -> "HomogeneousPolynomial":
         """(c_1 x_1 + ... )^n by the multinomial theorem; integers only."""
-        support = [
-            (idx, c)
-            for idx, c in (
-                (e.index(1), c) for e, c in self.terms.items()
-            )
-        ]
+        support = [(e.index(1), c) for e, c in self.terms.items()]
         acc: dict = {}
         for split in monomial_exponents(len(support), n):
             coeff = 1
@@ -634,10 +630,10 @@ def _step(
 def _combination(ring: Ring, pq, minors: list) -> tuple:
     """The constructor's combination identities, per covered point: the
     cofactors (c, w) with 1 = P(q)*c + w*B_t(q) and the combiners u."""
-    if ring.is_unit(pq):
+    inv = ring.unit_inverse(pq)
+    if inv is not None:
         # q is projectively on top of the covered set as far as P can see;
         # take the trivial identity 1 = P(q) * P(q)^-1 and zero forms
-        inv = ring.unit_inverse(pq)
         return ((inv, ring.zero()),) * len(minors), tuple(
             tuple(ring.zero() for _ in m) for m in minors
         )
@@ -694,7 +690,7 @@ def extend_unit_valued(
     poly: HomogeneousPolynomial,
     covered: Sequence[PrimitivePoint],
     new_point: PrimitivePoint,
-    witness_bound: int = 10000,
+    witness_bound: int = _DEFAULT_BOUND,
 ) -> tuple:
     """One inductive step: from P unit-valued on the covered points, build R
     unit-valued on covered + new, together with the step record.
@@ -725,7 +721,7 @@ def extend_unit_valued(
 
 
 def construct_unit_valued(
-    ring: Ring, points: Sequence[PrimitivePoint], witness_bound: int = 10000
+    ring: Ring, points: Sequence[PrimitivePoint], witness_bound: int = _DEFAULT_BOUND
 ) -> tuple:
     """Build a homogeneous polynomial taking unit values at all the given
     primitive points, plus the full construction trace: a ProductTrace over
@@ -758,9 +754,9 @@ def construct_unit_valued(
     if isinstance(ring, ProductRing):
         return _construct_product(ring, pts, witness_bound)
     base = pts[0]
-    base_form = current = linear_form_for_point(ring, base)
+    base_form = current = HomogeneousPolynomial.linear(ring, base.certificate.coefficients)
     steps = []
-    values = (ring.one(),)  # linear_form_for_point checked the base value
+    values = (ring.one(),)  # the base form's value is the certificate sum, checked above
     for k, q in enumerate(pts[1:], 1):
         witness = _least_witness(ring, k, current.degree, witness_bound)
         step = _step(ring, current, pts[:k], values, q, _combination, witness, ensure)

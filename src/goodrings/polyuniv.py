@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from .core import power
+
 
 def trim(field, coeffs) -> tuple:
     cs = list(coeffs)
@@ -86,15 +88,11 @@ def divmod_poly(field, f: tuple, g: tuple) -> tuple[tuple, tuple]:
 
 
 def powmod(field, f: tuple, n: int, m: tuple) -> tuple:
-    """f^n mod m for n >= 0, by square and multiply."""
-    acc, base = divmod_poly(field, (field.one(),), m)[1], f
-    while n:
-        if n & 1:
-            acc = divmod_poly(field, mul(field, acc, base), m)[1]
-        n >>= 1
-        if n:
-            base = divmod_poly(field, mul(field, base, base), m)[1]
-    return acc
+    """f^n mod m for n >= 0: core.power with every product reduced mod m."""
+    def mulmod(x: tuple, y: tuple) -> tuple:
+        return divmod_poly(field, mul(field, x, y), m)[1]
+
+    return power(mulmod, divmod_poly(field, (field.one(),), m)[1], f, n)
 
 
 def monic(field, f: tuple) -> tuple:

@@ -821,39 +821,21 @@ class LocalizedRationalPoly(Ring):
 
     def parse_element(self, text):
         t = text.replace(" ", "")
-        if t.startswith("("):
-            parts = _split_top_level(t, "/")
-            if (
-                len(parts) == 2
-                and parts[0].startswith("(")
-                and parts[0].endswith(")")
-                and parts[1].startswith("(")
-                and parts[1].endswith(")")
-            ):
-                num = _poly_parse_T(parts[0][1:-1], self.field)
-                den = _poly_parse_T(parts[1][1:-1], self.field)
-                if not den:
-                    raise ParseError("zero denominator")
-                num, den = self._reduced(num, den)
-                if not self._in_S(den):
-                    raise ParseError(
-                        f"denominator not in the multiplicative set: {text!r}"
-                    )
-                return (num, den)
-            if len(parts) != 1:
-                raise ParseError(f"malformed localized element: {text!r}")
-        num = _poly_parse_T(t, self.field)
-        return (num, (Fraction(1),))
+        parts = _split_top_level(t, "/") if t.startswith("(") else [t]
+        if len(parts) == 1:
+            return (_poly_parse_T(t, self.field), (Fraction(1),))
+        if len(parts) != 2 or not all(q.startswith("(") and q.endswith(")") for q in parts):
+            raise ParseError(f"malformed localized element: {text!r}")
+        num, den = (_poly_parse_T(q[1:-1], self.field) for q in parts)
+        if not den:
+            raise ParseError("zero denominator")
+        num, den = self._reduced(num, den)
+        if not self._in_S(den):
+            raise ParseError(f"denominator not in the multiplicative set: {text!r}")
+        return (num, den)
 
     def format_element(self, x):
-        num, den = x
-        return (
-            "("
-            + _poly_format_T(num, self.field)
-            + ")/("
-            + _poly_format_T(den, self.field)
-            + ")"
-        )
+        return f"({_poly_format_T(x[0], self.field)})/({_poly_format_T(x[1], self.field)})"
 
     def spec_string(self):
         return f"locQ({self.p})"

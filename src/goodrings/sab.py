@@ -154,9 +154,9 @@ def polynomial_to_witness(
     """Read a witness off a bivariate homogeneous P that is unit-valued at
     (0, 1) and (a, b).
 
-    With a_i the coefficient of X^i*Y^(d-i) and a0 = P(0, 1), take N = d,
-    lam = a0^-1 * sum(a_i * a^(i-1) * b^(d-i), i = 1..d), and
-    eps = a0^-1 * P(a, b).
+    P = a0*Y^d + X*Q with a0 = P(0, 1) and Q the X-part, the terms of P
+    that hold X at one power of X less. So b^d + lam*a = eps for N = d,
+    lam = a0^-1 * Q(a, b) and eps = a0^-1 * P(a, b).
     """
     if poly.n_vars != 2:
         raise PreconditionError("the bridge polynomial must be bivariate")
@@ -170,12 +170,8 @@ def polynomial_to_witness(
     val = poly.eval((a, b))
     if not ring.is_unit(val):
         raise PreconditionError("P(a, b) must be a unit")
-    total = ring.zero()
-    for (i, j), coeff in poly.terms.items():
-        if i:
-            term = ring.mul(coeff, ring.mul(ring.pow(a, i - 1), ring.pow(b, j)))
-            total = ring.add(total, term)
-    lam = ring.mul(a0_inv, total)
+    x_part = {(i - 1, j): c for (i, j), c in poly.terms.items() if i}
+    lam = ring.mul(a0_inv, HomogeneousPolynomial(ring, 2, d - 1, x_part).eval((a, b)))
     eps = ring.mul(a0_inv, val)
     w = GoodPointWitness(d, lam, eps, ring.unit_inverse(eps))
     ensure(verify_witness(ring, a, b, w), "the witness read off P does not verify")

@@ -23,6 +23,8 @@ from .core import (
 )
 from .rings import IntegersMod, ProductRing, RationalPoly, _prime_powers
 
+_DEFAULT_BOUND = 10000
+
 
 @dataclass(frozen=True)
 class GoodPointWitness:
@@ -88,7 +90,9 @@ def _witness_at(ring: Ring, a, b, N: int, eps) -> Witness:
     return Witness(w)
 
 
-def find_good_witness(ring: Ring, a, b, bound: int = 10000) -> Union[Witness, Exhausted]:
+def find_good_witness(
+    ring: Ring, a, b, bound: int = _DEFAULT_BOUND
+) -> Union[Witness, Exhausted]:
     """Scan N = 1..bound for a unit in the class of b^N mod aA.
 
     Returns the minimal-N witness (unit_residue_witness is exact), or
@@ -216,10 +220,8 @@ def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:
     if not isinstance(ring, RationalPoly):
         raise UnsupportedRingError("the rational-split decision works over Q[T]")
     require_primitive(ring, (a, b))
-    if not a:
-        return _witness_at(ring, a, b, 1, b)
-    if len(a) == 1:
-        return _witness_at(ring, a, b, 1, ring.one())
+    if len(a) <= 1:
+        return _witness_at(ring, a, b, 1, ring.unit_residue_witness(a, ring.reduce_mod(a, b)))
     field = ring.field
     # the roots are distinct: a is squarefree and split iff there are deg(a)
     roots = pu.rational_roots(field, a)

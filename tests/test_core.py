@@ -9,6 +9,7 @@ import pytest
 
 import goodrings
 
+from goodrings import polyuniv as pu
 from goodrings.core import (
     BezoutCertificate,
     NotPrimitiveError,
@@ -18,7 +19,7 @@ from goodrings.core import (
     require_primitive,
     verify_certificate,
 )
-from goodrings.rings import Integers, IntegersMod, Rationals, parse_ring
+from goodrings.rings import Integers, IntegersMod, PrimeField, Rationals, parse_ring
 
 Z = Integers()
 
@@ -80,6 +81,25 @@ def test_ring_pow_squares_only_while_bits_remain():
         assert q.pow(x, n) == acc
         assert q.mul_calls == (bin(n).count("1") + n.bit_length() - 1 if n else 0)
         acc = acc * x
+
+
+def test_powmod_squares_only_while_bits_remain(monkeypatch):
+    # powmod runs the same loop as Ring.pow, one reduced product per call
+    calls = []
+    real_mul = pu.mul
+
+    def counting_mul(*args):
+        calls.append(args)
+        return real_mul(*args)
+
+    monkeypatch.setattr(pu, "mul", counting_mul)
+    field, m = PrimeField(5), (2, 0, 1, 3, 1)
+    f, acc = (1, 4, 0, 0, 0, 2), (1,)
+    for n in range(130):
+        calls.clear()
+        assert pu.powmod(field, f, n, m) == pu.divmod_poly(field, acc, m)[1]
+        assert len(calls) == (bin(n).count("1") + n.bit_length() - 1 if n else 0)
+        acc = pu.divmod_poly(field, real_mul(field, acc, f), m)[1]
 
 
 def test_ring_pow_rejects_negative():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 from math import gcd, prod
@@ -352,6 +353,30 @@ def test_localized_rejects_bad_denominator():
 def test_localized_rejects_a_second_slash():
     with pytest.raises(ParseError, match="malformed localized element"):
         LOC2.parse_element("(1)/(T+1)/(3)")
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("(T)/3", "malformed localized element"),
+        ("(1)/(T+1)/(3)", "malformed localized element"),
+        ("(T+1)/(T)", "denominator not in the multiplicative set"),
+        ("(1)/(0)", "zero denominator"),
+        ("(T-1)", "bad coefficient"),
+        ("T/2", "bad coefficient"),
+        ("(T)(T)", "bad coefficient"),
+        ("(T^2-1)/(2*T-2)", "(1/2*T+1/2)/(1)"),
+        ("( T + 1 ) / ( 3 )", "(1/3*T+1/3)/(1)"),
+    ],
+)
+def test_localized_literal_table(text, outcome):
+    # every literal shape, each read once: the shown form of an accepted
+    # literal, the message of a rejected one
+    if outcome.startswith("("):
+        assert LOC2.format_element(LOC2.parse_element(text)) == outcome
+    else:
+        with pytest.raises(ParseError, match=re.escape(outcome)):
+            LOC2.parse_element(text)
 
 
 def _locq_triples(p):

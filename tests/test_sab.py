@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from goodrings.core import ParseError, PreconditionError, require_primitive
 from goodrings.homog import HomogeneousPolynomial
-from goodrings.rings import Integers, IntegersMod, RationalPoly
+from goodrings.rings import Integers, IntegersMod, RationalPoly, parse_ring
 from goodrings.sab import (
     SabAlgebra,
     SabElement,
@@ -178,6 +178,46 @@ def test_bridge_over_rational_polynomials():
     back = polynomial_to_witness(QT, a, b, poly)
     assert back.lam == w.lam and back.N == w.N
     assert back.epsilon == w.epsilon
+
+
+def _per_term_reading(ring, a, b, poly):
+    """(N, lam, eps) with lam = a0^-1 * sum(c * a^(i-1) * b^j) over the
+    terms c*X^i*Y^j of poly with i >= 1, one term at a time."""
+    a0_inv = ring.unit_inverse(poly.terms[(0, poly.degree)])
+    total = ring.zero()
+    for (i, j), c in poly.terms.items():
+        if i:
+            total = ring.add(total, ring.mul(c, ring.mul(ring.pow(a, i - 1), ring.pow(b, j))))
+    return poly.degree, ring.mul(a0_inv, total), ring.mul(a0_inv, poly.eval((a, b)))
+
+
+@pytest.mark.parametrize(
+    "spec, pairs, coeffs",
+    [
+        ("Z/12", [("4", "3"), ("6", "5"), ("9", "2")], ["5", "7", "2", "11", "6"]),
+        ("GF(7)", [("3", "5"), ("0", "2"), ("6", "6")], ["4", "1", "6", "2"]),
+        ("GF(5)[T]", [("T^2+2", "T+2"), ("T", "T+1"), ("3", "T")], ["T+3", "2", "4*T^2"]),
+        ("prod(Z,Z/6)", [("(2,3)", "(3,2)"), ("(5,4)", "(2,1)")], ["(3,5)", "(-1,2)", "(0,4)"]),
+    ],
+)
+def test_bridge_reverse_reads_the_per_term_formula(spec, pairs, coeffs):
+    # P0 from a witness, then P = P0^2 + X*(b*X - a*Y)*R: the added part
+    # vanishes at (0, 1) and (a, b), so P stays unit-valued there while its
+    # X-part gains every term of R
+    ring = parse_ring(spec)
+    cs = [ring.parse_element(c) for c in coeffs]
+    x_var = HomogeneousPolynomial.monomial(ring, 2, (1, 0), ring.one())
+    for a_text, b_text in pairs:
+        a, b = ring.parse_element(a_text), ring.parse_element(b_text)
+        pt = require_primitive(ring, (a, b))
+        p0 = witness_to_polynomial(ring, a, b, pt.certificate, _witness(ring, a, b))
+        d = 2 * p0.degree - 2
+        r_terms = {(k, d - k): cs[k % len(cs)] for k in range(d + 1)}
+        r = HomogeneousPolynomial(ring, 2, d, r_terms)
+        vanishing = x_var.mul(HomogeneousPolynomial.linear(ring, (b, ring.neg(a))))
+        for poly in (p0, p0.pow(2).add(vanishing.mul(r))):
+            w = polynomial_to_witness(ring, a, b, poly)
+            assert (w.N, w.lam, w.epsilon) == _per_term_reading(ring, a, b, poly)
 
 
 def test_bridge_forward_rejects_bad_certificate():
