@@ -54,6 +54,10 @@ class UnsupportedRingError(GoodRingsError):
     """The operation has no implementation for this ring."""
 
 
+class LimitExceededError(GoodRingsError):
+    """The size of a computation, known before it starts, is past a fixed limit."""
+
+
 @dataclass(frozen=True)
 class BezoutCertificate:
     """Coefficients u with sum(u[i] * x[i]) == 1 for some generating tuple x."""

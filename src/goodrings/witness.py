@@ -15,6 +15,7 @@ from typing import Optional, Union
 
 from . import polyuniv as pu
 from .core import (
+    LimitExceededError,
     PreconditionError,
     Ring,
     UnsupportedRingError,
@@ -69,14 +70,18 @@ class Exhausted:
 SearchOutcome = Union[Witness, Refuted, Exhausted]
 
 
+def _lifts(ring: Ring, a, b, N: int, lam, eps) -> bool:
+    """b^N + lam*a == eps, recomputed: the identity every witness states."""
+    return ring.add(ring.pow(b, N), ring.mul(lam, a)) == eps
+
+
 def verify_witness(ring: Ring, a, b, w: GoodPointWitness) -> bool:
     """Check b^N + lam*a == eps and eps*eps_inv == 1. Pure recomputation."""
     if not isinstance(w.N, int) or w.N < 1:
         return False
     if ring.mul(w.epsilon, w.epsilon_inverse) != ring.one():
         return False
-    lhs = ring.add(ring.pow(b, w.N), ring.mul(w.lam, a))
-    return lhs == w.epsilon
+    return _lifts(ring, a, b, w.N, w.lam, w.epsilon)
 
 
 def _witness_at(ring: Ring, a, b, N: int, eps) -> Witness:
@@ -124,6 +129,9 @@ class UnitQuotientReport:
 
 # unit_quotient_group factors only quotients of at most this many residues
 _QUOTIENT_LIMIT = 20000
+# check_good_ring_exhaustive checks rings whose factors hold at most this many
+# pairs in all; GF(997), 994,009 pairs, takes about 2 s on a 2-core machine
+_PAIR_LIMIT = 1000000
 
 
 def unit_quotient_group(ring: Ring, a) -> UnitQuotientReport:
@@ -157,18 +165,29 @@ def check_good_ring_exhaustive(ring: Ring) -> GoodRingReport:
     """Test every pair (a, b) in A^2 of a finite ring for goodness.
 
     Every primitive pair is good at N = 1, the least N there is, and
-    _prove_pairs builds and verifies its witness, so failures is always
+    _prove_pairs checks its identity b + lam*a = eps, so failures is always
     empty. A product's pair is good at N = 1 when each component pair is:
     the tuple of their witnesses is its witness. So a product is checked one
-    factor at a time, once every factor is enumerated: elements() raises
-    InfiniteRingError on an infinite one. Z/n is the product of its Z/p^k
-    by the Chinese remainder theorem, so it is checked by those prime-power
-    factors, in sum p^(2k) pairs, not n^2.
+    factor at a time, once every factor is known to be finite: elements()
+    raises InfiniteRingError on an infinite one. Z/n is the product of its
+    Z/p^k by the Chinese remainder theorem, so it is checked by those
+    prime-power factors, in sum p^(2k) pairs, not n^2. That sum is counted
+    from the factors' sizes before any element is listed, and a sum above
+    _PAIR_LIMIT raises LimitExceededError.
     """
-    factors = [(f, list(f.elements())) for f in _factors(ring)]
-    for factor, elts in factors:
-        _prove_pairs(factor, elts)
-    return GoodRingReport(prod(len(elts) ** 2 for _, elts in factors), True, 1, ())
+    factors = _factors(ring)
+    for f in factors:
+        f.elements()  # raises InfiniteRingError on an infinite factor
+    sizes = [f.quotient_size(f.zero()) for f in factors]  # |A/0A| = |A|
+    pairs = sum(size * size for size in sizes)
+    if pairs > _PAIR_LIMIT:
+        raise LimitExceededError(
+            f"checking {ring.spec_string()} takes {pairs} factor pairs, "
+            f"above the limit {_PAIR_LIMIT}"
+        )
+    for f in factors:
+        _prove_pairs(f, list(f.elements()))
+    return GoodRingReport(prod(size * size for size in sizes), True, 1, ())
 
 
 def _factors(ring: Ring) -> list:
@@ -184,30 +203,41 @@ def _factors(ring: Ring) -> list:
 
 
 def _prove_pairs(ring: Ring, elts: list) -> None:
-    """Build and verify the N = 1 witness of every primitive pair of a finite
-    ring with elements elts, and check that every other pair is not primitive.
+    """Check that every primitive pair of a finite ring with elements elts is
+    good at N = 1, and that every other pair is not primitive.
 
     For each a, unit_residue_witness runs once per class r = reduce_mod(a, b)
-    of b mod aA. A unit eps in the class gives each member b its witness
-    b + lam*a = eps. None is checked with one bezout on the class's first
-    member. This is exact: (1) if b + lam*a is a unit then aA + bA = A, so a
-    class that holds a unit is primitive; (2) aA + bA depends only on b + aA,
-    so one bezout decides the whole class; (3) on a finite ring a primitive
-    class always holds a unit (a finite ring is semilocal, so it has stable
-    range one; on Z/p^k and GF(p) the class c + gZ holds a unit iff
-    gcd(c, g) = 1, iff gcd(a, b, n) = 1), so the ensure never fires, and a
-    counterexample would fail loudly rather than be skipped.
+    of b mod aA. When it gives eps, the class checks once that eps has an
+    inverse inv with eps*inv = 1, and each member b checks that
+    lam = (eps - b)/a divides out and that b + lam*a = eps, recomputed: with
+    inv, that is the member's witness (1, lam, eps, inv). None is checked
+    with one bezout on the class's first member. This is exact: (1) if
+    b + lam*a is a unit then aA + bA = A, so a class that holds a unit is
+    primitive; (2) aA + bA depends only on b + aA, so one bezout decides the
+    whole class; (3) on a finite ring a primitive class always holds a unit
+    (a finite ring is semilocal, so it has stable range one; on Z/p^k and
+    GF(p) the class c + gZ holds a unit iff gcd(c, g) = 1, iff
+    gcd(a, b, n) = 1), so the ensures never fire, and a counterexample would
+    fail loudly rather than be skipped.
     """
+    one = ring.one()
     for a in elts:
         classes = {}
         for b in elts:
             r = ring.reduce_mod(a, b)
             if r not in classes:
-                classes[r] = ring.unit_residue_witness(a, r)
-                if classes[r] is None:
+                eps = classes[r] = ring.unit_residue_witness(a, r)
+                if eps is None:
                     ensure(ring.bezout((a, b)) is None, "a primitive class holds no unit")
-            if classes[r] is not None:
-                _witness_at(ring, a, b, 1, classes[r])
+                else:
+                    inv = ring.unit_inverse(eps)
+                    ok = inv is not None and ring.mul(eps, inv) == one
+                    ensure(ok, "the class unit has no inverse")
+            eps = classes[r]
+            if eps is not None:
+                lam = ring.divide_exact(ring.sub(eps, ring.pow(b, 1)), a)
+                ok = lam is not None and _lifts(ring, a, b, 1, lam, eps)
+                ensure(ok, "the unit lift does not give b + lam*a = eps")
 
 
 def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:

@@ -208,6 +208,24 @@ def test_check_good_on_a_prime_field_searches_once_per_class():
     }
 
 
+@pytest.mark.parametrize(
+    "spec, pairs",
+    # 10^9+7 is prime, so its pairs are all of Z/n's; 10007 is prime too
+    [("Z/1000000007", 1000000014000000049), ("GF(10007)", 100140049)],
+)
+def test_check_good_refuses_a_ring_past_the_pair_limit(spec, pairs):
+    # the pairs are counted from the factors' sizes before any element is
+    # listed, so neither a list of 10^9 elements nor 10^8 checks starts
+    start = time.perf_counter()
+    code, out = invoke("check-good", "--ring", spec)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["diagnostics"] == [
+        f"checking {spec} takes {pairs} factor pairs, above the limit 1000000"
+    ]
+
+
 def test_check_good_infinite_ring_is_an_error():
     code, out = invoke("check-good", "--ring", "Z")
     assert code == 2

@@ -11,6 +11,8 @@ from goodrings import cli
 from goodrings import polyuniv as pu
 from goodrings import witness
 from goodrings.core import (
+    GoodRingsError,
+    LimitExceededError,
     NotPrimitiveError,
     PreconditionError,
     UnsupportedRingError,
@@ -438,15 +440,15 @@ def test_check_good_asks_bezout_once_per_class_without_a_unit(monkeypatch):
 
 
 def test_prove_pairs_per_class_matches_find_good_witness_per_pair(monkeypatch):
-    # the reference searches every pair; the per-class proof must build a
-    # witness with the same N and eps for each primitive pair, and none for
-    # the others, and on a finite ring every such N is 1
-    built, witness_at = {}, witness._witness_at
+    # the reference searches every pair; the per-class proof must check the
+    # identity b^N + lam*a = eps with the same N and eps for each primitive
+    # pair, and for no other pair, and on a finite ring every such N is 1
+    checked, lifts = {}, witness._lifts
 
-    def recording(ring, a, b, N, eps):
-        assert (a, b) not in built
-        built[a, b] = N, eps
-        return witness_at(ring, a, b, N, eps)
+    def recording(ring, a, b, N, lam, eps):
+        assert (a, b) not in checked
+        checked[a, b] = N, eps
+        return lifts(ring, a, b, N, lam, eps)
 
     rings = [IntegersMod(n) for n in range(1, 121)]
     rings += [PrimeField(p) for p in range(2, 62) if all(p % q for q in range(2, p))]
@@ -460,11 +462,11 @@ def test_prove_pairs_per_class_matches_find_good_witness_per_pair(monkeypatch):
                 except NotPrimitiveError:
                     continue
                 expected[a, b] = w.N, w.epsilon
-        built.clear()
+        checked.clear()
         with monkeypatch.context() as m:
-            m.setattr(witness, "_witness_at", recording)
+            m.setattr(witness, "_lifts", recording)
             witness._prove_pairs(ring, elts)
-        assert built == expected, ring
+        assert checked == expected, ring
         assert {n for n, _ in expected.values()} == {1}, ring
 
 
@@ -474,15 +476,54 @@ def test_prove_pairs_per_class_matches_find_good_witness_per_pair(monkeypatch):
     [("GF(31)", 960), ("Z/27", 648), ("Z/32", 768)],
 )
 def test_check_good_verifies_one_witness_per_primitive_pair(spec, primitive_pairs, monkeypatch):
-    calls = []
+    calls, lifts = [], witness._lifts
 
-    def counting(ring, a, b, w):
+    def counting(ring, a, b, N, lam, eps):
         calls.append((a, b))
-        return verify_witness(ring, a, b, w)
+        return lifts(ring, a, b, N, lam, eps)
 
-    monkeypatch.setattr(witness, "verify_witness", counting)
+    monkeypatch.setattr(witness, "_lifts", counting)
     check_good_ring_exhaustive(parse_ring(spec))
     assert len(calls) == len(set(calls)) == primitive_pairs
+
+
+_IN_PLACE_SPECS = ["Z/12", "GF(7)", "prod(Z/4,GF(5))"]
+
+
+@pytest.mark.parametrize("spec", _IN_PLACE_SPECS)
+def test_check_good_refuses_a_wrong_lam(spec, monkeypatch):
+    # one lam off by one at a = 1 breaks b + lam*a = eps for that pair only
+    divide_exact, wrong = IntegersMod.divide_exact, []
+
+    def off_by_one_once(ring, y, x):
+        lam = divide_exact(ring, y, x)
+        if x == ring.one() and not wrong:
+            wrong.append((ring, y))
+            return ring.add(lam, ring.one())
+        return lam
+
+    monkeypatch.setattr(IntegersMod, "divide_exact", off_by_one_once)
+    with pytest.raises(GoodRingsError, match="does not give b \\+ lam\\*a = eps"):
+        check_good_ring_exhaustive(parse_ring(spec))
+    assert len(wrong) == 1
+
+
+@pytest.mark.parametrize("spec", _IN_PLACE_SPECS)
+def test_check_good_refuses_a_class_unit_that_is_not_a_unit(spec, monkeypatch):
+    # the residue r lies in its own class, so b + lam*a = r holds for every
+    # member b: only the class's inverse check can see that r = 0 is no unit
+    monkeypatch.setattr(IntegersMod, "unit_residue_witness", lambda ring, a, r: r)
+    with pytest.raises(GoodRingsError, match="the class unit has no inverse"):
+        check_good_ring_exhaustive(parse_ring(spec))
+
+
+def test_check_good_limits_the_sum_of_factor_pairs(monkeypatch):
+    # Z/6 is checked as Z/2 and Z/3, in 2^2 + 3^2 = 13 pairs, not 36
+    monkeypatch.setattr(witness, "_PAIR_LIMIT", 13)
+    assert check_good_ring_exhaustive(IntegersMod(6)).pairs_checked == 36
+    monkeypatch.setattr(witness, "_PAIR_LIMIT", 12)
+    with pytest.raises(LimitExceededError, match="takes 13 factor pairs, above the limit 12"):
+        check_good_ring_exhaustive(IntegersMod(6))
 
 
 def test_product_pair_witness_is_the_tuple_of_factor_witnesses():
