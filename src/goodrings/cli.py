@@ -127,13 +127,12 @@ def _cmd_construct(args) -> tuple:
         poly, trace = construct_unit_valued(ring, points, witness_bound=args.bound)
     except WitnessSearchExhausted as exc:
         return 3, CommandResult("exhausted", {"bound": exc.bound}, (str(exc),))
-    replay_trace(ring, trace)
-    # replay has checked the values at the points against its own evaluations
-    values = trace.values
+    # replay checks the recorded values against its own evaluations
+    ensure(replay_trace(ring, trace) == poly, "the replayed polynomial differs")
     payload = {
         "polynomial": poly.format(),
         "degree": poly.degree,
-        "values": [ring.format_element(v) for v in values],
+        "values": [ring.format_element(v) for v in trace.values],
     }
     return 0, CommandResult("ok", payload, ())
 

@@ -1,11 +1,14 @@
 """Homogeneous polynomials and the inductive unit-valued constructor.
 
-A construction run leaves a full trace: the minor values, the combination
-certificates, the degree-1 forms, the witness used at each extension, and
-each intermediate result with its values at the points covered so far.
-replay_trace recomputes every identity from the raw data, so a trace is
-evidence rather than a narration; it rechecks the recorded values against
-its own evaluations and never reads them in place of one.
+A construction run leaves a trace of its choices and nothing more: the
+base point, then per extension the new point, the Bezout cofactors and
+combiners, alpha and the witness (N, lam, eps, eps^-1), and at the end the
+result's values at the points. The minors, the forms, every intermediate
+polynomial and its values follow from these choices, so replay_trace
+derives them by running the constructor's own step on the recorded choices,
+which rechecks every identity the constructor checked. A trace is evidence
+rather than a narration: replay requires the recorded values to equal its
+own evaluations and never reads them in place of one.
 
 Over a product ring the construction runs once per factor, and the trace
 holds one trace per factor; see _construct_product.
@@ -20,7 +23,7 @@ from __future__ import annotations
 import functools
 import re
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import comb, gcd, lcm
 from typing import Iterator, Sequence
 
@@ -428,8 +431,6 @@ def section_ideal_generators(ring: Ring, point: PrimitivePoint) -> SectionIdeal:
 
 def _rank_mod_p(rows: list, p: int) -> int:
     rows = [list(r) for r in rows]
-    if not rows:
-        return 0
     cols = len(rows[0])
     rank = 0
     for c in range(cols):
@@ -491,35 +492,24 @@ class WitnessSearchExhausted(GoodRingsError):
 
 @dataclass(frozen=True)
 class ExtensionStep:
+    """The constructor's choices at one extension; replay derives the rest."""
+
     new_point: PrimitivePoint
-    covered: tuple  # points already covered, in order, defining the index t
-    minors: tuple  # per t: tuple of ((i, j), minor value), i < j lex
-    cofactors: tuple  # per t: (c, w) with 1 = P(q)*c + w*B_t(q)
-    combiners: tuple  # per t: the u coefficients, aligned with minors
-    forms: tuple  # per t: the degree-1 form B_t
+    cofactors: tuple  # per covered point: (c, w) with 1 = P(q)*c + w*B_t(q)
+    combiners: tuple  # per covered point: the u of B_t, one per index pair i < j
     alpha: int
     witness: GoodPointWitness  # for the pair (prod B_t(q), P(q)^alpha)
-    linear_form: HomogeneousPolynomial  # W with W(q) = 1
-    filler_exponent: int  # N*alpha*deg(P) - k
-    result: HomogeneousPolynomial
-    values: tuple  # result's values at covered + (new_point,), in that order
 
 
 @dataclass(frozen=True)
 class ConstructionTrace:
     base_point: PrimitivePoint
-    base_form: HomogeneousPolynomial
     steps: tuple
+    values: tuple  # the result's values at points, in order
 
     @property
     def points(self) -> tuple:
         return (self.base_point,) + tuple(s.new_point for s in self.steps)
-
-    @property
-    def values(self) -> tuple:
-        """The result's values at points, in order; the base form takes the
-        value 1 at the base point."""
-        return self.steps[-1].values if self.steps else (self.base_form.ring.one(),)
 
 
 @dataclass(frozen=True)
@@ -528,9 +518,7 @@ class ProductTrace:
 
     points: tuple  # the product points, in input order
     factor_traces: tuple  # per factor: the trace over the distinct components
-    lcm: int  # L, the lcm of the factor degrees and the result's degree
-    result: HomogeneousPolynomial
-    values: tuple  # result's values at points, in order
+    values: tuple  # the result's values at points, in order
 
 
 def _minors(ring: Ring, pc: tuple, q: tuple, pairs: list) -> tuple:
@@ -544,22 +532,22 @@ def _is_tuple_of(x, length: int) -> bool:
     return isinstance(x, tuple) and len(x) == length
 
 
-def _step(
-    ring: Ring, poly, covered, values, new_point, identity, witness, check
-) -> ExtensionStep:
-    """The one builder of an ExtensionStep: from P and its unit values at
-    the covered points, R = (P^alpha)^N + lam * prod(B_t) * W^e, unit-valued
-    at covered + (new_point,), and the step record.
+def _step(ring: Ring, poly, covered, values, new_point, identity, witness, check) -> tuple:
+    """The one extension step: from P and its unit values at the covered
+    points, R = (P^alpha)^N + lam * prod(B_t) * W^e, unit-valued at covered
+    + (new_point,). Returns the step's record, R, and R's values at covered
+    + (new_point,), new_point's last.
 
     The step's two choices are callables, each called once its input is
     known: identity(ring, P(q), minors) returns the cofactors (c, w) with 1
     = P(q)*c + w*B_t(q) and the combiners u of B_t; witness(a, P(q)) returns
     alpha and a witness for (a, P(q)^alpha), a = prod B_t(q). The
-    constructor passes its own choices, replay the recorded ones. Failed
+    constructor passes its own choices, replay the recorded ones, and the
+    record holds just those choices: the minors, the forms B_t and W, the
+    filler exponent e and R are rebuilt from them here, each time. Failed
     identities go to check(cond, message). W(q) is the sum that both
     callers' certificate check of new_point has verified, so W(q) = 1 needs
     no check here, nor does B_t(p_t) = sum u_ij*(p_i*p_j - p_j*p_i) = 0.
-    The record keeps R's own values, new_point's last.
     """
     n = poly.n_vars
     k = len(covered)
@@ -575,7 +563,6 @@ def _step(
         and all(_is_tuple_of(us, len(pairs)) for us in combiners),
         "one cofactor pair and one combiner per minor for each covered point",
     )
-    forms = []
     prod_b = HomogeneousPolynomial.constant(ring, n, ring.one())
     a_val = ring.one()
     for pt, (c_t, w_t), us in zip(covered, cofactors, combiners):
@@ -588,7 +575,6 @@ def _step(
         v = form.eval(q)
         combination = ring.add(ring.mul(pq, c_t), ring.mul(w_t, v))
         check(combination == ring.one(), "combination identity broken")
-        forms.append(form)
         prod_b = prod_b.mul(form)
         a_val = ring.mul(a_val, v)
 
@@ -611,20 +597,8 @@ def _step(
         )
         point_values.append(value)
     point_values.append(at_q)
-    return ExtensionStep(
-        new_point=new_point,
-        covered=tuple(covered),
-        minors=tuple(tuple(zip(pairs, m)) for m in minors),
-        cofactors=cofactors,
-        combiners=combiners,
-        forms=tuple(forms),
-        alpha=alpha,
-        witness=w,
-        linear_form=w_form,
-        filler_exponent=e,
-        result=result,
-        values=tuple(point_values),
-    )
+    step = ExtensionStep(new_point, cofactors, combiners, alpha, w)
+    return step, result, tuple(point_values)
 
 
 def _combination(ring: Ring, pq, minors: list) -> tuple:
@@ -685,55 +659,19 @@ def _least_witness(ring: Ring, k: int, degree: int, bound: int):
     return choose
 
 
-def extend_unit_valued(
-    ring: Ring,
-    poly: HomogeneousPolynomial,
-    covered: Sequence[PrimitivePoint],
-    new_point: PrimitivePoint,
-    witness_bound: int = _DEFAULT_BOUND,
-) -> tuple:
-    """One inductive step: from P unit-valued on the covered points, build R
-    unit-valued on covered + new, together with the step record.
-
-    R = (P^alpha)^N + lam * prod(B_t) * W^e, where the B_t are degree-1
-    forms vanishing at their covered point, (N, lam, eps) is a witness for
-    (prod B_t(q), P(q)^alpha), W(q) = 1, and e pads the degree.
-    """
-    pts = list(covered)
-    k = len(pts)
-    if k == 0:
-        raise PreconditionError("at least one covered point is required")
-    if poly.is_zero or poly.degree < 1:
-        raise PreconditionError("the polynomial must be homogeneous of degree >= 1")
-    if not verify_certificate(
-        ring, new_point.coordinates, new_point.certificate
-    ):
-        raise PreconditionError("primitivity certificate does not verify")
-    n = poly.n_vars
-    if len(new_point.coordinates) != n or any(len(p) != n for p in pts):
-        raise PreconditionError("points and polynomial disagree on dimension")
-    values = [poly.eval(p.coordinates) for p in pts]
-    if not all(ring.is_unit(v) for v in values):
-        raise PreconditionError("the polynomial is not unit-valued on a covered point")
-    witness = _least_witness(ring, k, poly.degree, witness_bound)
-    step = _step(ring, poly, pts, values, new_point, _combination, witness, ensure)
-    return step.result, step
-
-
 def construct_unit_valued(
     ring: Ring, points: Sequence[PrimitivePoint], witness_bound: int = _DEFAULT_BOUND
 ) -> tuple:
     """Build a homogeneous polynomial taking unit values at all the given
-    primitive points, plus the full construction trace: a ProductTrace over
-    a ProductRing, which is built one factor at a time, else a
-    ConstructionTrace.
+    primitive points, plus the trace of the construction's choices: a
+    ProductTrace over a ProductRing, which is built one factor at a time,
+    else a ConstructionTrace.
 
-    Each step is _step run on the constructor's own choices, as in
-    extend_unit_valued, on the values at the covered points carried over
-    from the step before. Each is a unit: the base form takes the value 1
-    at the base point, _step's post-check requires R's value at a covered
-    point to be a unit, and R's value at the new point is the witness unit
-    eps.
+    Each step is _step run on the constructor's own choices, on the values
+    at the covered points carried over from the step before. Each is a
+    unit: the base form takes the value 1 at the base point, _step's
+    post-check requires R's value at a covered point to be a unit, and R's
+    value at the new point is the witness unit eps.
     """
     pts = list(points)
     if not pts:
@@ -754,15 +692,16 @@ def construct_unit_valued(
     if isinstance(ring, ProductRing):
         return _construct_product(ring, pts, witness_bound)
     base = pts[0]
-    base_form = current = HomogeneousPolynomial.linear(ring, base.certificate.coefficients)
+    current = HomogeneousPolynomial.linear(ring, base.certificate.coefficients)
     steps = []
     values = (ring.one(),)  # the base form's value is the certificate sum, checked above
     for k, q in enumerate(pts[1:], 1):
         witness = _least_witness(ring, k, current.degree, witness_bound)
-        step = _step(ring, current, pts[:k], values, q, _combination, witness, ensure)
+        step, current, values = _step(
+            ring, current, pts[:k], values, q, _combination, witness, ensure
+        )
         steps.append(step)
-        current, values = step.result, step.values
-    return current, ConstructionTrace(base, base_form, tuple(steps))
+    return current, ConstructionTrace(base, tuple(steps), values)
 
 
 def _component_points(points, i: int) -> tuple:
@@ -777,9 +716,11 @@ def _component_points(points, i: int) -> tuple:
     return tuple(seen.values())
 
 
-def _recombine(ring: ProductRing, n: int, factor_polys) -> HomogeneousPolynomial:
+def _recombine(ring: ProductRing, pts: tuple, factor_polys, check) -> tuple:
     """The polynomial over the product with component polynomials
-    P_i^(L/d_i), L = lcm(d_i); the powers go through pow, so through mul."""
+    P_i^(L/d_i), L = lcm(d_i), and its values at the points, each checked
+    to be a unit. The powers go through pow, so through mul. The
+    constructor and replay both recombine here."""
     degree = lcm(*(p.degree for p in factor_polys))
     powers = [p.pow(degree // p.degree) for p in factor_polys]
     zeros = [f.zero() for f in ring.factors]
@@ -787,7 +728,11 @@ def _recombine(ring: ProductRing, n: int, factor_polys) -> HomogeneousPolynomial
     terms = {
         e: tuple(p.terms.get(e, z) for p, z in zip(powers, zeros)) for e in keys
     }
-    return HomogeneousPolynomial._from_trusted(ring, n, degree, terms)
+    n = len(pts[0].coordinates)
+    result = HomogeneousPolynomial._from_trusted(ring, n, degree, terms)
+    values = tuple(result.eval(p.coordinates) for p in pts)
+    check(all(ring.is_unit(v) for v in values), "the result is not unit-valued")
+    return result, values
 
 
 def _construct_product(ring: ProductRing, pts: list, witness_bound: int) -> tuple:
@@ -809,17 +754,8 @@ def _construct_product(ring: ProductRing, pts: list, witness_bound: int) -> tupl
         )
         polys.append(poly)
         traces.append(trace)
-    trace = _product_trace(ring, tuple(pts), polys, tuple(traces), ensure)
-    return trace.result, trace
-
-
-def _product_trace(ring: ProductRing, pts: tuple, polys, traces, check) -> ProductTrace:
-    """The one builder of a ProductTrace: the recombination of the factor
-    polynomials and its values at the points, each checked to be a unit."""
-    result = _recombine(ring, len(pts[0].coordinates), polys)
-    values = tuple(result.eval(p.coordinates) for p in pts)
-    check(all(ring.is_unit(v) for v in values), "the result is not unit-valued")
-    return ProductTrace(pts, traces, result.degree, result, values)
+    result, values = _recombine(ring, tuple(pts), polys, ensure)
+    return result, ProductTrace(tuple(pts), tuple(traces), values)
 
 
 def _splits(p, n: int, r: int) -> bool:
@@ -834,22 +770,9 @@ def _splits(p, n: int, r: int) -> bool:
     )
 
 
-def _check_record(rebuilt, recorded, check) -> None:
-    """Require a rebuilt record to equal the recorded one, field by field
-    with ==; the message names the fields that differ."""
-    if rebuilt != recorded:
-        differ = [
-            f.name
-            for f in fields(rebuilt)
-            if getattr(rebuilt, f.name) != getattr(recorded, f.name)
-        ]
-        check(False, f"the record differs from its rebuild in {', '.join(differ)}")
-
-
 def _replay_product(ring: Ring, trace: ProductTrace, check) -> HomogeneousPolynomial:
-    """Replay each factor trace on its factor ring, then rebuild the
-    product record from the replayed polynomials and compare it with the
-    recorded one."""
+    """Replay each factor trace on its factor ring, then recombine the
+    replayed polynomials and require the recorded values."""
     check(
         isinstance(ring, ProductRing)
         and _is_tuple_of(trace.factor_traces, len(ring.factors)),
@@ -874,23 +797,25 @@ def _replay_product(ring: Ring, trace: ProductTrace, check) -> HomogeneousPolyno
             factor_trace.points == _component_points(pts, i),
             "a factor trace does not cover the distinct components of the points",
         )
-    rebuilt = _product_trace(ring, pts, polys, trace.factor_traces, check)
-    _check_record(rebuilt, trace, check)
-    return rebuilt.result
+    result, values = _recombine(ring, pts, polys, check)
+    check(trace.values == values, "the recorded values are not the result's")
+    return result
 
 
 def replay_trace(ring: Ring, trace) -> HomogeneousPolynomial:
-    """Recompute every identity in a construction trace from its raw data.
+    """Recompute every identity in a construction trace from its recorded
+    choices.
 
     Returns the final polynomial on success and raises GoodRingsError at the
-    first mismatch. Nothing is trusted: each step is rebuilt by the
-    constructor's own step builder, run on the step's recorded choices (the
-    cofactors and combiners, alpha and a witness that must verify), and the
-    rebuilt step must equal the recorded one field for field. Its point
-    values come from replay's own evaluations, which carry over from step to
-    step as they do in construct_unit_valued. A ProductTrace replays each
-    factor trace on its factor ring, which must cover exactly the distinct
-    components of the product points, and rebuilds the product record.
+    first mismatch. Nothing is trusted: each step runs the constructor's own
+    step builder on the step's recorded choices (the cofactors and
+    combiners, alpha and a witness that must verify), which rechecks every
+    identity the constructor checked. The point values come from replay's
+    own evaluations, which carry over from step to step as they do in
+    construct_unit_valued, and the recorded final values must equal them. A
+    ProductTrace replays each factor trace on its factor ring, which must
+    cover exactly the distinct components of the product points, then
+    recombines the replayed polynomials and requires the recorded values.
     A foreign element inside a record fails as a malformed record.
     """
 
@@ -908,7 +833,6 @@ def replay_trace(ring: Ring, trace) -> HomogeneousPolynomial:
             "base point malformed or its certificate invalid",
         )
         poly = HomogeneousPolynomial.linear(ring, base.certificate.coefficients)
-        check(trace.base_form == poly, "base form does not match its certificate")
         check(isinstance(trace.steps, tuple), "the steps are not a tuple")
         covered = [base]
         values = (ring.one(),)  # the base form's value is the certificate sum
@@ -934,13 +858,12 @@ def replay_trace(ring: Ring, trace) -> HomogeneousPolynomial:
                 )
                 return alpha, w
 
-            rebuilt = _step(
+            _, poly, values = _step(
                 ring, poly, covered, values, q_pt,
                 lambda *_: (step.cofactors, step.combiners), recorded_witness, check,
             )
-            _check_record(rebuilt, step, check)
-            poly, values = rebuilt.result, rebuilt.values
             covered.append(q_pt)
+        check(trace.values == values, "the recorded values are not the result's")
         return poly
     except (TypeError, AttributeError) as err:
         raise GoodRingsError(f"trace replay failed: malformed record ({err})") from err

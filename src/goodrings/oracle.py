@@ -68,7 +68,8 @@ def oracle_min_witness_Z(a: int, b: int) -> Optional[tuple]:
 
 
 def _raw_ops(carrier) -> tuple:
-    """(elements, zero, one, add, mul, to_library) over plain ints/tuples."""
+    """(elements, zero, one, add, mul, to_library) over plain ints/tuples;
+    add is None over A + A*th, which no carrier takes as its base."""
     if isinstance(carrier, IntegersMod):
         n = carrier.n
         return (
@@ -105,13 +106,10 @@ def _raw_ops(carrier) -> tuple:
                 badd(badd(bmul(x1, y2), bmul(y1, x2)), bmul(a, bmul(y1, y2))),
             )
 
-        def add(z1, z2):
-            return badd(z1[0], z2[0]), badd(z1[1], z2[1])
-
         def to_library(z, bto=bto):
             return SabElement(bto(z[0]), bto(z[1]))
 
-        return elements, (bzero, bzero), (bone, bzero), add, mul, to_library
+        return elements, (bzero, bzero), (bone, bzero), None, mul, to_library
     if isinstance(carrier, Ring):  # every finite Ring is handled above
         raise InfiniteRingError("the unit-set oracle needs a finite carrier")
     raise UnsupportedRingError(

@@ -473,7 +473,7 @@ class UnivariatePolyRing(Ring):
     The field is a Ring with a characteristic p: PrimeField(p) or the
     Rationals. It supplies the coefficient arithmetic and grammar. With
     p > 0 every quotient by a nonzero polynomial is finite; with p = 0
-    only the quotients by units are. Subclasses name the ring."""
+    only the quotients by units are. Subclasses choose the field."""
 
     def __init__(self, field):
         self.field = field
@@ -554,6 +554,9 @@ class UnivariatePolyRing(Ring):
     def format_element(self, x):
         return _poly_format_T(x, self.field)
 
+    def spec_string(self):
+        return self.field.spec_string() + "[T]"
+
 
 class PolyOverPrimeField(UnivariatePolyRing):
     """Univariate polynomials over GF(p)."""
@@ -561,18 +564,12 @@ class PolyOverPrimeField(UnivariatePolyRing):
     def __init__(self, p: int):
         super().__init__(PrimeField(p))
 
-    def spec_string(self):
-        return f"GF({self.field.characteristic})[T]"
-
 
 class RationalPoly(UnivariatePolyRing):
     """Univariate polynomials over Q: ascending Fraction tuples."""
 
     def __init__(self):
         super().__init__(Rationals())
-
-    def spec_string(self):
-        return "Q[T]"
 
 
 # ---------------------------------------------------------------------------

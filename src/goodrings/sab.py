@@ -59,9 +59,6 @@ class SabAlgebra:
         base = self.base
         return SabElement(base.neg(z.x), base.neg(z.y))
 
-    def sub(self, z1: SabElement, z2: SabElement) -> SabElement:
-        return self.add(z1, self.neg(z2))
-
     def mul(self, z1: SabElement, z2: SabElement) -> SabElement:
         """(x1 + y1*th)(x2 + y2*th) = x1*x2 + (x1*y2 + y1*x2 + a*y1*y2)*th."""
         base = self.base

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from typing import Optional, Union
 
 from . import polyuniv as pu
@@ -22,7 +22,7 @@ from .core import (
     ensure,
     require_primitive,
 )
-from .rings import IntegersMod, ProductRing, RationalPoly, _prime_powers
+from .rings import _PRIMALITY_LIMIT, IntegersMod, ProductRing, RationalPoly, _is_prime
 
 _DEFAULT_BOUND = 10000
 
@@ -192,11 +192,35 @@ def check_good_ring_exhaustive(ring: Ring) -> GoodRingReport:
 
 def _factors(ring: Ring) -> list:
     """A product's factors with nested products flattened, and Z/n split into
-    its Z/p^k when n has two or more prime factors; else [ring]."""
+    its Z/p^k when n has two or more prime factors; else [ring].
+
+    Z/n is trial-divided only by d <= isqrt(_PAIR_LIMIT). A part m > 1 left
+    over has a prime factor p above that bound, so Z/p^k alone holds more
+    than _PAIR_LIMIT pairs and the ring is refused either way. A prime m
+    becomes a factor, so that the refusal counts the pairs exactly; any
+    other m raises LimitExceededError at once rather than be factored.
+    """
     if isinstance(ring, ProductRing):
         return [g for f in ring.factors for g in _factors(f)]
     if isinstance(ring, IntegersMod):
-        powers = _prime_powers(ring.n)
+        n, powers, trial = ring.n, [], isqrt(_PAIR_LIMIT)
+        for d in range(2, trial + 1):
+            if d * d > n:
+                break  # n is 1 or a prime
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            if k:
+                powers.append((d, k))
+        if n > 1:
+            if not (n < _PRIMALITY_LIMIT and _is_prime(n)):
+                raise LimitExceededError(
+                    f"checking {ring.spec_string()} takes more factor pairs than "
+                    f"the limit {_PAIR_LIMIT}: its factor {n} has no prime "
+                    f"factor up to {trial}"
+                )
+            powers.append((n, 1))
         if len(powers) > 1:
             return [IntegersMod(p**k) for p, k in powers]
     return [ring]

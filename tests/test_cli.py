@@ -226,6 +226,22 @@ def test_check_good_refuses_a_ring_past_the_pair_limit(spec, pairs):
     ]
 
 
+def test_check_good_refuses_a_modulus_without_small_prime_factors():
+    # n = p*q with p and q near 10^12: trial division up to 1000 leaves a
+    # composite part, which proves a factor Z/p^k past the pair limit, so n
+    # is refused without being factored
+    n = 1000000000100000000002379
+    start = time.perf_counter()
+    code, out = invoke("check-good", "--ring", f"Z/{n}")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["diagnostics"] == [
+        f"checking Z/{n} takes more factor pairs than the limit 1000000: "
+        f"its factor {n} has no prime factor up to 1000"
+    ]
+
+
 def test_check_good_infinite_ring_is_an_error():
     code, out = invoke("check-good", "--ring", "Z")
     assert code == 2

@@ -27,7 +27,6 @@ from goodrings.homog import (
     ProductTrace,
     WitnessSearchExhausted,
     construct_unit_valued,
-    extend_unit_valued,
     ideal_slice_dimension,
     linear_form_for_point,
     monomial_exponents,
@@ -442,6 +441,10 @@ def test_ideal_slice_rejects_degree_zero_and_nonlinear_generators():
         ideal_slice_dimension(F3, [P("x1^2+x2*x3", n_vars=3, ring=F3)], 2)
 
 
+def test_ideal_slice_dimension_of_no_generators_is_zero():
+    assert ideal_slice_dimension(PrimeField(3), [], 2) == 0
+
+
 # ---------------------------------------------------------------------------
 # the inductive constructor
 
@@ -572,40 +575,11 @@ def test_construct_rejects_a_failing_certificate():
         construct_unit_valued(Z, [require_primitive(Z, (1, 0)), _FAKE_POINT])
 
 
-def test_extend_rejects_non_unit_value():
-    pts = _points(Z, [(1, 0)])
-    poly = P("x1+x2")  # value 1 at (1,0) is fine, but use a bad base instead
-    bad = P("2*x1")  # takes value 2 at the covered point
-    with pytest.raises(PreconditionError):
-        extend_unit_valued(Z, bad, pts, require_primitive(Z, (0, 1)))
-    out, _ = extend_unit_valued(Z, poly, pts, require_primitive(Z, (0, 1)))
-    assert out.eval((0, 1)) in (1, -1)
-
-
-@pytest.mark.parametrize(
-    "poly, covered, new_point, message",
-    [
-        (P("x1+x2"), [], (0, 1), "at least one covered point"),
-        (HomogeneousPolynomial.zero(Z, 2, 1), [(1, 0)], (0, 1), "degree >= 1"),
-        (HomogeneousPolynomial.constant(Z, 2, 1), [(1, 0)], (0, 1), "degree >= 1"),
-        (P("x1+x2"), [(1, 0)], _FAKE_POINT, "certificate does not verify"),
-        (P("x1+x2"), [(1, 0)], (0, 1, 0), "disagree on dimension"),
-    ],
-    ids=["no-covered-point", "zero", "degree-0", "failing-certificate", "three-coordinates"],
-)
-def test_extend_rejects_bad_input(poly, covered, new_point, message):
-    if not isinstance(new_point, PrimitivePoint):
-        new_point = require_primitive(Z, new_point)
-    with pytest.raises(PreconditionError, match=message):
-        extend_unit_valued(Z, poly, _points(Z, covered), new_point)
-
-
 def test_extend_postcheck_raises_without_assert(monkeypatch):
     # the post-checks are explicit raises, so python -O keeps them
     monkeypatch.setattr(HomogeneousPolynomial, "add", lambda self, other: self)
-    pts = _points(Z, [(1, 0)])
     with pytest.raises(GoodRingsError):
-        extend_unit_valued(Z, P("x1"), pts, require_primitive(Z, (0, 1)))
+        construct_unit_valued(Z, _points(Z, [(1, 0), (0, 1)]))
 
 
 def _count_evals(monkeypatch) -> Counter:
@@ -630,6 +604,49 @@ def test_each_polynomial_is_evaluated_once_per_point(monkeypatch):
     seen.clear()
     assert replay_trace(Z, trace) == poly
     assert seen and max(seen.values()) == 1
+
+
+def _reachable(obj):
+    """obj and everything reachable from it through dataclass fields and
+    tuples."""
+    stack = [obj]
+    while stack:
+        x = stack.pop()
+        yield x
+        if dataclasses.is_dataclass(x):
+            stack.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+        elif isinstance(x, tuple):
+            stack.extend(x)
+
+
+@pytest.mark.parametrize(
+    "spec, coords",
+    [
+        ("Z", [(2, 3, 5), (1, -1, 4), (0, 7, 2)]),
+        ("Z/12", [(1, 0), (0, 1), (1, 1), (5, 7)]),
+        ("prod(Z,Z/5)", [((1, 1), (0, 0)), ((0, 1), (1, 0)), ((1, 1), (1, 0))]),
+    ],
+)
+def test_a_trace_records_choices_and_no_polynomial(spec, coords):
+    # the forms, the step results and the final polynomial are all derived
+    # by replay, so none of them is stored in the trace
+    ring = parse_ring(spec)
+    poly, trace = construct_unit_valued(ring, _points(ring, coords))
+    reached = list(_reachable(trace))
+    assert any(isinstance(x, ExtensionStep) for x in reached)
+    assert not any(isinstance(x, HomogeneousPolynomial) for x in reached)
+    assert replay_trace(ring, trace) == poly
+
+
+def test_trace_record_fields():
+    def names(record):
+        return tuple(f.name for f in dataclasses.fields(record))
+
+    assert names(ExtensionStep) == (
+        "new_point", "cofactors", "combiners", "alpha", "witness",
+    )
+    assert names(ConstructionTrace) == ("base_point", "steps", "values")
+    assert names(ProductTrace) == ("points", "factor_traces", "values")
 
 
 # ---------------------------------------------------------------------------
@@ -657,24 +674,6 @@ def test_replay_rejects_tampered_cofactor():
         replay_trace(Z, bad)
 
 
-def test_replay_rejects_tampered_minors():
-    poly, trace = _traced_instance()
-    step = trace.steps[-1]
-    (idx, val), *rest = step.minors[0]
-    bad_minors = ((((idx), val + 1),) + tuple(rest),) + step.minors[1:]
-    bad = _tamper_last_step(trace, minors=bad_minors)
-    with pytest.raises(GoodRingsError, match="replay"):
-        replay_trace(Z, bad)
-
-
-def test_replay_rejects_tampered_result():
-    poly, trace = _traced_instance()
-    step = trace.steps[-1]
-    bad = _tamper_last_step(trace, result=step.result.scale(-1))
-    with pytest.raises(GoodRingsError, match="replay"):
-        replay_trace(Z, bad)
-
-
 def test_replay_rejects_tampered_witness():
     poly, trace = _traced_instance()
     step = trace.steps[-1]
@@ -684,38 +683,34 @@ def test_replay_rejects_tampered_witness():
         replay_trace(Z, bad)
 
 
-def test_replay_rejects_tampered_filler_exponent():
+def test_replay_rejects_reordered_points():
+    # the covered points are the base point and the earlier new points, in
+    # order: swapping the base point with the first new point breaks replay
     poly, trace = _traced_instance()
-    step = trace.steps[-1]
-    bad = _tamper_last_step(trace, filler_exponent=step.filler_exponent + 1)
-    # the message names the field in which the record differs from its rebuild
-    with pytest.raises(GoodRingsError, match="trace replay failed.*filler_exponent"):
-        replay_trace(Z, bad)
-
-
-def test_replay_rejects_reordered_covered_points():
-    poly, trace = _traced_instance()
-    step = trace.steps[-1]
-    shuffled = (step.covered[1], step.covered[0]) + step.covered[2:]
-    bad = _tamper_last_step(trace, covered=shuffled)
+    first = trace.steps[0]
+    swapped = dataclasses.replace(first, new_point=trace.base_point)
+    bad = dataclasses.replace(
+        trace, base_point=first.new_point, steps=(swapped,) + trace.steps[1:]
+    )
     with pytest.raises(GoodRingsError, match="replay"):
         replay_trace(Z, bad)
 
 
-def test_replay_rejects_swapped_base_form():
+def test_replay_rejects_swapped_base_point():
+    # another primitive point with a valid certificate is still not the base
     poly, trace = _traced_instance()
-    bad = dataclasses.replace(trace, base_form=trace.base_form.scale(-1))
+    bad = dataclasses.replace(trace, base_point=require_primitive(Z, (1, 1, 1)))
     with pytest.raises(GoodRingsError, match="replay"):
         replay_trace(Z, bad)
 
 
 def test_replay_rejects_tampered_values():
     poly, trace = _traced_instance()
-    step = trace.steps[-1]
-    bad = _tamper_last_step(trace, values=step.values[:-1] + (-step.values[-1],))
+    values = trace.values
+    bad = dataclasses.replace(trace, values=values[:-1] + (-values[-1],))
     with pytest.raises(GoodRingsError, match="replay"):
         replay_trace(Z, bad)
-    short = _tamper_last_step(trace, values=step.values[:-1])
+    short = dataclasses.replace(trace, values=values[:-1])
     with pytest.raises(GoodRingsError, match="replay"):
         replay_trace(Z, short)
 
@@ -737,30 +732,12 @@ def test_replay_rejects_tampered_combiners():
         replay_trace(Z, longer)
 
 
-def test_replay_rejects_tampered_forms():
-    poly, trace = _traced_instance()
-    step = trace.steps[-1]
-    bad = _tamper_last_step(
-        trace, forms=(step.forms[0].scale(-1),) + step.forms[1:]
-    )
-    with pytest.raises(GoodRingsError, match="replay"):
-        replay_trace(Z, bad)
-
-
 @pytest.mark.parametrize("shift", ["zero", "plus_one"])
 def test_replay_rejects_tampered_alpha(shift):
     poly, trace = _traced_instance()
     step = trace.steps[-1]
     alpha = 0 if shift == "zero" else step.alpha + 1
     bad = _tamper_last_step(trace, alpha=alpha)
-    with pytest.raises(GoodRingsError, match="replay"):
-        replay_trace(Z, bad)
-
-
-def test_replay_rejects_tampered_linear_form():
-    poly, trace = _traced_instance()
-    step = trace.steps[-1]
-    bad = _tamper_last_step(trace, linear_form=step.linear_form.scale(-1))
     with pytest.raises(GoodRingsError, match="replay"):
         replay_trace(Z, bad)
 
@@ -772,7 +749,7 @@ def test_replay_rejects_tampered_new_point():
         replay_trace(Z, bad)
 
 
-@pytest.mark.parametrize("field", ["minors", "cofactors", "combiners", "forms"])
+@pytest.mark.parametrize("field", ["cofactors", "combiners"])
 @pytest.mark.parametrize("change", ["extra", "short"])
 def test_replay_requires_one_entry_per_covered_point(field, change):
     # each per-point tuple of a step has exactly one entry per covered point:
@@ -789,8 +766,6 @@ def test_replay_requires_one_entry_per_covered_point(field, change):
 def _malformed(step, case):
     if case == "cofactor_not_a_pair":
         return {"cofactors": (step.cofactors[0] + (0,),) + step.cofactors[1:]}
-    if case == "minor_not_a_pair":
-        return {"minors": ((7,) + step.minors[0][1:],) + step.minors[1:]}
     if case == "combiner_not_a_tuple":
         return {"combiners": (7,) + step.combiners[1:]}
     return {"alpha": "1"}
@@ -798,7 +773,7 @@ def _malformed(step, case):
 
 @pytest.mark.parametrize(
     "case",
-    ["cofactor_not_a_pair", "minor_not_a_pair", "combiner_not_a_tuple", "alpha_not_an_int"],
+    ["cofactor_not_a_pair", "combiner_not_a_tuple", "alpha_not_an_int"],
 )
 def test_replay_rejects_malformed_step_entries(case):
     # a malformed entry is a replay failure, not a ValueError or TypeError
@@ -915,7 +890,7 @@ def test_product_construction_is_unit_valued_and_replays(case):
         distinct = list(dict.fromkeys(tuple(x[i] for x in c) for c in coords))
         assert [p.coordinates for p in factor_trace.points] == distinct
     degrees = [replay_trace(f, t).degree for f, t in zip(ring.factors, trace.factor_traces)]
-    assert poly.degree == trace.lcm == lcm(*degrees)
+    assert poly.degree == lcm(*degrees)
     assert replay_trace(ring, trace) == poly
 
 
@@ -942,7 +917,7 @@ def _product_instance():
     ring = parse_ring("prod(Z,Z/5)")
     coords = [((1, 1), (0, 0)), ((0, 1), (1, 0)), ((1, 1), (1, 0))]
     poly, trace = construct_unit_valued(ring, _points(ring, coords))
-    assert trace.lcm == 2
+    assert poly.degree == 2
     return ring, trace
 
 
@@ -966,8 +941,6 @@ def _tampered_product(ring, trace, case):
         return dataclasses.replace(
             trace, factor_traces=(z_trace,) + trace.factor_traces[1:]
         )
-    if case == "lcm":
-        return dataclasses.replace(trace, lcm=2 * trace.lcm)
     if case == "missing_component":
         # the Z/5 component (2, 1) is in no factor trace
         extra = require_primitive(ring, ((1, 2), (0, 1)))
@@ -985,8 +958,6 @@ def _tampered_product(ring, trace, case):
         )
     if case == "missing_factor":
         return dataclasses.replace(trace, factor_traces=trace.factor_traces[:-1])
-    if case == "result":
-        return dataclasses.replace(trace, result=trace.result.add(trace.result))
     if case == "values":
         return dataclasses.replace(trace, values=trace.values[::-1][:2])
     return dataclasses.replace(trace, points=(trace.points[0], 7))
@@ -998,12 +969,10 @@ def _tampered_product(ring, trace, case):
         "factor_trace",
         "foreign_factor_trace",
         "factor_step_not_a_step",
-        "lcm",
         "missing_component",
         "uncertified_point",
         "extra_factor",
         "missing_factor",
-        "result",
         "values",
         "point_not_a_point",
     ],

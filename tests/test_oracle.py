@@ -87,6 +87,15 @@ def test_unit_set_algebra_matches_library():
             assert oracle_unit_set(alg) == expected
 
 
+def test_unit_set_algebra_over_a_product_matches_library():
+    # the oracle's product over a product base adds with the product's add
+    base = ProductRing((IntegersMod(2), IntegersMod(3)))
+    for a in base.elements():
+        alg = SabAlgebra(base, a)
+        expected = {z for z in alg.elements() if alg.is_unit(z) is not None}
+        assert oracle_unit_set(alg) == expected
+
+
 def test_unit_set_dual_numbers_cardinality():
     alg = SabAlgebra(IntegersMod(5), 0)
     assert len(oracle_unit_set(alg)) == 4 * 5

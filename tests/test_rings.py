@@ -298,6 +298,9 @@ def test_polynomial_rings_share_one_class():
     assert not isinstance(F3T, RationalPoly)
     assert isinstance(parse_ring("Q[T]"), RationalPoly)
     assert F3T.spec_string() == "GF(3)[T]"
+    # the spec is the field's spec with [T]; subclasses only choose the field
+    assert UnivariatePolyRing(PrimeField(5)).spec_string() == "GF(5)[T]"
+    assert QT.spec_string() == QT.field.spec_string() + "[T]" == "Q[T]"
     # every coefficient field is a ring of the package
     assert isinstance(F3T.field, PrimeField) and F3T.field.characteristic == 3
     assert isinstance(QT.field, Ring) and isinstance(LOC2.field, Ring)
