@@ -10,7 +10,12 @@ the repr of the operation's result: every operation of perfbench's BUILDERS
 for each seed, then every HEAVY operation (seed "-"), then every command of
 this checkout's tests/golden/cli.jsonl (workload "golden", its result the
 exit code and the serialized output of cli.run), so both listings run the
-same commands. Operations are not checked, only digested.
+same commands. Last come the construction traces (workload "trace", its
+result the trace that construct_unit_valued returns): of each of
+perfbench's _HEAVY_POINTS sets over Z (kind "heavy"), then of the point set
+of each golden `construct` command on its own ring (kind "golden", indexed
+by the command's line), read by the library's own parsers. Operations are
+not checked, only digested.
 
 Like the benchmark, it limits every operation's work: limit_work() once, and
 start_work() before each operation. A WorkLimit, any other exception, and a
@@ -67,6 +72,9 @@ def main() -> int:
     import goodrings
     import workloads
     from goodrings import cli
+    from goodrings.core import require_primitive
+    from goodrings.homog import construct_unit_valued
+    from goodrings.rings import Integers, parse_ring
 
     if Path(goodrings.__file__).resolve().parent != src / "goodrings":
         print(f"same_outputs: imported goodrings from {goodrings.__file__}, not {src}", file=sys.stderr)
@@ -79,9 +87,23 @@ def main() -> int:
     for workload, heavy in workloads.HEAVY.items():
         for i, op in enumerate(heavy()):
             print(workload, "-", i, op.kind, _digest(op.call), flush=True)
-    for i, line in enumerate(GOLDEN.read_text().splitlines()):
-        argv = json.loads(line)["argv"]
+    golden = [json.loads(line)["argv"] for line in GOLDEN.read_text().splitlines()]
+    for i, argv in enumerate(golden):
         print("golden", "-", i, argv[0], _digest(lambda: cli.run(argv)), flush=True)
+    z = Integers()
+    for i, coords in enumerate(workloads._HEAVY_POINTS):
+        points = [require_primitive(z, c) for c in coords]
+        print("trace", "-", i, "heavy", _digest(lambda: construct_unit_valued(z, points)[1]), flush=True)
+    for i, argv in enumerate(golden):
+        if argv[0] != "construct":
+            continue
+        opts = dict(zip(argv[1::2], argv[2::2]))
+
+        def trace():
+            ring = parse_ring(opts["--ring"])
+            return construct_unit_valued(ring, cli._parse_points(ring, opts["--points"]))[1]
+
+        print("trace", "-", i, "golden", _digest(trace), flush=True)
     return 0
 
 

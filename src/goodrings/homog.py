@@ -4,14 +4,17 @@ A construction run leaves a trace of its choices and nothing more: the
 base point, then per extension the new point, the Bezout cofactors and
 combiners, alpha and the witness (N, lam, eps, eps^-1), and at the end the
 result's values at the points. The minors, the forms, every intermediate
-polynomial and its values follow from these choices, so replay_trace
-derives them by running the constructor's own step on the recorded choices,
-which rechecks every identity the constructor checked. A trace is evidence
-rather than a narration: replay requires the recorded values to equal its
-own evaluations and never reads them in place of one.
+polynomial and its values follow from these choices. Construct and replay
+share one point check, _check_points, and one construction routine,
+_build: replay_trace runs them on the recorded choices where
+construct_unit_valued makes its own, which rechecks every identity the
+constructor checked. A trace is
+evidence rather than a narration: replay requires the recorded values to
+equal its own evaluations and never reads them in place of one.
 
-Over a product ring the construction runs once per factor, and the trace
-holds one trace per factor; see _construct_product.
+Over a product ring _build makes one polynomial per factor, by
+construction or by replay, and recombines them; the trace holds one trace
+per factor.
 
 Each step polynomial is evaluated once per point. A step's values at the
 covered points carry over to the next step, whose post-check
@@ -186,18 +189,6 @@ class HomogeneousPolynomial:
         return HomogeneousPolynomial._from_trusted(
             ring, self.n_vars, self.degree, merged
         )
-
-    def neg(self) -> "HomogeneousPolynomial":
-        ring = self.ring
-        return HomogeneousPolynomial._from_trusted(
-            ring,
-            self.n_vars,
-            self.degree,
-            {e: ring.neg(c) for e, c in self.terms.items()},
-        )
-
-    def sub(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
-        return self.add(other.neg())
 
     def scale(self, c) -> "HomogeneousPolynomial":
         ring = self.ring
@@ -398,14 +389,6 @@ class HomogeneousPolynomial:
         return cls(ring, n_vars, degrees.pop(), terms)
 
 
-def linear_form_for_point(ring: Ring, point: PrimitivePoint) -> HomogeneousPolynomial:
-    """The degree-1 form with the certificate coefficients. Its value at the
-    point is sum(u_i*x_i), which verify_certificate has just checked is 1."""
-    if not verify_certificate(ring, point.coordinates, point.certificate):
-        raise PreconditionError("primitivity certificate does not verify")
-    return HomogeneousPolynomial.linear(ring, point.certificate.coefficients)
-
-
 @dataclass(frozen=True)
 class SectionIdeal:
     point: PrimitivePoint
@@ -545,8 +528,8 @@ def _step(ring: Ring, poly, covered, values, new_point, identity, witness, check
     constructor passes its own choices, replay the recorded ones, and the
     record holds just those choices: the minors, the forms B_t and W, the
     filler exponent e and R are rebuilt from them here, each time. Failed
-    identities go to check(cond, message). W(q) is the sum that both
-    callers' certificate check of new_point has verified, so W(q) = 1 needs
+    identities go to check(cond, message). W(q) is the certificate sum of
+    new_point, which _check_points has verified, so W(q) = 1 needs
     no check here, nor does B_t(p_t) = sum u_ij*(p_i*p_j - p_j*p_i) = 0.
     """
     n = poly.n_vars
@@ -659,49 +642,72 @@ def _least_witness(ring: Ring, k: int, degree: int, bound: int):
     return choose
 
 
-def construct_unit_valued(
-    ring: Ring, points: Sequence[PrimitivePoint], witness_bound: int = _DEFAULT_BOUND
-) -> tuple:
-    """Build a homogeneous polynomial taking unit values at all the given
-    primitive points, plus the trace of the construction's choices: a
-    ProductTrace over a ProductRing, which is built one factor at a time,
-    else a ConstructionTrace.
-
-    Each step is _step run on the constructor's own choices, on the values
-    at the covered points carried over from the step before. Each is a
-    unit: the base form takes the value 1 at the base point, _step's
-    post-check requires R's value at a covered point to be a unit, and R's
-    value at the new point is the witness unit eps.
-    """
-    pts = list(points)
-    if not pts:
-        raise PreconditionError("at least one point is required")
+def _check_points(ring: Ring, pts, check) -> None:
+    """The one input check of construct and replay, failures to check(cond,
+    message): at least one point, each a PrimitivePoint, of one dimension
+    n >= 2; over a ProductRing, one component per factor in every coordinate
+    and certificate entry; certificates that verify; no point repeated."""
+    check(len(pts) > 0, "at least one point is required")
+    check(all(isinstance(p, PrimitivePoint) for p in pts), "points must be PrimitivePoints")
     n = len(pts[0].coordinates)
-    if n < 2:
-        raise PreconditionError("points need at least two coordinates")
+    check(n >= 2, "points need at least two coordinates")
+    check(all(_is_tuple_of(p.coordinates, n) for p in pts), "points must share one dimension")
+    if isinstance(ring, ProductRing):
+        r = len(ring.factors)
+        entries = [x for p in pts for x in p.coordinates + p.certificate.coefficients]
+        check(all(_is_tuple_of(x, r) for x in entries), f"every entry needs {r} components")
     seen = set()
     for p in pts:
-        if len(p.coordinates) != n:
-            raise PreconditionError("points must share one dimension")
-        if not verify_certificate(ring, p.coordinates, p.certificate):
-            raise PreconditionError("primitivity certificate does not verify")
+        # a foreign certificate fails inside verify_certificate
+        ok = verify_certificate(ring, p.coordinates, p.certificate)
+        check(ok, "primitivity certificate does not verify")
         if p.coordinates in seen:
             shown = ", ".join(ring.format_element(c) for c in p.coordinates)
-            raise PreconditionError(f"duplicate point ({shown})")
+            check(False, f"duplicate point ({shown})")
         seen.add(p.coordinates)
+
+
+def _build(ring: Ring, pts: tuple, choose, factor, check) -> tuple:
+    """The one construction routine of construct and replay: the polynomial
+    unit-valued at pts, which passed _check_points, and the trace of its
+    choices.
+
+    Over a ring that is not a product it starts from the linear form of
+    pts[0]'s certificate, of value 1 there, and runs _step at each later
+    point with the choices of choose(k, degree) for the k-th extension.
+
+    Over a ProductRing it is property (**) of the source paper for a finite
+    product. factor(i, A_i, components) gives a P_i unit-valued at the
+    distinct i-th components, which are primitive as a certificate splits by
+    component, and its trace. With d_i = deg P_i and L = lcm(d_i), the
+    polynomial with coefficients (P_1^(L/d_1), ..., P_r^(L/d_r)) is
+    homogeneous of degree L and unit-valued at every product point, which
+    is checked. The powers go through pow, so through mul.
+    """
     if isinstance(ring, ProductRing):
-        return _construct_product(ring, pts, witness_bound)
-    base = pts[0]
-    current = HomogeneousPolynomial.linear(ring, base.certificate.coefficients)
-    steps = []
-    values = (ring.one(),)  # the base form's value is the certificate sum, checked above
-    for k, q in enumerate(pts[1:], 1):
-        witness = _least_witness(ring, k, current.degree, witness_bound)
-        step, current, values = _step(
-            ring, current, pts[:k], values, q, _combination, witness, ensure
+        polys, traces = zip(
+            *(factor(i, f, _component_points(pts, i)) for i, f in enumerate(ring.factors))
         )
+        degree = lcm(*(p.degree for p in polys))
+        powers = [p.pow(degree // p.degree) for p in polys]
+        zeros = [f.zero() for f in ring.factors]
+        keys = set().union(*(p.terms for p in powers))
+        terms = {
+            e: tuple(p.terms.get(e, z) for p, z in zip(powers, zeros)) for e in keys
+        }
+        n = len(pts[0].coordinates)
+        result = HomogeneousPolynomial._from_trusted(ring, n, degree, terms)
+        values = tuple(result.eval(p.coordinates) for p in pts)
+        check(all(ring.is_unit(v) for v in values), "the result is not unit-valued")
+        return result, ProductTrace(pts, traces, values)
+    poly = HomogeneousPolynomial.linear(ring, pts[0].certificate.coefficients)
+    values = (ring.one(),)  # the certificate sum, which _check_points verified
+    steps = []
+    for k, q in enumerate(pts[1:], 1):
+        identity, witness = choose(k, poly.degree)
+        step, poly, values = _step(ring, poly, pts[:k], values, q, identity, witness, check)
         steps.append(step)
-    return current, ConstructionTrace(base, tuple(steps), values)
+    return poly, ConstructionTrace(pts[0], tuple(steps), values)
 
 
 def _component_points(points, i: int) -> tuple:
@@ -716,154 +722,97 @@ def _component_points(points, i: int) -> tuple:
     return tuple(seen.values())
 
 
-def _recombine(ring: ProductRing, pts: tuple, factor_polys, check) -> tuple:
-    """The polynomial over the product with component polynomials
-    P_i^(L/d_i), L = lcm(d_i), and its values at the points, each checked
-    to be a unit. The powers go through pow, so through mul. The
-    constructor and replay both recombine here."""
-    degree = lcm(*(p.degree for p in factor_polys))
-    powers = [p.pow(degree // p.degree) for p in factor_polys]
-    zeros = [f.zero() for f in ring.factors]
-    keys = set().union(*(p.terms for p in powers))
-    terms = {
-        e: tuple(p.terms.get(e, z) for p, z in zip(powers, zeros)) for e in keys
-    }
-    n = len(pts[0].coordinates)
-    result = HomogeneousPolynomial._from_trusted(ring, n, degree, terms)
-    values = tuple(result.eval(p.coordinates) for p in pts)
-    check(all(ring.is_unit(v) for v in values), "the result is not unit-valued")
-    return result, values
+def _precondition(cond: bool, message: str) -> None:
+    if not cond:
+        raise PreconditionError(message)
 
 
-def _construct_product(ring: ProductRing, pts: list, witness_bound: int) -> tuple:
-    """Property (**) of the source paper for a finite product, one factor
-    at a time.
+def construct_unit_valued(
+    ring: Ring, points: Sequence[PrimitivePoint], witness_bound: int = _DEFAULT_BOUND
+) -> tuple:
+    """Build a homogeneous polynomial taking unit values at all the given
+    primitive points, plus the trace of the construction's choices: a
+    ProductTrace over a ProductRing, else a ConstructionTrace.
 
-    A point of A_1 x ... x A_r is primitive exactly when each of its
-    components is, since a Bezout certificate splits by component. If P_i
-    is unit-valued at the distinct components in A_i and has degree d_i,
-    then with L = lcm(d_i) the polynomial with coefficients
-    (P_1^(L/d_1), ..., P_r^(L/d_r)) is homogeneous of degree L and
-    unit-valued at every product point. A factor that is itself a product
-    recurses through construct_unit_valued.
+    Points that fail _check_points raise PreconditionError. _build then runs
+    on the constructor's own choices: _combination and _least_witness at
+    each step, and this function on each factor of a product.
     """
-    polys, traces = [], []
-    for i, factor in enumerate(ring.factors):
-        poly, trace = construct_unit_valued(
-            factor, _component_points(pts, i), witness_bound
-        )
-        polys.append(poly)
-        traces.append(trace)
-    result, values = _recombine(ring, tuple(pts), polys, ensure)
-    return result, ProductTrace(tuple(pts), tuple(traces), values)
-
-
-def _splits(p, n: int, r: int) -> bool:
-    """True when p is a point of n coordinates over an r-factor product,
-    with a certificate of the same shape."""
-    return (
-        isinstance(p, PrimitivePoint)
-        and isinstance(p.certificate, BezoutCertificate)
-        and _is_tuple_of(p.coordinates, n)
-        and _is_tuple_of(p.certificate.coefficients, n)
-        and all(_is_tuple_of(x, r) for x in p.coordinates + p.certificate.coefficients)
+    pts = tuple(points)
+    _check_points(ring, pts, _precondition)
+    return _build(
+        ring,
+        pts,
+        lambda k, degree: (_combination, _least_witness(ring, k, degree, witness_bound)),
+        lambda i, f, components: construct_unit_valued(f, components, witness_bound),
+        ensure,
     )
 
 
-def _replay_product(ring: Ring, trace: ProductTrace, check) -> HomogeneousPolynomial:
-    """Replay each factor trace on its factor ring, then recombine the
-    replayed polynomials and require the recorded values."""
-    check(
-        isinstance(ring, ProductRing)
-        and _is_tuple_of(trace.factor_traces, len(ring.factors)),
-        "one factor trace per factor of a product ring",
-    )
-    pts = trace.points
-    check(isinstance(pts, tuple) and pts, "no product points")
-    n = len(getattr(pts[0], "coordinates", ()))
-    check(
-        all(
-            _splits(p, n, len(ring.factors))
-            and verify_certificate(ring, p.coordinates, p.certificate)
-            for p in pts
-        ),
-        "a product point is malformed or its certificate does not verify",
-    )
-    polys = []
-    for i, (factor, factor_trace) in enumerate(zip(ring.factors, trace.factor_traces)):
-        # replay first: it rejects a trace whose points cannot be read
-        polys.append(replay_trace(factor, factor_trace))
+def _recorded(ring: Ring, step: ExtensionStep, check) -> tuple:
+    """Replay's choices at a step: the recorded identity, and the recorded
+    alpha and witness once the witness verifies for (a, P(q)^alpha)."""
+
+    def witness(a, pq) -> tuple:
+        alpha, w = step.alpha, step.witness
+        check(isinstance(alpha, int) and alpha >= 1, "alpha must be a positive integer")
         check(
-            factor_trace.points == _component_points(pts, i),
-            "a factor trace does not cover the distinct components of the points",
+            isinstance(w, GoodPointWitness) and verify_witness(ring, a, ring.pow(pq, alpha), w),
+            "step witness does not verify",
         )
-    result, values = _recombine(ring, pts, polys, check)
-    check(trace.values == values, "the recorded values are not the result's")
-    return result
+        return alpha, w
+
+    return (lambda *_: (step.cofactors, step.combiners)), witness
 
 
 def replay_trace(ring: Ring, trace) -> HomogeneousPolynomial:
     """Recompute every identity in a construction trace from its recorded
-    choices.
+    choices, and return the final polynomial.
 
-    Returns the final polynomial on success and raises GoodRingsError at the
-    first mismatch. Nothing is trusted: each step runs the constructor's own
-    step builder on the step's recorded choices (the cofactors and
-    combiners, alpha and a witness that must verify), which rechecks every
-    identity the constructor checked. The point values come from replay's
-    own evaluations, which carry over from step to step as they do in
-    construct_unit_valued, and the recorded final values must equal them. A
-    ProductTrace replays each factor trace on its factor ring, which must
-    cover exactly the distinct components of the product points, then
-    recombines the replayed polynomials and requires the recorded values.
-    A foreign element inside a record fails as a malformed record.
+    Nothing is trusted: replay runs the constructor's own point check and
+    construction routine, _check_points and _build, on the trace's points
+    and recorded choices, so it rechecks every identity the constructor
+    checked, and it requires the recorded values to equal its own. A ProductTrace's factor
+    traces replay on the factor rings and must cover exactly the distinct
+    components of the points. The first mismatch raises GoodRingsError
+    "trace replay failed: ...", and a foreign element inside a record fails
+    as a malformed record.
     """
 
     def check(cond: bool, message: str) -> None:
         ensure(cond, f"trace replay failed: {message}")
 
+    def factor(i: int, f: Ring, components: tuple) -> tuple:
+        factor_trace = trace.factor_traces[i]
+        poly = replay_trace(f, factor_trace)  # first: it rejects unreadable points
+        check(factor_trace.points == components, "a factor trace does not cover the components")
+        return poly, factor_trace
+
     try:
-        if isinstance(trace, ProductTrace):
-            return _replay_product(ring, trace, check)
-        check(isinstance(trace, ConstructionTrace), "not a construction trace")
-        base = trace.base_point
+        product = isinstance(trace, ProductTrace)
+        check(product or isinstance(trace, ConstructionTrace), "not a construction trace")
         check(
-            isinstance(base, PrimitivePoint)
-            and verify_certificate(ring, base.coordinates, base.certificate),
-            "base point malformed or its certificate invalid",
+            product == isinstance(ring, ProductRing),
+            "a product ring takes a ProductTrace, and no other ring does",
         )
-        poly = HomogeneousPolynomial.linear(ring, base.certificate.coefficients)
-        check(isinstance(trace.steps, tuple), "the steps are not a tuple")
-        covered = [base]
-        values = (ring.one(),)  # the base form's value is the certificate sum
-        for step in trace.steps:
-            check(isinstance(step, ExtensionStep), "a step is not an ExtensionStep")
-            q_pt = step.new_point
+        if product:
             check(
-                isinstance(q_pt, PrimitivePoint)
-                and len(q_pt.coordinates) == poly.n_vars
-                and verify_certificate(ring, q_pt.coordinates, q_pt.certificate),
-                "extension point malformed or its certificate invalid",
+                isinstance(trace.points, tuple)
+                and _is_tuple_of(trace.factor_traces, len(ring.factors)),
+                "a product trace needs a tuple of points and one trace per factor",
             )
-
-            def recorded_witness(a, pq) -> tuple:
-                alpha, w = step.alpha, step.witness
-                check(
-                    isinstance(alpha, int) and alpha >= 1, "alpha must be a positive integer"
-                )
-                check(
-                    isinstance(w, GoodPointWitness)
-                    and verify_witness(ring, a, ring.pow(pq, alpha), w),
-                    "step witness does not verify",
-                )
-                return alpha, w
-
-            _, poly, values = _step(
-                ring, poly, covered, values, q_pt,
-                lambda *_: (step.cofactors, step.combiners), recorded_witness, check,
+        else:
+            check(
+                isinstance(trace.steps, tuple)
+                and all(isinstance(s, ExtensionStep) for s in trace.steps),
+                "the steps are not a tuple of ExtensionSteps",
             )
-            covered.append(q_pt)
-        check(trace.values == values, "the recorded values are not the result's")
+        pts = trace.points
+        _check_points(ring, pts, check)
+        poly, rebuilt = _build(
+            ring, pts, lambda k, _: _recorded(ring, trace.steps[k - 1], check), factor, check
+        )
+        check(trace.values == rebuilt.values, "the recorded values are not the result's")
         return poly
     except (TypeError, AttributeError) as err:
         raise GoodRingsError(f"trace replay failed: malformed record ({err})") from err

@@ -55,10 +55,6 @@ class SabAlgebra:
         base = self.base
         return SabElement(base.add(z1.x, z2.x), base.add(z1.y, z2.y))
 
-    def neg(self, z: SabElement) -> SabElement:
-        base = self.base
-        return SabElement(base.neg(z.x), base.neg(z.y))
-
     def mul(self, z1: SabElement, z2: SabElement) -> SabElement:
         """(x1 + y1*th)(x2 + y2*th) = x1*x2 + (x1*y2 + y1*x2 + a*y1*y2)*th."""
         base = self.base

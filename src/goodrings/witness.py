@@ -127,17 +127,46 @@ class UnitQuotientReport:
     reason: Optional[str] = None
 
 
-# unit_quotient_group factors only quotients of at most this many residues
+# unit_quotient_group factors only quotients of at most this many residues,
+# and at a = 0 trial-divides a factor's size only by d up to it
 _QUOTIENT_LIMIT = 20000
 # check_good_ring_exhaustive checks rings whose factors hold at most this many
 # pairs in all; GF(997), 994,009 pairs, takes about 2 s on a 2-core machine
 _PAIR_LIMIT = 1000000
 
 
+def _trial_factors(n: int, trial: int) -> tuple[list, int]:
+    """The (p, k) with p^k exactly dividing n for the primes p <= trial, and
+    the part of n left over: 1, a prime once trial passes its square root,
+    or a part with no prime factor up to trial."""
+    powers = []
+    for d in range(2, trial + 1):
+        if d * d > n:
+            break
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        if k:
+            powers.append((d, k))
+    return powers, n
+
+
+def _unfactored(ring: Ring) -> Optional[Ring]:
+    """A factor Z/n of ring that trial division up to _QUOTIENT_LIMIT leaves
+    with a part of n that is neither 1 nor a known prime, or None."""
+    if isinstance(ring, ProductRing):
+        return next(filter(None, map(_unfactored, ring.factors)), None)
+    rest = _trial_factors(ring.n, _QUOTIENT_LIMIT)[1] if isinstance(ring, IntegersMod) else 1
+    return None if rest == 1 or (rest < _PRIMALITY_LIMIT and _is_prime(rest)) else ring
+
+
 def unit_quotient_group(ring: Ring, a) -> UnitQuotientReport:
     """The group (A/aA)^x / image(A^x) from the ring's closed form: finite at
     a = 0 and when A/aA has at most _QUOTIENT_LIMIT residues, else unknown.
-    A pair (a, b) is good when some b^N lands in the group's identity."""
+    A pair (a, b) is good when some b^N lands in the group's identity. At
+    a = 0 with no size, the closed form counts the units of each Z/n factor
+    by factoring n, so there the limit bounds the trial division."""
     size = ring.quotient_size(a)
     if size is not None and size > _QUOTIENT_LIMIT:
         return UnitQuotientReport(
@@ -148,6 +177,12 @@ def unit_quotient_group(ring: Ring, a) -> UnitQuotientReport:
         return UnitQuotientReport(
             "unknown",
             reason=f"the quotient of {ring.spec_string()} by this element is not enumerable",
+        )
+    if size is None and (hard := _unfactored(ring)) is not None:
+        return UnitQuotientReport(
+            "unknown",
+            reason=f"the factor {hard.spec_string()} does not factor by trial "
+            f"division up to the limit {_QUOTIENT_LIMIT}",
         )
     carrier, order = ring.unit_quotient(a)
     return UnitQuotientReport("finite", order=order, carrier=carrier)
@@ -203,16 +238,8 @@ def _factors(ring: Ring) -> list:
     if isinstance(ring, ProductRing):
         return [g for f in ring.factors for g in _factors(f)]
     if isinstance(ring, IntegersMod):
-        n, powers, trial = ring.n, [], isqrt(_PAIR_LIMIT)
-        for d in range(2, trial + 1):
-            if d * d > n:
-                break  # n is 1 or a prime
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            if k:
-                powers.append((d, k))
+        trial = isqrt(_PAIR_LIMIT)
+        powers, n = _trial_factors(ring.n, trial)
         if n > 1:
             if not (n < _PRIMALITY_LIMIT and _is_prime(n)):
                 raise LimitExceededError(

@@ -281,6 +281,23 @@ def test_quotient_units_at_a_zero_counts_units_by_factoring():
 
 
 @pytest.mark.parametrize(
+    "n",
+    # p*q with p and q near 10^12, and (2^61 - 1)^3: unit_quotient would
+    # trial-divide n up to 10^12 or 2^61 to count its units
+    [1000000000100000000002379, (2**61 - 1) ** 3],
+)
+def test_quotient_units_at_a_zero_refuses_an_unfactorable_factor(n):
+    start = time.perf_counter()
+    code, out = invoke("quotient-units", "--ring", f"prod(Z,Z/{n})", "--a", "(0,0)")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert out["payload"] == {
+        "group_status": "unknown",
+        "reason": f"the factor Z/{n} does not factor by trial division up to the limit 20000",
+    }
+
+
+@pytest.mark.parametrize(
     "ring_spec, a, payload",
     [
         # 2^14 residues; T^14+T+1 has irreducible factors of degrees 2, 5, 7

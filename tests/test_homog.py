@@ -17,6 +17,7 @@ from goodrings.core import (
     PrimitivePoint,
     BezoutCertificate,
     UnsupportedRingError,
+    ensure,
     is_primitive,
     require_primitive,
 )
@@ -28,7 +29,6 @@ from goodrings.homog import (
     WitnessSearchExhausted,
     construct_unit_valued,
     ideal_slice_dimension,
-    linear_form_for_point,
     monomial_exponents,
     replay_trace,
     section_ideal_generators,
@@ -60,7 +60,6 @@ def test_polynomial_arithmetic():
     f = P("x1^2-x1*x2+x2^2")
     g = P("x1^2+x2^2")
     assert f.add(g) == P("2*x1^2-x1*x2+2*x2^2")
-    assert f.sub(f).is_zero
     assert f.mul(P("x1")) == P("x1^3-x1^2*x2+x1*x2^2")
     assert f.scale(-2) == P("-2*x1^2+2*x1*x2-2*x2^2")
     assert P("x1+x2").pow(2) == P("x1^2+2*x1*x2+x2^2")
@@ -384,19 +383,6 @@ def test_parse_names_the_bad_coefficient(spec, literal, factor):
 # section ideals
 
 
-def test_linear_form_for_point():
-    pt = require_primitive(Z, (5, 2))
-    form = linear_form_for_point(Z, pt)
-    assert form.degree == 1
-    assert form.eval((5, 2)) == 1
-
-
-def test_linear_form_rejects_bad_certificate():
-    fake = PrimitivePoint((5, 2), BezoutCertificate((1, 1)))
-    with pytest.raises(PreconditionError):
-        linear_form_for_point(Z, fake)
-
-
 def test_section_ideal_generators():
     F2 = PrimeField(2)
     pt = require_primitive(F2, (1, 0, 0))
@@ -467,9 +453,11 @@ def test_construct_classic_three_points():
 def test_construct_single_point_is_its_linear_form():
     pts = _points(Z, [(5, 2)])
     poly, trace = construct_unit_valued(Z, pts)
+    assert poly == HomogeneousPolynomial.linear(Z, pts[0].certificate.coefficients)
     assert poly.degree == 1
     assert poly.eval((5, 2)) == 1
     assert trace.steps == ()
+    assert replay_trace(Z, trace) == poly
 
 
 def test_construct_alpha_adjustment():
@@ -573,6 +561,50 @@ def test_construct_rejects_empty():
 def test_construct_rejects_a_failing_certificate():
     with pytest.raises(PreconditionError, match="certificate does not verify"):
         construct_unit_valued(Z, [require_primitive(Z, (1, 0)), _FAKE_POINT])
+
+
+def _hand_built_trace(case, ring, pts):
+    """A trace over pts that construct_unit_valued would not make."""
+    if case == "repeated-point":
+        # the step at the repeated point is built by _step itself, on the
+        # constructor's own choices, past construct's point check
+        poly, trace = construct_unit_valued(Z, pts[:2])
+        witness = homog._least_witness(Z, 2, poly.degree, 100)
+        step, _, values = homog._step(
+            Z, poly, pts[:2], trace.values, pts[2], homog._combination, witness, ensure
+        )
+        return dataclasses.replace(trace, steps=trace.steps + (step,), values=values)
+    # otherwise the choices of a valid construction over as many points
+    _, trace = construct_unit_valued(Z, _points(Z, [(1, 0), (0, 1)][: len(pts)]))
+    if isinstance(ring, ProductRing):
+        return ProductTrace(tuple(pts), (trace, trace), trace.values)
+    steps = tuple(
+        dataclasses.replace(s, new_point=p) for s, p in zip(trace.steps, pts[1:])
+    )
+    return dataclasses.replace(trace, base_point=pts[0], steps=steps)
+
+
+@pytest.mark.parametrize(
+    "case, ring, pts",
+    [
+        ("repeated-point", Z, _points(Z, [(1, 0), (0, 1), (1, 0)])),
+        (
+            "extra-component",
+            parse_ring("prod(Z,Z/5)"),
+            [PrimitivePoint(((1, 1, 7), (0, 0)), BezoutCertificate(((1, 1), (0, 0))))],
+        ),
+        ("bare-tuple", Z, [(1, 0), (0, 1)]),
+        ("dimension-mismatch", Z, _points(Z, [(1, 0), (0, 1, 0)])),
+        ("failing-certificate", Z, [require_primitive(Z, (1, 0)), _FAKE_POINT]),
+    ],
+)
+def test_construct_and_replay_refuse_the_same_point_sets(case, ring, pts):
+    # one point check serves both sides: what construct refuses as a
+    # precondition, replay refuses in a hand-built trace
+    with pytest.raises(PreconditionError):
+        construct_unit_valued(ring, pts)
+    with pytest.raises(GoodRingsError, match="trace replay failed"):
+        replay_trace(ring, _hand_built_trace(case, ring, pts))
 
 
 def test_extend_postcheck_raises_without_assert(monkeypatch):

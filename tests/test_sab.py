@@ -58,7 +58,6 @@ def test_algebra_laws_over_integers(a, x1, y1, x2, y2, x3, y3):
         alg.mul(z1, z2), alg.mul(z1, z3)
     )
     assert alg.mul(z1, alg.one()) == z1
-    assert alg.add(z1, alg.neg(z1)) == alg.zero()
 
 
 def test_unit_law_matches_brute_force_over_small_modular_rings():
