@@ -14,8 +14,11 @@ same commands. Last come the construction traces (workload "trace", its
 result the trace that construct_unit_valued returns): of each of
 perfbench's _HEAVY_POINTS sets over Z (kind "heavy"), then of the point set
 of each golden `construct` command on its own ring (kind "golden", indexed
-by the command's line), read by the library's own parsers. Operations are
-not checked, only digested.
+by the command's line), read by the library's own parsers. Then the
+limits (workload "limits", kind the command): `check-good` on Z/n and
+`quotient-units` at (0,0) on prod(Z,Z/n) for the moduli of CHECK_GOOD_MODULI
+and QUOTIENT_MODULI, where factoring n decides the answer or the refusal.
+Operations are not checked, only digested.
 
 Like the benchmark, it limits every operation's work: limit_work() once, and
 start_work() before each operation. A WorkLimit, any other exception, and a
@@ -40,6 +43,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "cli.jsonl"
 HASH_SEED = "0"
+BIG = 3317044064679887385961813  # the largest prime below rings._PRIMALITY_LIMIT
+M61 = 2**61 - 1
+# primes, prime powers and products on either side of the trial bounds
+# isqrt(_PAIR_LIMIT) = 1000 and _QUOTIENT_LIMIT = 20000 and of the primality limit
+CHECK_GOOD_MODULI = (
+    1, 2, 4, 1000000007, 1000000000100000000002379, M61**3, 2 * 999983, 3000,
+    12 * BIG, M61, 1009 * 1013, 997**2,
+)
+QUOTIENT_MODULI = (
+    1, 15, 30000, 1000000007, 1000000000100000000002379, M61**3, 12 * BIG, M61,
+    20011 * 20021, 19997 * 20011, 20011**2, 2 * BIG**2,
+)
 
 
 def _digest(call) -> str:
@@ -104,6 +119,11 @@ def main() -> int:
             return construct_unit_valued(ring, cli._parse_points(ring, opts["--points"]))[1]
 
         print("trace", "-", i, "golden", _digest(trace), flush=True)
+    limits = [["check-good", "--ring", f"Z/{n}"] for n in CHECK_GOOD_MODULI] + [
+        ["quotient-units", "--ring", f"prod(Z,Z/{n})", "--a", "(0,0)"] for n in QUOTIENT_MODULI
+    ]
+    for i, argv in enumerate(limits):
+        print("limits", "-", i, argv[0], _digest(lambda: cli.run(argv)), flush=True)
     return 0
 
 

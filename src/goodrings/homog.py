@@ -739,7 +739,10 @@ def construct_unit_valued(
     each step, and this function on each factor of a product.
     """
     pts = tuple(points)
-    _check_points(ring, pts, _precondition)
+    try:
+        _check_points(ring, pts, _precondition)
+    except (TypeError, AttributeError) as err:  # e.g. a foreign certificate
+        raise PreconditionError(f"malformed point ({err})") from err
     return _build(
         ring,
         pts,

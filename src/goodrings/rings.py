@@ -85,16 +85,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """The pairs (p, k) with p^k exactly dividing n >= 1, ascending in p; []
-    for n = 1. Trial division, which stops once the cofactor is 1 or a prime
-    that _is_prime recognises below _PRIMALITY_LIMIT."""
+def _trial_factors(n: int, trial: int) -> tuple[list[tuple[int, int]], int]:
+    """Trial division of n >= 1 by d <= trial, the one factoring routine:
+    (powers, rest), with the (p, k) of p^k exactly dividing n ascending in p.
+    A cofactor is listed as a prime once it has no factor up to its square
+    root or _is_prime decides it below _PRIMALITY_LIMIT. rest is 1, or a
+    part of n with no prime factor up to trial that is not a decided prime;
+    it is 1 whenever trial >= isqrt(n)."""
     powers, d = [], 2
     while n > 1 and not (n < _PRIMALITY_LIMIT and _is_prime(n)):
-        while n % d and d * d <= n:
+        while n % d and d * d <= n and d <= trial:
             d += 1
-        if n % d:
+        if d * d > n:
             break  # no factor up to sqrt(n): the cofactor is prime
+        if d > trial:
+            return powers, n
         k = 0
         while n % d == 0:
             n //= d
@@ -102,12 +107,12 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
         powers.append((d, k))
     if n > 1:
         powers.append((n, 1))
-    return powers
+    return powers, 1
 
 
 def _phi(n: int) -> int:
     """Euler's phi of n >= 1: p^(k-1) * (p-1) units mod each prime power p^k."""
-    return prod(p ** (k - 1) * (p - 1) for p, k in _prime_powers(n))
+    return prod(p ** (k - 1) * (p - 1) for p, k in _trial_factors(n, n)[0])
 
 
 def _top_level_cuts(text: str, seps: str) -> list[int]:

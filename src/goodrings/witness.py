@@ -22,7 +22,7 @@ from .core import (
     ensure,
     require_primitive,
 )
-from .rings import _PRIMALITY_LIMIT, IntegersMod, ProductRing, RationalPoly, _is_prime
+from .rings import IntegersMod, ProductRing, RationalPoly, _trial_factors
 
 _DEFAULT_BOUND = 10000
 
@@ -128,37 +128,20 @@ class UnitQuotientReport:
 
 
 # unit_quotient_group factors only quotients of at most this many residues,
-# and at a = 0 trial-divides a factor's size only by d up to it
+# and at a = 0 runs _trial_factors on a Z/n factor's n with trial = this
 _QUOTIENT_LIMIT = 20000
 # check_good_ring_exhaustive checks rings whose factors hold at most this many
 # pairs in all; GF(997), 994,009 pairs, takes about 2 s on a 2-core machine
 _PAIR_LIMIT = 1000000
 
 
-def _trial_factors(n: int, trial: int) -> tuple[list, int]:
-    """The (p, k) with p^k exactly dividing n for the primes p <= trial, and
-    the part of n left over: 1, a prime once trial passes its square root,
-    or a part with no prime factor up to trial."""
-    powers = []
-    for d in range(2, trial + 1):
-        if d * d > n:
-            break
-        k = 0
-        while n % d == 0:
-            n //= d
-            k += 1
-        if k:
-            powers.append((d, k))
-    return powers, n
-
-
 def _unfactored(ring: Ring) -> Optional[Ring]:
-    """A factor Z/n of ring that trial division up to _QUOTIENT_LIMIT leaves
-    with a part of n that is neither 1 nor a known prime, or None."""
+    """A factor Z/n of ring whose n _trial_factors up to _QUOTIENT_LIMIT
+    leaves with a part other than 1, or None."""
     if isinstance(ring, ProductRing):
         return next(filter(None, map(_unfactored, ring.factors)), None)
-    rest = _trial_factors(ring.n, _QUOTIENT_LIMIT)[1] if isinstance(ring, IntegersMod) else 1
-    return None if rest == 1 or (rest < _PRIMALITY_LIMIT and _is_prime(rest)) else ring
+    hard = isinstance(ring, IntegersMod) and _trial_factors(ring.n, _QUOTIENT_LIMIT)[1] > 1
+    return ring if hard else None
 
 
 def unit_quotient_group(ring: Ring, a) -> UnitQuotientReport:
@@ -166,7 +149,8 @@ def unit_quotient_group(ring: Ring, a) -> UnitQuotientReport:
     a = 0 and when A/aA has at most _QUOTIENT_LIMIT residues, else unknown.
     A pair (a, b) is good when some b^N lands in the group's identity. At
     a = 0 with no size, the closed form counts the units of each Z/n factor
-    by factoring n, so there the limit bounds the trial division."""
+    by _trial_factors on n, which the limit bounds there: a part left over
+    makes the group unknown."""
     size = ring.quotient_size(a)
     if size is not None and size > _QUOTIENT_LIMIT:
         return UnitQuotientReport(
@@ -229,25 +213,23 @@ def _factors(ring: Ring) -> list:
     """A product's factors with nested products flattened, and Z/n split into
     its Z/p^k when n has two or more prime factors; else [ring].
 
-    Z/n is trial-divided only by d <= isqrt(_PAIR_LIMIT). A part m > 1 left
-    over has a prime factor p above that bound, so Z/p^k alone holds more
-    than _PAIR_LIMIT pairs and the ring is refused either way. A prime m
-    becomes a factor, so that the refusal counts the pairs exactly; any
-    other m raises LimitExceededError at once rather than be factored.
+    Z/n is split by _trial_factors with trial = isqrt(_PAIR_LIMIT). A prime
+    above that bound already makes Z/p^k alone hold more than _PAIR_LIMIT
+    pairs, so the ring is refused either way. A decided prime becomes a
+    factor, so that the refusal counts the pairs exactly; a part left over
+    raises LimitExceededError at once rather than be factored.
     """
     if isinstance(ring, ProductRing):
         return [g for f in ring.factors for g in _factors(f)]
     if isinstance(ring, IntegersMod):
         trial = isqrt(_PAIR_LIMIT)
-        powers, n = _trial_factors(ring.n, trial)
-        if n > 1:
-            if not (n < _PRIMALITY_LIMIT and _is_prime(n)):
-                raise LimitExceededError(
-                    f"checking {ring.spec_string()} takes more factor pairs than "
-                    f"the limit {_PAIR_LIMIT}: its factor {n} has no prime "
-                    f"factor up to {trial}"
-                )
-            powers.append((n, 1))
+        powers, rest = _trial_factors(ring.n, trial)
+        if rest > 1:
+            raise LimitExceededError(
+                f"checking {ring.spec_string()} takes more factor pairs than "
+                f"the limit {_PAIR_LIMIT}: its factor {rest} has no prime "
+                f"factor up to {trial}"
+            )
         if len(powers) > 1:
             return [IntegersMod(p**k) for p, k in powers]
     return [ring]

@@ -596,6 +596,7 @@ def _hand_built_trace(case, ring, pts):
         ("bare-tuple", Z, [(1, 0), (0, 1)]),
         ("dimension-mismatch", Z, _points(Z, [(1, 0), (0, 1, 0)])),
         ("failing-certificate", Z, [require_primitive(Z, (1, 0)), _FAKE_POINT]),
+        ("foreign-certificate", Z, [PrimitivePoint((1, 0), object())]),
     ],
 )
 def test_construct_and_replay_refuse_the_same_point_sets(case, ring, pts):

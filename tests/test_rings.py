@@ -5,7 +5,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -620,7 +620,8 @@ def test_is_prime_agrees_with_trial_division():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=10**9))
 def test_prime_powers_split_n_into_coprime_prime_powers(n):
-    powers = rings._prime_powers(n)
+    powers, rest = rings._trial_factors(n, n)
+    assert rest == 1
     primes = [p for p, _ in powers]
     assert primes == sorted(set(primes))
     assert all(rings._is_prime(p) and k >= 1 for p, k in powers)
@@ -641,14 +642,30 @@ def test_prime_powers_split_n_into_coprime_prime_powers(n):
     ],
 )
 def test_prime_powers_keep_primes_and_prime_powers_whole(n, powers):
-    assert rings._prime_powers(n) == powers
+    assert rings._trial_factors(n, n) == (powers, 1)
 
 
 def test_prime_powers_past_the_primality_limit():
     # the primality test is asked only about cofactors below its limit
     big = rings._PRIMALITY_LIMIT - 168  # the largest prime below it
-    assert rings._prime_powers(12 * big) == [(2, 2), (3, 1), (big, 1)]
-    assert rings._prime_powers(10**30) == [(2, 30), (5, 30)]
+    assert rings._trial_factors(12 * big, 12 * big) == ([(2, 2), (3, 1), (big, 1)], 1)
+    assert rings._trial_factors(10**30, 10**30) == ([(2, 30), (5, 30)], 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=2, max_value=2000))
+def test_trial_factors_stop_at_the_trial_bound(n, trial):
+    powers, rest = rings._trial_factors(n, trial)
+    assert prod(p**k for p, k in powers) * rest == n
+    primes = [p for p, _ in powers]
+    assert primes == sorted(set(primes))
+    assert all(rings._is_prime(p) and k >= 1 for p, k in powers)
+    # a part left over has no divisor the trial reached, and is no prime
+    assert rest == 1 or not (
+        rings._is_prime(rest)
+        or any(rest % d == 0 for d in range(2, min(trial, isqrt(rest)) + 1))
+    )
+    assert trial < isqrt(n) or rest == 1
 
 
 @pytest.mark.parametrize("ring", [Z, IntegersMod(1), Z12, F5], ids=lambda r: r.spec_string())
