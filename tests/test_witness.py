@@ -440,15 +440,19 @@ def test_check_good_asks_bezout_once_per_class_without_a_unit(monkeypatch):
 
 
 def test_prove_pairs_per_class_matches_find_good_witness_per_pair(monkeypatch):
-    # the reference searches every pair; the per-class proof must check the
-    # identity b^N + lam*a = eps with the same N and eps for each primitive
-    # pair, and for no other pair, and on a finite ring every such N is 1
-    checked, lifts = {}, witness._lifts
+    # the reference searches every pair; the per-class proof must hand its
+    # check the identity b + lam*a = eps, N = 1, with the same eps for each
+    # primitive pair, and no other pair, and on a finite ring every such N is 1
+    checked, class_lams = {}, witness._class_lams
 
-    def recording(ring, a, b, N, lam, eps):
-        assert (a, b) not in checked
-        checked[a, b] = N, eps
-        return lifts(ring, a, b, N, lam, eps)
+    def recording(ring, a):
+        for eps, members, lams in class_lams(ring, a):
+            for b, lam in zip(members, lams, strict=True):
+                assert (a, b) not in checked
+                checked[a, b] = 1, eps
+                w = GoodPointWitness(1, lam, eps, ring.unit_inverse(eps))
+                assert verify_witness(ring, a, b, w)
+            yield eps, members, lams
 
     rings = [IntegersMod(n) for n in range(1, 121)]
     rings += [PrimeField(p) for p in range(2, 62) if all(p % q for q in range(2, p))]
@@ -464,8 +468,8 @@ def test_prove_pairs_per_class_matches_find_good_witness_per_pair(monkeypatch):
                 expected[a, b] = w.N, w.epsilon
         checked.clear()
         with monkeypatch.context() as m:
-            m.setattr(witness, "_lifts", recording)
-            witness._prove_pairs(ring, elts)
+            m.setattr(witness, "_class_lams", recording)
+            witness._prove_pairs(ring)
         assert checked == expected, ring
         assert {n for n, _ in expected.values()} == {1}, ring
 
@@ -476,13 +480,14 @@ def test_prove_pairs_per_class_matches_find_good_witness_per_pair(monkeypatch):
     [("GF(31)", 960), ("Z/27", 648), ("Z/32", 768)],
 )
 def test_check_good_verifies_one_witness_per_primitive_pair(spec, primitive_pairs, monkeypatch):
-    calls, lifts = [], witness._lifts
+    calls, class_lams = [], witness._class_lams
 
-    def counting(ring, a, b, N, lam, eps):
-        calls.append((a, b))
-        return lifts(ring, a, b, N, lam, eps)
+    def counting(ring, a):
+        for eps, members, lams in class_lams(ring, a):
+            calls.extend((a, b) for b, _ in zip(members, lams, strict=True))
+            yield eps, members, lams
 
-    monkeypatch.setattr(witness, "_lifts", counting)
+    monkeypatch.setattr(witness, "_class_lams", counting)
     check_good_ring_exhaustive(parse_ring(spec))
     assert len(calls) == len(set(calls)) == primitive_pairs
 
@@ -493,18 +498,43 @@ _IN_PLACE_SPECS = ["Z/12", "GF(7)", "prod(Z/4,GF(5))"]
 @pytest.mark.parametrize("spec", _IN_PLACE_SPECS)
 def test_check_good_refuses_a_wrong_lam(spec, monkeypatch):
     # one lam off by one at a = 1 breaks b + lam*a = eps for that pair only
-    divide_exact, wrong = IntegersMod.divide_exact, []
+    class_lams, wrong = witness._class_lams, []
 
-    def off_by_one_once(ring, y, x):
-        lam = divide_exact(ring, y, x)
-        if x == ring.one() and not wrong:
-            wrong.append((ring, y))
-            return ring.add(lam, ring.one())
-        return lam
+    def off_by_one_once(ring, a):
+        for eps, members, lams in class_lams(ring, a):
+            if a == ring.one() and not wrong:
+                wrong.append((ring, members[0]))
+                lams = [(lams[0] + 1) % ring.n, *lams[1:]]
+            yield eps, members, lams
 
-    monkeypatch.setattr(IntegersMod, "divide_exact", off_by_one_once)
+    monkeypatch.setattr(witness, "_class_lams", off_by_one_once)
     with pytest.raises(GoodRingsError, match="does not give b \\+ lam\\*a = eps"):
         check_good_ring_exhaustive(parse_ring(spec))
+    assert len(wrong) == 1
+
+
+_SMALL_SPECS = [f"Z/{m}" for m in range(3, 65)]
+_SMALL_SPECS += [f"GF({p})" for p in range(3, 62) if all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPECS)
+def test_check_good_refuses_a_class_unit_from_another_class(spec, monkeypatch):
+    # at a = 0 of the first factor Z/m with m > 2, the class of 1 gets the
+    # unit -1, which lies in another class as g = gcd(0, m) = m: its member
+    # b = 1 has m not dividing eps - b, and the divide-out check, before any
+    # identity is recomputed, refuses it
+    unit_residue_witness, wrong = IntegersMod.unit_residue_witness, []
+
+    def from_another_class(ring, a, r):
+        if a != 0 or r != 1 or ring.n <= 2 or wrong:
+            return unit_residue_witness(ring, a, r)
+        wrong.append(ring)
+        return ring.n - 1
+
+    monkeypatch.setattr(IntegersMod, "unit_residue_witness", from_another_class)
+    with pytest.raises(GoodRingsError, match="does not give b \\+ lam\\*a = eps") as info:
+        check_good_ring_exhaustive(parse_ring(spec))
+    assert info.traceback[-2].name == "_class_lams"
     assert len(wrong) == 1
 
 
