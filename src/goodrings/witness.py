@@ -192,10 +192,11 @@ def check_good_ring_exhaustive(ring: Ring) -> GoodRingReport:
     Z/p^k by the Chinese remainder theorem, so it is checked by those
     prime-power factors, in sum p^(2k) pairs, not n^2. That sum is counted
     from the factors' sizes before any element is listed, and a sum above
-    _PAIR_LIMIT raises LimitExceededError. elements() enumerates only Z/m
-    among the rings a product can hold, so every factor checked is a Z/m,
-    and the proof runs on its ints, with the gcd and inverse of each a
-    computed once.
+    _PAIR_LIMIT raises LimitExceededError. Every factor checked is a Z/m:
+    elements() enumerates only Z/m among the rings a product can hold, and
+    _factors refuses any other finite factor with UnsupportedRingError. So
+    the proof runs on its ints, with the gcd and inverse of each a computed
+    once.
     """
     factors = _factors(ring)
     sizes = [f.n for f in factors]
@@ -215,7 +216,8 @@ def _factors(ring: Ring) -> list:
     into its Z/p^k when n has two or more prime factors.
 
     Every flattened factor is asked for elements() first, so an infinite one
-    raises InfiniteRingError before any Z/n is trial-divided. The product
+    raises InfiniteRingError before any Z/n is trial-divided; a finite one
+    that is not a Z/n raises UnsupportedRingError. The product
     itself is not: its elements() would materialise its factors' elements.
     Z/n is split by _trial_factors with trial = isqrt(_PAIR_LIMIT). A prime
     above that bound already makes Z/p^k alone hold more than _PAIR_LIMIT
@@ -230,6 +232,10 @@ def _factors(ring: Ring) -> list:
             nested.extend(reversed(f.factors))
         else:
             f.elements()  # raises InfiniteRingError on an infinite factor
+            if not isinstance(f, IntegersMod):
+                raise UnsupportedRingError(
+                    f"the exhaustive check proves pairs of Z/n, not of {f.spec_string()}"
+                )
             flat.append(f)
     trial, factors = isqrt(_PAIR_LIMIT), []
     for f in flat:

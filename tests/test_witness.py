@@ -497,32 +497,38 @@ _IN_PLACE_SPECS = ["Z/12", "GF(7)", "prod(Z/4,GF(5))"]
 
 @pytest.mark.parametrize("spec", _IN_PLACE_SPECS)
 def test_check_good_refuses_a_wrong_lam(spec, monkeypatch):
-    # one lam off by one at a = 1 breaks b + lam*a = eps for that pair only
-    class_lams, wrong = witness._class_lams, []
+    # each primitive pair with a != 0 in turn gets its lam off by one, which
+    # breaks b + lam*a = eps for that pair only: so every pair's identity,
+    # not one per class, is checked (at a = 0 every lam gives b + lam*a = b,
+    # and the class check eps = r there is the whole identity)
+    class_lams, handed, wrong_at = witness._class_lams, [], [None]
 
-    def off_by_one_once(ring, a):
+    def off_by_one_at(ring, a):
         for eps, members, lams in class_lams(ring, a):
-            if a == ring.one() and not wrong:
-                wrong.append((ring, members[0]))
-                lams = [(lams[0] + 1) % ring.n, *lams[1:]]
+            lams = list(lams)
+            for i, b in enumerate(members):
+                if a != 0:
+                    if len(handed) == wrong_at[0]:
+                        lams[i] = (lams[i] + 1) % ring.n
+                    handed.append((ring, a, b))
             yield eps, members, lams
 
-    monkeypatch.setattr(witness, "_class_lams", off_by_one_once)
-    with pytest.raises(GoodRingsError, match="does not give b \\+ lam\\*a = eps"):
-        check_good_ring_exhaustive(parse_ring(spec))
-    assert len(wrong) == 1
+    monkeypatch.setattr(witness, "_class_lams", off_by_one_at)
+    check_good_ring_exhaustive(parse_ring(spec))
+    pairs = len(handed)
+    for k in range(pairs):
+        handed.clear()
+        wrong_at[0] = k
+        with pytest.raises(GoodRingsError, match="does not give b \\+ lam\\*a = eps"):
+            check_good_ring_exhaustive(parse_ring(spec))
+        assert len(handed) > k
+    assert pairs > 0
 
 
-_SMALL_SPECS = [f"Z/{m}" for m in range(3, 65)]
-_SMALL_SPECS += [f"GF({p})" for p in range(3, 62) if all(p % q for q in range(2, p))]
-
-
-@pytest.mark.parametrize("spec", _SMALL_SPECS)
-def test_check_good_refuses_a_class_unit_from_another_class(spec, monkeypatch):
+def test_check_good_refuses_a_class_unit_from_another_class(monkeypatch):
     # at a = 0 of the first factor Z/m with m > 2, the class of 1 gets the
-    # unit -1, which lies in another class as g = gcd(0, m) = m: its member
-    # b = 1 has m not dividing eps - b, and the divide-out check, before any
-    # identity is recomputed, refuses it
+    # unit -1, which lies in another class as g = gcd(0, m) = m, so g does
+    # not divide eps - b for its member b = 1
     unit_residue_witness, wrong = IntegersMod.unit_residue_witness, []
 
     def from_another_class(ring, a, r):
@@ -532,10 +538,13 @@ def test_check_good_refuses_a_class_unit_from_another_class(spec, monkeypatch):
         return ring.n - 1
 
     monkeypatch.setattr(IntegersMod, "unit_residue_witness", from_another_class)
-    with pytest.raises(GoodRingsError, match="does not give b \\+ lam\\*a = eps") as info:
-        check_good_ring_exhaustive(parse_ring(spec))
-    assert info.traceback[-2].name == "_class_lams"
-    assert len(wrong) == 1
+    specs = [f"Z/{m}" for m in range(3, 65)]
+    specs += [f"GF({p})" for p in range(3, 62) if all(p % q for q in range(2, p))]
+    for spec in specs:
+        wrong.clear()
+        with pytest.raises(GoodRingsError, match="does not give b \\+ lam\\*a = eps"):
+            check_good_ring_exhaustive(parse_ring(spec))
+        assert len(wrong) == 1, spec
 
 
 @pytest.mark.parametrize("spec", _IN_PLACE_SPECS)
@@ -578,6 +587,21 @@ def test_check_good_ring_rejects_infinite():
 
     with pytest.raises(InfiniteRingError):
         check_good_ring_exhaustive(Z)
+
+
+def test_check_good_refuses_a_finite_factor_that_is_not_a_z_mod_n():
+    # the proof runs on the ints of Z/m, so another ring that lists its
+    # elements is refused by name, alone or as a product's factor
+    class TwoPoints(Integers):
+        def elements(self):
+            return iter((0, 1))
+
+        def spec_string(self):
+            return "TwoPoints"
+
+    for ring in [TwoPoints(), ProductRing([IntegersMod(4), TwoPoints()])]:
+        with pytest.raises(UnsupportedRingError, match="pairs of Z/n, not of TwoPoints"):
+            check_good_ring_exhaustive(ring)
 
 
 def test_locq_witness_search():
