@@ -1,24 +1,21 @@
 """Homogeneous polynomials and the inductive unit-valued constructor.
 
 A construction run leaves a trace of its choices and nothing more: the
-base point, then per extension the new point, the Bezout cofactors and
-combiners, alpha and the witness (N, lam, eps, eps^-1), and at the end the
-result's values at the points. The minors, the forms, every intermediate
-polynomial and its values follow from these choices. Construct and replay
-share one point check, _check_points, and one construction routine,
-_build: replay_trace runs them on the recorded choices where
-construct_unit_valued makes its own, which rechecks every identity the
-constructor checked. A trace is
+base point, then per extension the new point, the combiners, alpha and
+the witness (N, lam, eps, eps^-1), and at the end the result's values at
+the points. The minors, the forms, every intermediate polynomial and its
+values follow from these choices. Construct and replay share one point
+check, _check_points, and one construction routine, _build: replay_trace
+runs them on the recorded choices where construct_unit_valued makes its
+own, which rechecks every identity the constructor checked. A trace is
 evidence rather than a narration: replay requires the recorded values to
-equal its own evaluations and never reads them in place of one.
+equal its own and never reads them in place of one. The steps predict the
+values at the points, and only the final polynomial is evaluated at all of
+them.
 
 Over a product ring _build makes one polynomial per factor, by
 construction or by replay, and recombines them; the trace holds one trace
 per factor.
-
-Each step polynomial is evaluated once per point. A step's values at the
-covered points carry over to the next step, whose post-check
-R(p) = P(p)^(alpha*N) needs them.
 """
 
 from __future__ import annotations
@@ -478,7 +475,6 @@ class ExtensionStep:
     """The constructor's choices at one extension; replay derives the rest."""
 
     new_point: PrimitivePoint
-    cofactors: tuple  # per covered point: (c, w) with 1 = P(q)*c + w*B_t(q)
     combiners: tuple  # per covered point: the u of B_t, one per index pair i < j
     alpha: int
     witness: GoodPointWitness  # for the pair (prod B_t(q), P(q)^alpha)
@@ -515,22 +511,24 @@ def _is_tuple_of(x, length: int) -> bool:
     return isinstance(x, tuple) and len(x) == length
 
 
-def _step(ring: Ring, poly, covered, values, new_point, identity, witness, check) -> tuple:
+def _step(ring: Ring, poly, covered, values, new_point, combination, witness, check) -> tuple:
     """The one extension step: from P and its unit values at the covered
     points, R = (P^alpha)^N + lam * prod(B_t) * W^e, unit-valued at covered
-    + (new_point,). Returns the step's record, R, and R's values at covered
-    + (new_point,), new_point's last.
+    + (new_point,). Returns the step's record, R, and R's predicted values
+    at covered + (new_point,), new_point's last.
 
     The step's two choices are callables, each called once its input is
-    known: identity(ring, P(q), minors) returns the cofactors (c, w) with 1
-    = P(q)*c + w*B_t(q) and the combiners u of B_t; witness(a, P(q)) returns
-    alpha and a witness for (a, P(q)^alpha), a = prod B_t(q). The
-    constructor passes its own choices, replay the recorded ones, and the
-    record holds just those choices: the minors, the forms B_t and W, the
-    filler exponent e and R are rebuilt from them here, each time. Failed
-    identities go to check(cond, message). W(q) is the certificate sum of
-    new_point, which _check_points has verified, so W(q) = 1 needs
-    no check here, nor does B_t(p_t) = sum u_ij*(p_i*p_j - p_j*p_i) = 0.
+    known: combination(ring, P(q), minors) returns the combiners u of the
+    B_t; witness(a, P(q)) returns alpha and a witness for (a, P(q)^alpha),
+    a = prod B_t(q). The constructor passes its own choices, replay the
+    recorded ones, and the record holds just those choices: the minors, the
+    forms B_t and W, the filler exponent e and R are rebuilt from them here,
+    each time. Failed checks go to check(cond, message).
+
+    R is not evaluated: B_t(p_t) = sum u_ij*(p_i*p_j - p_j*p_i) = 0 gives
+    R(p_t) = P(p_t)^(alpha*N), and W(q) = 1, the certificate sum that
+    _check_points verified, gives R(q) = eps, units as the witness verified
+    eps^-1. _build checks the final polynomial's values.
     """
     n = poly.n_vars
     k = len(covered)
@@ -538,28 +536,22 @@ def _step(ring: Ring, poly, covered, values, new_point, identity, witness, check
     pq = poly.eval(q)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     minors = [_minors(ring, p.coordinates, q, pairs) for p in covered]
-    cofactors, combiners = identity(ring, pq, minors)
+    combiners = combination(ring, pq, minors)
     check(
-        _is_tuple_of(cofactors, k)
-        and _is_tuple_of(combiners, k)
-        and all(_is_tuple_of(cw, 2) for cw in cofactors)
-        and all(_is_tuple_of(us, len(pairs)) for us in combiners),
-        "one cofactor pair and one combiner per minor for each covered point",
+        _is_tuple_of(combiners, k) and all(_is_tuple_of(us, len(pairs)) for us in combiners),
+        "one combiner per minor for each covered point",
     )
     prod_b = HomogeneousPolynomial.constant(ring, n, ring.one())
     a_val = ring.one()
-    for pt, (c_t, w_t), us in zip(covered, cofactors, combiners):
+    for pt, us in zip(covered, combiners):
         pc = pt.coordinates
         lin = [ring.zero()] * n
         for (i, j), u in zip(pairs, us):
             lin[j] = ring.add(lin[j], ring.mul(u, pc[i]))
             lin[i] = ring.sub(lin[i], ring.mul(u, pc[j]))
         form = HomogeneousPolynomial.linear(ring, lin)
-        v = form.eval(q)
-        combination = ring.add(ring.mul(pq, c_t), ring.mul(w_t, v))
-        check(combination == ring.one(), "combination identity broken")
         prod_b = prod_b.mul(form)
-        a_val = ring.mul(a_val, v)
+        a_val = ring.mul(a_val, form.eval(q))
 
     alpha, w = witness(a_val, pq)
     e = w.N * alpha * poly.degree - k
@@ -567,33 +559,17 @@ def _step(ring: Ring, poly, covered, values, new_point, identity, witness, check
     w_form = HomogeneousPolynomial.linear(ring, new_point.certificate.coefficients)
     head = poly.pow(alpha * w.N)
     tail = prod_b.mul(w_form.pow(e)).scale(w.lam)
-    result = head.add(tail)
-    at_q = result.eval(q)
-    check(at_q == w.epsilon, "the result does not take the witness unit at q")
-    point_values = []
-    for p, v in zip(covered, values):
-        expected = ring.pow(v, alpha * w.N)
-        value = result.eval(p.coordinates)
-        check(
-            value == expected and ring.is_unit(expected),
-            "the result is not the unit P(p)^(alpha*N) at a covered point",
-        )
-        point_values.append(value)
-    point_values.append(at_q)
-    step = ExtensionStep(new_point, cofactors, combiners, alpha, w)
-    return step, result, tuple(point_values)
+    predicted = tuple(ring.pow(v, alpha * w.N) for v in values) + (w.epsilon,)
+    return ExtensionStep(new_point, combiners, alpha, w), head.add(tail), predicted
 
 
 def _combination(ring: Ring, pq, minors: list) -> tuple:
-    """The constructor's combination identities, per covered point: the
-    cofactors (c, w) with 1 = P(q)*c + w*B_t(q) and the combiners u."""
-    inv = ring.unit_inverse(pq)
-    if inv is not None:
+    """The constructor's combiners u of B_t, per covered point, chosen so
+    that P(q) and B_t(q) generate A."""
+    if ring.unit_inverse(pq) is not None:
         # q is projectively on top of the covered set as far as P can see;
-        # take the trivial identity 1 = P(q) * P(q)^-1 and zero forms
-        return ((inv, ring.zero()),) * len(minors), tuple(
-            tuple(ring.zero() for _ in m) for m in minors
-        )
+        # P(q) alone generates A, so every B_t is the zero form
+        return tuple(tuple(ring.zero() for _ in m) for m in minors)
     if isinstance(ring, Integers):
         # steer every target to the minor gcd itself: the witness then
         # runs modulo prod(g_t), which keeps both the scan and the final
@@ -601,24 +577,17 @@ def _combination(ring: Ring, pq, minors: list) -> tuple:
         # pairwise common factors blow the reachable exponent up
         chains = [_chain(_int_xgcd, ring.mul, 0, m) for m in minors]
         if all(g > 0 and gcd(g, pq) == 1 for g, _ in chains):
-            return (
-                tuple(_int_xgcd(pq, g)[1:] for g, _ in chains),
-                tuple(tuple(cs) for _, cs in chains),
-            )
-    cofactors, combiners = [], []
-    for m in minors:
-        coeffs = ring.bezout((pq,) + m)
-        # never fires: were P(q) and the minors of (p_t, q) in a maximal ideal
-        # M, then q = lam*p_t mod M for a unit lam, as both points are
-        # primitive, and P(q) = lam^d * P(p_t) mod M would be a unit
-        ensure(
-            coeffs is not None,
-            "could not certify 1 in (P(q), minors); the covered-point "
-            "precondition does not hold",
-        )
-        cofactors.append((coeffs[0], ring.one()))
-        combiners.append(tuple(coeffs[1:]))
-    return tuple(cofactors), tuple(combiners)
+            return tuple(tuple(cs) for _, cs in chains)
+    certificates = [ring.bezout((pq,) + m) for m in minors]
+    # never fires: were P(q) and the minors of (p_t, q) in a maximal ideal
+    # M, then q = lam*p_t mod M for a unit lam, as both points are
+    # primitive, and P(q) = lam^d * P(p_t) mod M would be a unit
+    ensure(
+        None not in certificates,
+        "could not certify 1 in (P(q), minors); the covered-point "
+        "precondition does not hold",
+    )
+    return tuple(tuple(coeffs[1:]) for coeffs in certificates)
 
 
 def _least_witness(ring: Ring, k: int, degree: int, bound: int):
@@ -675,6 +644,8 @@ def _build(ring: Ring, pts: tuple, choose, factor, check) -> tuple:
     Over a ring that is not a product it starts from the linear form of
     pts[0]'s certificate, of value 1 there, and runs _step at each later
     point with the choices of choose(k, degree) for the k-th extension.
+    The final polynomial must take the values the steps predicted, the
+    steps' claims R(p) = P(p)^(alpha*N) and R(q) = eps composed.
 
     Over a ProductRing it is property (**) of the source paper for a finite
     product. factor(i, A_i, components) gives a P_i unit-valued at the
@@ -704,9 +675,11 @@ def _build(ring: Ring, pts: tuple, choose, factor, check) -> tuple:
     values = (ring.one(),)  # the certificate sum, which _check_points verified
     steps = []
     for k, q in enumerate(pts[1:], 1):
-        identity, witness = choose(k, poly.degree)
-        step, poly, values = _step(ring, poly, pts[:k], values, q, identity, witness, check)
+        combination, witness = choose(k, poly.degree)
+        step, poly, values = _step(ring, poly, pts[:k], values, q, combination, witness, check)
         steps.append(step)
+    ok = all(poly.eval(p.coordinates) == v for p, v in zip(pts, values))
+    check(ok, "the result does not take the predicted unit values at the points")
     return poly, ConstructionTrace(pts[0], tuple(steps), values)
 
 
@@ -753,7 +726,7 @@ def construct_unit_valued(
 
 
 def _recorded(ring: Ring, step: ExtensionStep, check) -> tuple:
-    """Replay's choices at a step: the recorded identity, and the recorded
+    """Replay's choices at a step: the recorded combiners, and the recorded
     alpha and witness once the witness verifies for (a, P(q)^alpha)."""
 
     def witness(a, pq) -> tuple:
@@ -765,7 +738,7 @@ def _recorded(ring: Ring, step: ExtensionStep, check) -> tuple:
         )
         return alpha, w
 
-    return (lambda *_: (step.cofactors, step.combiners)), witness
+    return (lambda *_: step.combiners), witness
 
 
 def replay_trace(ring: Ring, trace) -> HomogeneousPolynomial:
@@ -775,8 +748,8 @@ def replay_trace(ring: Ring, trace) -> HomogeneousPolynomial:
     Nothing is trusted: replay runs the constructor's own point check and
     construction routine, _check_points and _build, on the trace's points
     and recorded choices, so it rechecks every identity the constructor
-    checked, and it requires the recorded values to equal its own. A ProductTrace's factor
-    traces replay on the factor rings and must cover exactly the distinct
+    checked, and it requires the recorded values to equal its own. A
+    ProductTrace's factor traces replay on the factor rings and must cover exactly the distinct
     components of the points. The first mismatch raises GoodRingsError
     "trace replay failed: ...", and a foreign element inside a record fails
     as a malformed record.

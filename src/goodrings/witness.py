@@ -105,8 +105,10 @@ def find_good_witness(
     so N = 1 and eps = b once bound >= 1. The scan needs no cycle check: b
     is a unit mod aA, so a residue that repeats after i steps means b^i = 1
     mod aA, and the scan already met the class of 1, which holds the unit
-    1, at N = i.
+    1, at N = i. A negative bound raises ValueError.
     """
+    if bound < 0:
+        raise ValueError(f"the witness bound must be at least 0, not {bound}")
     require_primitive(ring, (a, b))
     r = ring.one()
     for N in range(1, bound + 1):
@@ -280,10 +282,11 @@ def _class_lams(ring: IntegersMod, a: int):
     aA = gZ/mZ with g = gcd(a, m), so the classes are r + gZ for r < g, and
     lam = ((eps - b)/g) * inv with inv the inverse of a/g mod m/g; g and
     inv are computed once per a. unit_residue_witness runs once per class.
-    A unit eps is checked once to have an inverse and to lie in its class,
-    which is g dividing eps - b for every member b. A class with no unit is
-    checked with one bezout on its first member r, which must find (a, r)
-    not primitive.
+    A unit eps is checked once to have an inverse. That it lies in its class
+    is left to each member's identity in _prove_pairs: were eps = r + y mod
+    g with 0 < y < g, this lam would give b + lam*a = eps - y, not eps. A
+    class with no unit is checked with one bezout on its first member r,
+    which must find (a, r) not primitive.
     """
     m, one = ring.n, ring.one()
     g = gcd(a, m)
@@ -296,8 +299,6 @@ def _class_lams(ring: IntegersMod, a: int):
         eps_inv = ring.unit_inverse(eps)
         ok = eps_inv is not None and ring.mul(eps, eps_inv) == one
         ensure(ok, "the class unit has no inverse")
-        # g divides m, so (eps - b) % m = eps - r mod g for every member b
-        ensure((eps - r) % g == 0, "the unit lift does not give b + lam*a = eps")
         members = range(r, m, g)
         yield eps, members, [(eps - b) % m // g * inv % m for b in members]
 

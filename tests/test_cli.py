@@ -42,6 +42,22 @@ def test_witness_bound_applies_at_a_zero():
     assert out["payload"] == {"bound": 0}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witness", "--ring", "Z", "--a", "5", "--b", "2"),
+        ("construct", "--ring", "Z", "--points", "(1,0);(0,1)"),
+        ("bridge", "--ring", "Z", "--a", "5", "--b", "2", "--to-poly"),
+    ],
+    ids=["witness", "construct", "bridge"],
+)
+def test_a_negative_bound_is_an_error_not_a_search(argv):
+    code, out = invoke(*argv, "--bound", "-1")
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["diagnostics"] == ["the witness bound must be at least 0, not -1"]
+
+
 def test_witness_non_primitive_pair_is_an_error():
     code, out = invoke("witness", "--ring", "Z", "--a", "6", "--b", "3")
     assert code == 2

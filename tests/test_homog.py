@@ -676,7 +676,7 @@ def test_trace_record_fields():
         return tuple(f.name for f in dataclasses.fields(record))
 
     assert names(ExtensionStep) == (
-        "new_point", "cofactors", "combiners", "alpha", "witness",
+        "new_point", "combiners", "alpha", "witness",
     )
     assert names(ConstructionTrace) == ("base_point", "steps", "values")
     assert names(ProductTrace) == ("points", "factor_traces", "values")
@@ -694,17 +694,6 @@ def _traced_instance():
 def _tamper_last_step(trace, **changes):
     step = dataclasses.replace(trace.steps[-1], **changes)
     return dataclasses.replace(trace, steps=trace.steps[:-1] + (step,))
-
-
-def test_replay_rejects_tampered_cofactor():
-    poly, trace = _traced_instance()
-    step = trace.steps[-1]
-    c, w = step.cofactors[0]
-    bad = _tamper_last_step(
-        trace, cofactors=((c + 1, w),) + step.cofactors[1:]
-    )
-    with pytest.raises(GoodRingsError, match="replay"):
-        replay_trace(Z, bad)
 
 
 def test_replay_rejects_tampered_witness():
@@ -765,6 +754,74 @@ def test_replay_rejects_tampered_combiners():
         replay_trace(Z, longer)
 
 
+def _gf3t_instance():
+    # every step has nonzero minors and a witness with lam != 0, over an
+    # integral domain reached by the bezout path
+    ring = parse_ring("GF(3)[T]")
+    one, zero, t = ring.one(), ring.zero(), ring.parse_element("T")
+    return ring, construct_unit_valued(ring, _points(ring, [(one, zero), (t, one), (zero, one)]))
+
+
+def test_replay_rejects_tampered_combiner():
+    # u_ij + 1 moves B_t(q) by the minor p_i*q_j - p_j*q_i, which is nonzero
+    # here, so a = prod B_t(q) moves and the recorded witness stops verifying
+    ring, (_, trace) = _gf3t_instance()
+    for s, step in enumerate(trace.steps):
+        q = step.new_point.coordinates
+        for t, (p, us) in enumerate(zip(trace.points, step.combiners)):
+            minor = ring.sub(ring.mul(p.coordinates[0], q[1]), ring.mul(p.coordinates[1], q[0]))
+            assert minor != ring.zero()
+            bumped = (ring.add(us[0], ring.one()),) + us[1:]
+            combiners = step.combiners[:t] + (bumped,) + step.combiners[t + 1:]
+            steps = list(trace.steps)
+            steps[s] = dataclasses.replace(step, combiners=combiners)
+            bad = dataclasses.replace(trace, steps=tuple(steps))
+            with pytest.raises(GoodRingsError, match="trace replay failed: step witness"):
+                replay_trace(ring, bad)
+
+
+def _corrupt_step_result(monkeypatch, step: int, delta) -> list:
+    """Patch add, whose one caller is _step's R, to add delta to the x1^d
+    coefficient of the step-th result; returns the list of results made so
+    far, which the caller clears to start counting again."""
+    made = []
+    add = HomogeneousPolynomial.add
+
+    def corrupted(self, other):
+        result = add(self, other)
+        made.append(result)
+        if len(made) == step:
+            ring, terms = result.ring, dict(result.terms)
+            key = (result.degree,) + (0,) * (result.n_vars - 1)
+            terms[key] = ring.add(terms.get(key, ring.zero()), delta)
+            result = HomogeneousPolynomial(ring, result.n_vars, result.degree, terms)
+        return result
+
+    monkeypatch.setattr(HomogeneousPolynomial, "add", corrupted)
+    return made
+
+
+@pytest.mark.parametrize("case", ["Z", "GF(3)[T]"])
+def test_the_final_check_refuses_a_corrupted_intermediate_result(case, monkeypatch):
+    # the corrupted x1^d term vanishes at the last point (0, 1), so the last
+    # step's P(q) and witness are untouched and only the one check of the
+    # final polynomial's values can see the change at the covered points
+    if case == "Z":
+        ring, corrupt_step, delta = Z, 2, 1
+        pts = _points(Z, [(1, 0), (1, 2), (3, 1), (0, 1)])
+        _, trace = construct_unit_valued(Z, pts)
+    else:
+        ring, (_, trace) = _gf3t_instance()
+        pts, corrupt_step, delta = trace.points, 1, ring.parse_element("T")
+    assert len(trace.steps) == corrupt_step + 1
+    made = _corrupt_step_result(monkeypatch, corrupt_step, delta)
+    with pytest.raises(GoodRingsError, match="predicted unit values"):
+        construct_unit_valued(ring, pts)
+    made.clear()
+    with pytest.raises(GoodRingsError, match="trace replay failed: the result does not take"):
+        replay_trace(ring, trace)
+
+
 @pytest.mark.parametrize("shift", ["zero", "plus_one"])
 def test_replay_rejects_tampered_alpha(shift):
     poly, trace = _traced_instance()
@@ -782,12 +839,12 @@ def test_replay_rejects_tampered_new_point():
         replay_trace(Z, bad)
 
 
-@pytest.mark.parametrize("field", ["cofactors", "combiners"])
+@pytest.mark.parametrize("field", ["combiners"])
 @pytest.mark.parametrize("change", ["extra", "short"])
 def test_replay_requires_one_entry_per_covered_point(field, change):
-    # each per-point tuple of a step has exactly one entry per covered point:
-    # an extra trailing entry is not ignored, and a short tuple is a replay
-    # failure rather than an IndexError
+    # a step's combiners hold exactly one entry per covered point: an extra
+    # trailing entry is not ignored, and a short tuple is a replay failure
+    # rather than an IndexError
     poly, trace = _traced_instance()
     entries = getattr(trace.steps[-1], field)
     entries = entries + entries[-1:] if change == "extra" else entries[:-1]
@@ -797,8 +854,6 @@ def test_replay_requires_one_entry_per_covered_point(field, change):
 
 
 def _malformed(step, case):
-    if case == "cofactor_not_a_pair":
-        return {"cofactors": (step.cofactors[0] + (0,),) + step.cofactors[1:]}
     if case == "combiner_not_a_tuple":
         return {"combiners": (7,) + step.combiners[1:]}
     return {"alpha": "1"}
@@ -806,7 +861,7 @@ def _malformed(step, case):
 
 @pytest.mark.parametrize(
     "case",
-    ["cofactor_not_a_pair", "combiner_not_a_tuple", "alpha_not_an_int"],
+    ["combiner_not_a_tuple", "alpha_not_an_int"],
 )
 def test_replay_rejects_malformed_step_entries(case):
     # a malformed entry is a replay failure, not a ValueError or TypeError
@@ -860,14 +915,12 @@ def _junk_element(trace, case):
     if case == "new_point_coordinate":
         coords = (object(),) + pt.coordinates[1:]
         return _tamper_last_step(trace, new_point=dataclasses.replace(pt, coordinates=coords))
-    if case == "cofactor":
-        return _tamper_last_step(trace, cofactors=((object(), 1),) + step.cofactors[1:])
     return _tamper_last_step(trace, witness=dataclasses.replace(step.witness, lam=object()))
 
 
 @pytest.mark.parametrize(
     "case",
-    ["base_certificate", "new_point_certificate", "new_point_coordinate", "cofactor", "witness_lam"],
+    ["base_certificate", "new_point_certificate", "new_point_coordinate", "witness_lam"],
 )
 def test_replay_rejects_a_junk_element_inside_a_record(case):
     # a foreign object one level down, inside a point, a pair or a witness,
