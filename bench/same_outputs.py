@@ -18,6 +18,9 @@ by the command's line), read by the library's own parsers. Then the
 limits (workload "limits", kind the command): `check-good` on Z/n and
 `quotient-units` at (0,0) on prod(Z,Z/n) for the moduli of CHECK_GOOD_MODULI
 and QUOTIENT_MODULI, where factoring n decides the answer or the refusal.
+Last, locQ(p) (workload "locq", kind the command): `quotient-units`,
+`witness` and `sab --op unit` on locQ(p), p in 2, 3, 5, 7, for the a of
+_locq_commands, whose roots in {0} union {p^k} reach p^6 and repeat.
 Operations are not checked, only digested.
 
 Like the benchmark, it limits every operation's work: limit_work() once, and
@@ -38,6 +41,7 @@ import hashlib
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,6 +59,37 @@ QUOTIENT_MODULI = (
     1, 15, 30000, 1000000007, 1000000000100000000002379, M61**3, 12 * BIG, M61,
     20011 * 20021, 19997 * 20011, 20011**2, 2 * BIG**2,
 )
+
+
+def _t_poly(scale, roots, rest=(1,)) -> str:
+    """scale * rest * prod(T - z) as a literal in T, rest ascending."""
+    f = [Fraction(c) * scale for c in rest]
+    for z in roots:
+        f = [c - z * d for c, d in zip([0] + f, f + [0])]
+    return "+".join(f"({c})*T^{i}" for i, c in enumerate(f) if c)
+
+
+def _locq_commands() -> list:
+    """A fixed grid on locQ(p): roots p^k up to p^6, repeated roots, roots
+    outside {0} union {p^k} (-p, 1, 1/p, p^4 + 1, -p^6), a factor T^2 + 1
+    with no rational root, fractional coefficients, and one unit a."""
+    argvs = []
+    for p in (2, 3, 5, 7):
+        ring = f"locQ({p})"
+        for a in (
+            _t_poly(1, [p**6]),
+            _t_poly(1, [0, p, p, p**6]),
+            _t_poly(Fraction(1, 11), [p**3] * 3 + [p**6] * 2),
+            _t_poly(Fraction(3, 2), [p**5, p**5, -p], (1, 0, 1)),
+            _t_poly(Fraction(-1, 3), [p**4, p**4 + 1, Fraction(1, p)], (Fraction(1, 2), 1)),
+            _t_poly(Fraction(5, 7), [-p**6, 1], (1, 0, 1)),
+        ):
+            argvs.append(["quotient-units", "--ring", ring, "--a", a])
+            for b in ("T+1", f"T-{p}", f"(T-{p**2})/(T+1)"):
+                argvs.append(["witness", "--ring", ring, "--a", a, "--b", b, "--bound", "30"])
+            for x in ("(T+1) + (1)*th", "((2)/(T+1)) + (-1)*th", f"(T-{p**3}) + (T)*th"):
+                argvs.append(["sab", "--ring", ring, "--a", a, "--op", "unit", "--x", x])
+    return argvs
 
 
 def _digest(call) -> str:
@@ -124,6 +159,8 @@ def main() -> int:
     ]
     for i, argv in enumerate(limits):
         print("limits", "-", i, argv[0], _digest(lambda: cli.run(argv)), flush=True)
+    for i, argv in enumerate(_locq_commands()):
+        print("locq", "-", i, argv[0], _digest(lambda: cli.run(argv)), flush=True)
     return 0
 
 

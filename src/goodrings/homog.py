@@ -709,8 +709,11 @@ def construct_unit_valued(
 
     Points that fail _check_points raise PreconditionError. _build then runs
     on the constructor's own choices: _combination and _least_witness at
-    each step, and this function on each factor of a product.
+    each step, and this function on each factor of a product. A negative
+    witness_bound raises ValueError even where no witness search runs.
     """
+    if witness_bound < 0:
+        raise ValueError(f"the witness bound must be at least 0, not {witness_bound}")
     pts = tuple(points)
     try:
         _check_points(ring, pts, _precondition)

@@ -13,7 +13,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import partial
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterator, Optional, Sequence
 
 from . import polyuniv as pu
@@ -679,17 +679,8 @@ class LocalizedRationalPoly(Ring):
 
     # -- canonical form helpers
 
-    def _is_forbidden_value(self, z: Fraction) -> bool:
-        """Whether a nonzero z is some p^k; callers strip the root 0 first."""
-        if z.denominator != 1 or z < self.p:
-            return False
-        m = int(z)
-        while m % self.p == 0:
-            m //= self.p
-        return m == 1
-
     def _in_S(self, f: tuple) -> bool:
-        # a root 0 shows in f[0] without any root finding
+        # a root 0 shows in f[0]; _z_part tries only the p^k dividing the constant term
         return bool(f) and f[0] != 0 and len(self._z_part(f)) == 1
 
     def _reduced(self, num: tuple, den: tuple) -> tuple:
@@ -708,17 +699,22 @@ class LocalizedRationalPoly(Ring):
 
     def _z_part(self, f: tuple) -> tuple:
         """Monic product of (T - z)^e over the roots z of a nonzero f lying
-        in {0} union {p^k}."""
+        in {0} union {p^k}. Past T^v, a root p^k divides the constant term c0
+        of the rest scaled to integers (rational root theorem), so only the
+        p^k dividing c0 are tried: at most v_p(c0) of them."""
         v = 0
         while f[v] == 0:
             v += 1
         g, body = (Fraction(0),) * v + (Fraction(1),), f[v:]
-        for z in filter(self._is_forbidden_value, pu.rational_roots(self.field, body)):
-            lin = (-z, Fraction(1))
+        c0 = (body[0] * lcm(*(c.denominator for c in body))).numerator
+        z = self.p
+        while c0 % z == 0:
+            lin = (Fraction(-z), Fraction(1))
             q, r = pu.divmod_poly(self.field, body, lin)
             while not r:
                 body, g = q, pu.mul(self.field, g, lin)
                 q, r = pu.divmod_poly(self.field, body, lin)
+            z *= self.p
         return g
 
     # -- ring operations

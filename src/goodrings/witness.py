@@ -70,18 +70,13 @@ class Exhausted:
 SearchOutcome = Union[Witness, Refuted, Exhausted]
 
 
-def _lifts(ring: Ring, a, b, N: int, lam, eps) -> bool:
-    """b^N + lam*a == eps, recomputed: the identity every witness states."""
-    return ring.add(ring.pow(b, N), ring.mul(lam, a)) == eps
-
-
 def verify_witness(ring: Ring, a, b, w: GoodPointWitness) -> bool:
     """Check b^N + lam*a == eps and eps*eps_inv == 1. Pure recomputation."""
     if not isinstance(w.N, int) or w.N < 1:
         return False
     if ring.mul(w.epsilon, w.epsilon_inverse) != ring.one():
         return False
-    return _lifts(ring, a, b, w.N, w.lam, w.epsilon)
+    return ring.add(ring.pow(b, w.N), ring.mul(w.lam, a)) == w.epsilon
 
 
 def _witness_at(ring: Ring, a, b, N: int, eps) -> Witness:

@@ -48,8 +48,11 @@ def test_witness_bound_applies_at_a_zero():
         ("witness", "--ring", "Z", "--a", "5", "--b", "2"),
         ("construct", "--ring", "Z", "--points", "(1,0);(0,1)"),
         ("bridge", "--ring", "Z", "--a", "5", "--b", "2", "--to-poly"),
+        # no witness search runs: one point, or one distinct component per factor
+        ("construct", "--ring", "Z", "--points", "(1,0)"),
+        ("construct", "--ring", "prod(Z,Z/5)", "--points", "((1,1),(0,0))"),
     ],
-    ids=["witness", "construct", "bridge"],
+    ids=["witness", "construct", "bridge", "construct-one-point", "construct-product"],
 )
 def test_a_negative_bound_is_an_error_not_a_search(argv):
     code, out = invoke(*argv, "--bound", "-1")

@@ -477,23 +477,33 @@ def _has_root_in_F(f, p):
     return any(_value(f, w) == 0 for w in (0, *powers))
 
 
+def _linear_product(zs):
+    f = (Fraction(1),)
+    for z in zs:
+        f = pu.mul(QT.field, f, (Fraction(-z), Fraction(1)))
+    return f
+
+
 @st.composite
 def _locq_lift_case(draw):
     p = draw(st.sampled_from([2, 3, 5]))
-    zs = draw(st.lists(st.sampled_from([0, p, p**2, p**3]), max_size=3))
+    forbidden = [0] + [p**k for k in range(1, 7)]
+    zs = draw(st.lists(st.sampled_from(forbidden), max_size=4))
+    # roots outside F, some of them near a p^k
+    decoys = draw(st.lists(st.sampled_from([1, -p, -p**4, p + 1, p**5 + 1, Fraction(1, p)]), max_size=2))
     small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
     h = draw(st.lists(small, min_size=1, max_size=3).filter(lambda cs: cs[-1] != 0))
     h = tuple(h)
     assume(not _has_root_in_F(h, p))
-    num_a = h
-    for z in zs:
-        num_a = pu.mul(QT.field, num_a, (Fraction(-z), Fraction(1)))
+    # a scale with a denominator, so that c0 needs the lcm of the denominators
+    scale = draw(small.filter(bool)) / draw(st.integers(1, 7))
+    num_a = pu.scale(QT.field, scale, pu.mul(QT.field, h, _linear_product(zs + decoys)))
     den = draw(st.sampled_from(["1", "T-1", "T^2+1", "3*T-1"]))
     num_x = pu.trim(QT.field, tuple(draw(st.lists(small, max_size=4))))
     mode = draw(st.sampled_from(["free", "shared", "other"]))
     if mode == "shared" and zs:
         num_x = pu.mul(QT.field, num_x, (Fraction(-draw(st.sampled_from(zs))), Fraction(1)))
-    others = [w for w in (0, p, p**2, p**3) if w not in zs]
+    others = [w for w in forbidden if w not in zs]
     if mode == "other" and len(zs) >= 2 and others:
         # a residue that is no unit by itself, for it vanishes at w: the
         # lift must try c != 0
@@ -503,13 +513,15 @@ def _locq_lift_case(draw):
         den = "1"
     ring = LocalizedRationalPoly(p)
     x = ring.mul((num_x, (Fraction(1),)), ring.unit_inverse(ring.parse_element(den)))
-    return ring, set(zs), (num_a, (Fraction(1),)), x
+    return ring, zs, (num_a, (Fraction(1),)), x
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_locq_lift_case())
 def test_localized_lift_is_exact(case):
     ring, zs, a, x = case
+    assert ring._z_part(a[0]) == _linear_product(zs)
+    assert ring._in_S(a[0]) == (not _has_root_in_F(a[0], ring.p))
     r = ring.reduce_mod(a, x)
     eps = ring.unit_residue_witness(a, r)
     if any(_value(r[0], z) == 0 for z in zs):
