@@ -18,10 +18,14 @@ by the command's line), read by the library's own parsers. Then the
 limits (workload "limits", kind the command): `check-good` on Z/n and
 `quotient-units` at (0,0) on prod(Z,Z/n) for the moduli of CHECK_GOOD_MODULI
 and QUOTIENT_MODULI, where factoring n decides the answer or the refusal.
-Last, locQ(p) (workload "locq", kind the command): `quotient-units`,
+Then locQ(p) (workload "locq", kind the command): `quotient-units`,
 `witness` and `sab --op unit` on locQ(p), p in 2, 3, 5, 7, for the a of
 _locq_commands, whose roots in {0} union {p^k} reach p^6 and repeat.
-Operations are not checked, only digested.
+Last, constructions (workload "construct-grid", kind the ring): the polynomial
+and the trace that construct_unit_valued returns for each (ring, points,
+bound) of CONSTRUCT_GRID, rings and point sets the benchmark never draws:
+Z/n and products with zero divisors, GF(p)[T], Q[T] (one set exhausted at
+its bound) and locQ(p). Operations are not checked, only digested.
 
 Like the benchmark, it limits every operation's work: limit_work() once, and
 start_work() before each operation. A WorkLimit, any other exception, and a
@@ -58,6 +62,21 @@ CHECK_GOOD_MODULI = (
 QUOTIENT_MODULI = (
     1, 15, 30000, 1000000007, 1000000000100000000002379, M61**3, 12 * BIG, M61,
     20011 * 20021, 19997 * 20011, 20011**2, 2 * BIG**2,
+)
+
+# (ring, points, witness bound) of the "construct-grid" section
+CONSTRUCT_GRID = (
+    ("Z/12", "(1,0);(0,1);(1,1);(5,7)", 10000),
+    ("Z/12", "(1,0,0);(0,1,0);(0,0,1);(1,1,1);(5,7,11)", 10000),
+    ("Z/30", "(1,2);(3,5);(7,1);(11,13)", 10000),
+    ("GF(3)[T]", "(1,0);(0,1);(T,1);(1,T+1)", 10000),
+    ("GF(2)[T]", "(1,0);(0,1);(T,1);(T^2+T+1,T)", 10000),
+    ("Q[T]", "(1,0);(0,1);(T,1)", 10000),
+    ("Q[T]", "(1,0);(0,1);(T,1);(1/2,T-1)", 30),
+    ("locQ(2)", "(1,0);(0,1);(T,1)", 10000),
+    ("locQ(3)", "(1,0);(0,1);(T-3,1);(1,T)", 10000),
+    ("prod(GF(5),Z/12)", "((1,1),(0,0));((0,0),(1,1));((1,5),(1,7))", 10000),
+    ("prod(Z,Q[T])", "((1,1),(0,0));((0,0),(1,1));((1,T),(1,1))", 10000),
 )
 
 
@@ -161,6 +180,13 @@ def main() -> int:
         print("limits", "-", i, argv[0], _digest(lambda: cli.run(argv)), flush=True)
     for i, argv in enumerate(_locq_commands()):
         print("locq", "-", i, argv[0], _digest(lambda: cli.run(argv)), flush=True)
+    for i, (spec, points, bound) in enumerate(CONSTRUCT_GRID):
+
+        def construct():
+            ring = parse_ring(spec)
+            return construct_unit_valued(ring, cli._parse_points(ring, points), bound)
+
+        print("construct-grid", "-", i, spec, _digest(construct), flush=True)
     return 0
 
 

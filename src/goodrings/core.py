@@ -89,6 +89,42 @@ def power(mul, one, x, n: int):
     return acc
 
 
+# Miller-Rabin over the first 13 prime bases is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson & Webster, Strong
+# pseudoprimes to twelve prime bases, 2015)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMALITY_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at or above
+    _PRIMALITY_LIMIT, where the bases no longer decide primality."""
+    if n >= _PRIMALITY_LIMIT:
+        raise ValueError(
+            f"{n} is too large: primality is decided only below {_PRIMALITY_LIMIT}"
+        )
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class Ring:
     """Abstract commutative ring with certified unit-ideal tests.
 

@@ -187,15 +187,6 @@ class HomogeneousPolynomial:
             ring, self.n_vars, self.degree, merged
         )
 
-    def scale(self, c) -> "HomogeneousPolynomial":
-        ring = self.ring
-        return HomogeneousPolynomial._from_trusted(
-            ring,
-            self.n_vars,
-            self.degree,
-            {e: ring.mul(c, v) for e, v in self.terms.items()},
-        )
-
     def mul(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
         """The product, accumulated over packed monomial keys.
 
@@ -520,10 +511,12 @@ def _step(ring: Ring, poly, covered, values, new_point, combination, witness, ch
     The step's two choices are callables, each called once its input is
     known: combination(ring, P(q), minors) returns the combiners u of the
     B_t; witness(a, P(q)) returns alpha and a witness for (a, P(q)^alpha),
-    a = prod B_t(q). The constructor passes its own choices, replay the
-    recorded ones, and the record holds just those choices: the minors, the
-    forms B_t and W, the filler exponent e and R are rebuilt from them here,
-    each time. Failed checks go to check(cond, message).
+    a = prod B_t(q) = prod sum u_ij*m_ij, read off the minors. The
+    constructor passes its own choices, replay the recorded ones, and the
+    record holds just those choices: the minors, the forms B_t and W (built
+    only for R, whose tail starts at the constant lam), the filler exponent
+    e and R are rebuilt from them here, each time. P(q) is the only value
+    read from a polynomial. Failed checks go to check(cond, message).
 
     R is not evaluated: B_t(p_t) = sum u_ij*(p_i*p_j - p_j*p_i) = 0 gives
     R(p_t) = P(p_t)^(alpha*N), and W(q) = 1, the certificate sum that
@@ -541,24 +534,23 @@ def _step(ring: Ring, poly, covered, values, new_point, combination, witness, ch
         _is_tuple_of(combiners, k) and all(_is_tuple_of(us, len(pairs)) for us in combiners),
         "one combiner per minor for each covered point",
     )
-    prod_b = HomogeneousPolynomial.constant(ring, n, ring.one())
-    a_val = ring.one()
+    a = ring.one()
+    for ms, us in zip(minors, combiners):
+        a = ring.mul(a, functools.reduce(ring.add, map(ring.mul, us, ms), ring.zero()))
+    alpha, w = witness(a, pq)
+    e = w.N * alpha * poly.degree - k
+    check(e >= 0, "witness power too small for the filler")
+    tail = HomogeneousPolynomial.constant(ring, n, w.lam)
     for pt, us in zip(covered, combiners):
         pc = pt.coordinates
         lin = [ring.zero()] * n
         for (i, j), u in zip(pairs, us):
             lin[j] = ring.add(lin[j], ring.mul(u, pc[i]))
             lin[i] = ring.sub(lin[i], ring.mul(u, pc[j]))
-        form = HomogeneousPolynomial.linear(ring, lin)
-        prod_b = prod_b.mul(form)
-        a_val = ring.mul(a_val, form.eval(q))
-
-    alpha, w = witness(a_val, pq)
-    e = w.N * alpha * poly.degree - k
-    check(e >= 0, "witness power too small for the filler")
+        tail = tail.mul(HomogeneousPolynomial.linear(ring, lin))
     w_form = HomogeneousPolynomial.linear(ring, new_point.certificate.coefficients)
     head = poly.pow(alpha * w.N)
-    tail = prod_b.mul(w_form.pow(e)).scale(w.lam)
+    tail = tail.mul(w_form.pow(e))
     predicted = tuple(ring.pow(v, alpha * w.N) for v in values) + (w.epsilon,)
     return ExtensionStep(new_point, combiners, alpha, w), head.add(tail), predicted
 

@@ -10,9 +10,10 @@ unit_inverse.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import count
+from math import gcd, lcm
 
-from .core import power
+from .core import _is_prime, power
 
 
 def trim(field, coeffs) -> tuple:
@@ -187,10 +188,8 @@ def _eval_mod(cs, x: int, m: int) -> int:
 def _simple_root_prime(cs: list, dcs: tuple) -> tuple[int, list[int]]:
     """The least prime l not dividing the leading coefficient at which every
     root of cs mod l is simple, with those roots."""
-    ell = 1
-    while True:
-        ell += 1
-        if cs[-1] % ell == 0 or any(ell % d == 0 for d in range(2, isqrt(ell) + 1)):
+    for ell in count(2):
+        if cs[-1] % ell == 0 or not _is_prime(ell):
             continue
         residues = [r for r in range(ell) if _eval_mod(cs, r, ell) == 0]
         if all(_eval_mod(dcs, r, ell) for r in residues):

@@ -17,7 +17,7 @@ from math import gcd, lcm, prod
 from typing import Iterator, Optional, Sequence
 
 from . import polyuniv as pu
-from .core import ParseError, Ring
+from .core import _PRIMALITY_LIMIT, ParseError, Ring, _is_prime
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _FRACTION_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -47,42 +47,6 @@ def _chain(xgcd, mul, zero, xs) -> tuple:
         g, s, t = xgcd(g, x)
         coeffs = [mul(c, s) for c in coeffs] + [t]
     return g, coeffs
-
-
-# Miller-Rabin over the first 13 prime bases is exact below this bound, the
-# least strong pseudoprime to all of them (Sorenson & Webster, Strong
-# pseudoprimes to twelve prime bases, 2015)
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIMALITY_LIMIT = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; raises ValueError at or above
-    _PRIMALITY_LIMIT, where the bases no longer decide primality."""
-    if n >= _PRIMALITY_LIMIT:
-        raise ValueError(
-            f"{n} is too large: primality is decided only below {_PRIMALITY_LIMIT}"
-        )
-    if n < 2:
-        return False
-    for p in _PRIME_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _trial_factors(n: int, trial: int) -> tuple[list[tuple[int, int]], int]:

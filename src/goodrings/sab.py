@@ -133,9 +133,9 @@ def witness_to_polynomial(
     if not verify_witness(ring, a, b, w):
         raise PreconditionError("witness does not verify for the pair")
     y_var = HomogeneousPolynomial.monomial(ring, 2, (0, 1), ring.one())
-    x_var = HomogeneousPolynomial.monomial(ring, 2, (1, 0), ring.one())
+    lam_x = HomogeneousPolynomial.monomial(ring, 2, (1, 0), w.lam)
     inner = HomogeneousPolynomial.linear(ring, cert.coefficients)
-    poly = y_var.pow(w.N).add(x_var.mul(inner.pow(w.N - 1)).scale(w.lam))
+    poly = y_var.pow(w.N).add(lam_x.mul(inner.pow(w.N - 1)))
     ensure(poly.eval((ring.zero(), ring.one())) == ring.one(), "P(0, 1) is not 1")
     ensure(poly.eval((a, b)) == w.epsilon, "P(a, b) is not the witness unit")
     return poly

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from goodrings import homog
 from goodrings import polyuniv as pu
+from goodrings.cli import _parse_points
 from goodrings.core import (
     GoodRingsError,
     ParseError,
@@ -61,7 +62,6 @@ def test_polynomial_arithmetic():
     g = P("x1^2+x2^2")
     assert f.add(g) == P("2*x1^2-x1*x2+2*x2^2")
     assert f.mul(P("x1")) == P("x1^3-x1^2*x2+x1*x2^2")
-    assert f.scale(-2) == P("-2*x1^2+2*x1*x2-2*x2^2")
     assert P("x1+x2").pow(2) == P("x1^2+2*x1*x2+x2^2")
     assert P("x1+x2").pow(0) == HomogeneousPolynomial.constant(Z, 2, 1)
 
@@ -629,14 +629,31 @@ def _count_evals(monkeypatch) -> Counter:
     return seen
 
 
-def test_each_polynomial_is_evaluated_once_per_point(monkeypatch):
-    pts = _points(Z, [(2, 3, 5), (1, -1, 4), (0, 7, 2), (3, 3, 1)])
+@pytest.mark.parametrize(
+    "spec, points",
+    [
+        ("Z", "(2,3,5);(1,-1,4);(0,7,2);(3,3,1)"),
+        ("Z/12", "(1,0);(0,1);(1,1);(5,7)"),
+        ("GF(3)[T]", "(1,0);(0,1);(T,1);(1,T+1)"),
+        ("Q[T]", "(1,0);(0,1);(T,1)"),
+        ("locQ(3)", "(1,0);(0,1);(T-3,1);(1,T)"),
+    ],
+    ids=["Z", "Z/12", "GF(3)[T]", "Q[T]", "locQ(3)"],
+)
+def test_each_polynomial_is_evaluated_once_per_point(monkeypatch, spec, points):
+    # a step evaluates only P(q), as a = prod B_t(q) is read off the minors,
+    # and the final polynomial is evaluated once per point: 2k + 1 calls
+    # over k + 1 points, on construct and replay alike
+    ring = parse_ring(spec)
+    pts = _parse_points(ring, points)
     seen = _count_evals(monkeypatch)
-    poly, trace = construct_unit_valued(Z, pts)
+    poly, trace = construct_unit_valued(ring, pts)
     assert seen and max(seen.values()) == 1
+    assert sum(seen.values()) == 2 * len(pts) - 1
     seen.clear()
-    assert replay_trace(Z, trace) == poly
+    assert replay_trace(ring, trace) == poly
     assert seen and max(seen.values()) == 1
+    assert sum(seen.values()) == 2 * len(pts) - 1
 
 
 def _reachable(obj):
