@@ -21,11 +21,13 @@ and QUOTIENT_MODULI, where factoring n decides the answer or the refusal.
 Then locQ(p) (workload "locq", kind the command): `quotient-units`,
 `witness` and `sab --op unit` on locQ(p), p in 2, 3, 5, 7, for the a of
 _locq_commands, whose roots in {0} union {p^k} reach p^6 and repeat.
-Last, constructions (workload "construct-grid", kind the ring): the polynomial
-and the trace that construct_unit_valued returns for each (ring, points,
-bound) of CONSTRUCT_GRID, rings and point sets the benchmark never draws:
-Z/n and products with zero divisors, GF(p)[T], Q[T] (one set exhausted at
-its bound) and locQ(p). Operations are not checked, only digested.
+Last, constructions (workload "construct-grid", kind "poly:" or "trace:"
+then the ring): for each (ring, points, bound) of CONSTRUCT_GRID, rings and
+point sets the benchmark never draws (Z/n and products with zero divisors,
+GF(p)[T], Q[T] with one set exhausted at its bound, and locQ(p)), one line
+digests the polynomial that construct_unit_valued returns and one its
+trace, so a change to the trace's shape leaves the polynomial lines
+comparable. Operations are not checked, only digested.
 
 Like the benchmark, it limits every operation's work: limit_work() once, and
 start_work() before each operation. A WorkLimit, any other exception, and a
@@ -41,6 +43,7 @@ without writing bytecode, and nothing under it changes. Standard library only.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -182,11 +185,13 @@ def main() -> int:
         print("locq", "-", i, argv[0], _digest(lambda: cli.run(argv)), flush=True)
     for i, (spec, points, bound) in enumerate(CONSTRUCT_GRID):
 
+        @functools.cache  # an exception is not cached: it is raised again
         def construct():
             ring = parse_ring(spec)
             return construct_unit_valued(ring, cli._parse_points(ring, points), bound)
 
-        print("construct-grid", "-", i, spec, _digest(construct), flush=True)
+        for part, name in enumerate(("poly", "trace")):
+            print("construct-grid", "-", i, f"{name}:{spec}", _digest(lambda: construct()[part]), flush=True)
     return 0
 
 

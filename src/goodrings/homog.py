@@ -1,9 +1,9 @@
 """Homogeneous polynomials and the inductive unit-valued constructor.
 
 A construction run leaves a trace of its choices and nothing more: the
-base point, then per extension the new point, the combiners, alpha and
-the witness (N, lam, eps, eps^-1), and at the end the result's values at
-the points. The minors, the forms, every intermediate polynomial and its
+base point, then per extension the new point, the combiners and the
+witness (N, lam, eps, eps^-1), and at the end the result's values at the
+points. The minors, the forms, every intermediate polynomial and its
 values follow from these choices. Construct and replay share one point
 check, _check_points, and one construction routine, _build: replay_trace
 runs them on the recorded choices where construct_unit_valued makes its
@@ -24,7 +24,7 @@ import functools
 import re
 import struct
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import Iterator, Sequence
 
 from .core import (
@@ -44,6 +44,7 @@ from .witness import (
     _DEFAULT_BOUND,
     Exhausted,
     GoodPointWitness,
+    _witness_at,
     find_good_witness,
     verify_witness,
 )
@@ -467,8 +468,7 @@ class ExtensionStep:
 
     new_point: PrimitivePoint
     combiners: tuple  # per covered point: the u of B_t, one per index pair i < j
-    alpha: int
-    witness: GoodPointWitness  # for the pair (prod B_t(q), P(q)^alpha)
+    witness: GoodPointWitness  # for the pair (prod B_t(q), P(q))
 
 
 @dataclass(frozen=True)
@@ -504,24 +504,24 @@ def _is_tuple_of(x, length: int) -> bool:
 
 def _step(ring: Ring, poly, covered, values, new_point, combination, witness, check) -> tuple:
     """The one extension step: from P and its unit values at the covered
-    points, R = (P^alpha)^N + lam * prod(B_t) * W^e, unit-valued at covered
-    + (new_point,). Returns the step's record, R, and R's predicted values
-    at covered + (new_point,), new_point's last.
+    points, R = P^N + lam * prod(B_t) * W^e, unit-valued at covered +
+    (new_point,). Returns the step's record, R, and R's predicted values at
+    covered + (new_point,), new_point's last.
 
     The step's two choices are callables, each called once its input is
     known: combination(ring, P(q), minors) returns the combiners u of the
-    B_t; witness(a, P(q)) returns alpha and a witness for (a, P(q)^alpha),
-    a = prod B_t(q) = prod sum u_ij*m_ij, read off the minors. The
-    constructor passes its own choices, replay the recorded ones, and the
-    record holds just those choices: the minors, the forms B_t and W (built
-    only for R, whose tail starts at the constant lam), the filler exponent
-    e and R are rebuilt from them here, each time. P(q) is the only value
-    read from a polynomial. Failed checks go to check(cond, message).
+    B_t; witness(a, P(q)) returns a witness for (a, P(q)), a = prod B_t(q)
+    = prod sum u_ij*m_ij, read off the minors. The constructor passes its
+    own choices, replay the recorded ones, and the record holds just those
+    choices: the minors, the forms B_t and W (built only for R, whose tail
+    starts at the constant lam), the filler exponent e and R are rebuilt
+    from them here, each time. P(q) is the only value read from a
+    polynomial. Failed checks go to check(cond, message).
 
     R is not evaluated: B_t(p_t) = sum u_ij*(p_i*p_j - p_j*p_i) = 0 gives
-    R(p_t) = P(p_t)^(alpha*N), and W(q) = 1, the certificate sum that
-    _check_points verified, gives R(q) = eps, units as the witness verified
-    eps^-1. _build checks the final polynomial's values.
+    R(p_t) = P(p_t)^N, and W(q) = 1, the certificate sum that _check_points
+    verified, gives R(q) = eps, units as the witness verified eps^-1.
+    _build checks the final polynomial's values.
     """
     n = poly.n_vars
     k = len(covered)
@@ -537,8 +537,8 @@ def _step(ring: Ring, poly, covered, values, new_point, combination, witness, ch
     a = ring.one()
     for ms, us in zip(minors, combiners):
         a = ring.mul(a, functools.reduce(ring.add, map(ring.mul, us, ms), ring.zero()))
-    alpha, w = witness(a, pq)
-    e = w.N * alpha * poly.degree - k
+    w = witness(a, pq)
+    e = w.N * poly.degree - k
     check(e >= 0, "witness power too small for the filler")
     tail = HomogeneousPolynomial.constant(ring, n, w.lam)
     for pt, us in zip(covered, combiners):
@@ -549,10 +549,10 @@ def _step(ring: Ring, poly, covered, values, new_point, combination, witness, ch
             lin[i] = ring.sub(lin[i], ring.mul(u, pc[j]))
         tail = tail.mul(HomogeneousPolynomial.linear(ring, lin))
     w_form = HomogeneousPolynomial.linear(ring, new_point.certificate.coefficients)
-    head = poly.pow(alpha * w.N)
+    head = poly.pow(w.N)
     tail = tail.mul(w_form.pow(e))
-    predicted = tuple(ring.pow(v, alpha * w.N) for v in values) + (w.epsilon,)
-    return ExtensionStep(new_point, combiners, alpha, w), head.add(tail), predicted
+    predicted = tuple(ring.pow(v, w.N) for v in values) + (w.epsilon,)
+    return ExtensionStep(new_point, combiners, w), head.add(tail), predicted
 
 
 def _combination(ring: Ring, pq, minors: list) -> tuple:
@@ -563,13 +563,15 @@ def _combination(ring: Ring, pq, minors: list) -> tuple:
         # P(q) alone generates A, so every B_t is the zero form
         return tuple(tuple(ring.zero() for _ in m) for m in minors)
     if isinstance(ring, Integers):
-        # steer every target to the minor gcd itself: the witness then
+        # steer every target to the minor gcd g_t itself: the witness then
         # runs modulo prod(g_t), which keeps both the scan and the final
         # degree small, unlike targets of the shape 1 - P(q)^n whose
-        # pairwise common factors blow the reachable exponent up
-        chains = [_chain(_int_xgcd, ring.mul, 0, m) for m in minors]
-        if all(g > 0 and gcd(g, pq) == 1 for g, _ in chains):
-            return tuple(tuple(cs) for _, cs in chains)
+        # pairwise common factors blow the reachable exponent up. g_t > 0,
+        # as P(q) is no unit, so q != -p_t, and q != p_t. L(p_t) = 1 for the
+        # certificate form L of p_t gives q = L(q)*p_t mod g_t, and a prime
+        # dividing g_t and L(q) would divide q, so P(q) = L(q)^d*P(p_t) is
+        # prime to g_t: P(q) and B_t(q) = g_t generate Z.
+        return tuple(tuple(_chain(_int_xgcd, ring.mul, 0, m)[1]) for m in minors)
     certificates = [ring.bezout((pq,) + m) for m in minors]
     # never fires: were P(q) and the minors of (p_t, q) in a maximal ideal
     # M, then q = lam*p_t mod M for a unit lam, as both points are
@@ -584,21 +586,20 @@ def _combination(ring: Ring, pq, minors: list) -> tuple:
 
 def _least_witness(ring: Ring, k: int, degree: int, bound: int):
     """The constructor's witness choice for a step over k covered points
-    from a polynomial of the given degree: the least witness for (a,
-    P(q)^alpha) with alpha = 1, raised to the least alpha with N*alpha*
-    degree >= k when N is too small for the filler. That alpha makes
-    N*alpha*degree >= k, so the loop repeats only on a smaller N >= 1."""
+    from a polynomial of the given degree: the least witness for (a, P(q)),
+    at the N = m that the bounded scan finds, unless m*degree < k. The good
+    exponents of (a, P(q)) form mZ, and the previous filler left degree >=
+    k - 1, so then m = 1, degree = k - 1 >= 1, and N = 2 fills: P(q)^2 is
+    in the class of a unit's square, whose lift needs no second scan."""
 
-    def choose(a, pq) -> tuple:
-        alpha = 1
-        while True:
-            outcome = find_good_witness(ring, a, ring.pow(pq, alpha), bound=bound)
-            if isinstance(outcome, Exhausted):
-                raise WitnessSearchExhausted(outcome.bound)
-            w = outcome.witness
-            if w.N * alpha * degree >= k:
-                return alpha, w
-            alpha = -(-k // (w.N * degree))
+    def choose(a, pq) -> GoodPointWitness:
+        outcome = find_good_witness(ring, a, pq, bound=bound)
+        if isinstance(outcome, Exhausted):
+            raise WitnessSearchExhausted(outcome.bound)
+        if outcome.witness.N * degree >= k:
+            return outcome.witness
+        eps = ring.unit_residue_witness(a, ring.reduce_mod(a, ring.pow(pq, 2)))
+        return _witness_at(ring, a, pq, 2, eps).witness
 
     return choose
 
@@ -637,7 +638,7 @@ def _build(ring: Ring, pts: tuple, choose, factor, check) -> tuple:
     pts[0]'s certificate, of value 1 there, and runs _step at each later
     point with the choices of choose(k, degree) for the k-th extension.
     The final polynomial must take the values the steps predicted, the
-    steps' claims R(p) = P(p)^(alpha*N) and R(q) = eps composed.
+    steps' claims R(p) = P(p)^N and R(q) = eps composed.
 
     Over a ProductRing it is property (**) of the source paper for a finite
     product. factor(i, A_i, components) gives a P_i unit-valued at the
@@ -722,16 +723,13 @@ def construct_unit_valued(
 
 def _recorded(ring: Ring, step: ExtensionStep, check) -> tuple:
     """Replay's choices at a step: the recorded combiners, and the recorded
-    alpha and witness once the witness verifies for (a, P(q)^alpha)."""
+    witness once it verifies for (a, P(q))."""
 
-    def witness(a, pq) -> tuple:
-        alpha, w = step.alpha, step.witness
-        check(isinstance(alpha, int) and alpha >= 1, "alpha must be a positive integer")
-        check(
-            isinstance(w, GoodPointWitness) and verify_witness(ring, a, ring.pow(pq, alpha), w),
-            "step witness does not verify",
-        )
-        return alpha, w
+    def witness(a, pq) -> GoodPointWitness:
+        w = step.witness
+        ok = isinstance(w, GoodPointWitness) and verify_witness(ring, a, pq, w)
+        check(ok, "step witness does not verify")
+        return w
 
     return (lambda *_: step.combiners), witness
 

@@ -17,7 +17,7 @@ from math import gcd, lcm, prod
 from typing import Iterator, Optional, Sequence
 
 from . import polyuniv as pu
-from .core import _PRIMALITY_LIMIT, ParseError, Ring, _is_prime
+from .core import _PRIMALITY_LIMIT, LimitExceededError, ParseError, Ring, _is_prime
 
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _FRACTION_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -188,10 +188,19 @@ def _t_power(factor: str):
     return (0, int(m.group(2) or 1)) if m else None
 
 
+# _poly_parse_T refuses a T-exponent above this before it builds the dense
+# coefficient list, whose length the exponent sets
+_T_EXPONENT_LIMIT = 10**6
+
+
 def _poly_parse_T(text: str, field) -> tuple:
-    """Parse a polynomial literal in T into an ascending coefficient tuple."""
+    """Parse a polynomial literal in T into an ascending coefficient tuple.
+    An exponent above _T_EXPONENT_LIMIT raises LimitExceededError."""
     terms = parse_terms(text, field, 1, _t_power)
-    out = [field.zero()] * (max(terms)[0] + 1)
+    top = max(terms)[0]
+    if top > _T_EXPONENT_LIMIT:
+        raise LimitExceededError(f"the T-exponent {top} is above the limit {_T_EXPONENT_LIMIT}")
+    out = [field.zero()] * (top + 1)
     for (e,), c in terms.items():
         out[e] = c
     return pu.trim(field, out)

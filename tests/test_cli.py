@@ -726,6 +726,17 @@ def test_json_output_is_deterministic():
     assert first == second
 
 
+def _module_env():
+    """The environment with PYTHONPATH pointing at the tree the suite
+    imported `goodrings` from."""
+    package_root = os.path.dirname(os.path.dirname(goodrings.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def _console_runs(*argv):
     """Run the CLI as a separate process; one CompletedProcess per launch form.
 
@@ -734,12 +745,7 @@ def _console_runs(*argv):
     no install step is needed. The installed `goodrings` launcher runs too
     when it is on PATH, in the inherited environment.
     """
-    package_root = os.path.dirname(os.path.dirname(goodrings.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
-    commands = [([sys.executable, "-m", "goodrings", *argv], env)]
+    commands = [([sys.executable, "-m", "goodrings", *argv], _module_env())]
     launcher = shutil.which("goodrings")
     if launcher is not None:
         commands.append(([launcher, *argv], None))
@@ -764,3 +770,38 @@ def test_console_script_error_goes_to_stderr():
         assert out["status"] == "error"
         for line in proc.stderr.splitlines():
             assert line in out["diagnostics"]
+
+
+_HUGE_T = "T^1000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witness", "--ring", "GF(3)[T]", "--a", _HUGE_T, "--b", "T+1"),
+        ("witness", "--ring", "Q[T]", "--a", _HUGE_T, "--b", "T+1"),
+        ("witness", "--ring", "locQ(2)", "--a", _HUGE_T, "--b", "T+1"),
+        ("quotient-units", "--ring", "GF(3)[T]", "--a", _HUGE_T),
+        ("sab", "--ring", "Q[T]", "--a", _HUGE_T, "--op", "unit", "--x", "(T+1) + (1)*th"),
+        ("construct", "--ring", "GF(3)[T]", "--points", f"({_HUGE_T},1);(1,0)"),
+    ],
+    ids=["witness-GF3T", "witness-QT", "witness-locQ", "quotient-units", "sab", "construct"],
+)
+def test_a_huge_T_exponent_is_refused_before_the_dense_list(argv):
+    # the literal would set a dense coefficient list 10^9 long; the child
+    # process runs under a 2 GB address-space limit, so an allocation that
+    # slips past the refusal fails there and not in the suite
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "goodrings", *argv],
+        capture_output=True, text=True, timeout=60, env=_module_env(), preexec_fn=cap,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["diagnostics"] == ["the T-exponent 1000000000 is above the limit 1000000"]

@@ -460,12 +460,13 @@ def test_construct_single_point_is_its_linear_form():
     assert replay_trace(Z, trace) == poly
 
 
-def test_construct_alpha_adjustment():
-    # at the third extension the inherited degree 2 is short of k = 3, so
-    # the witness exponent must be raised
+def test_construct_doubles_N_when_the_degree_is_short():
+    # at the second and third extensions the inherited degree is k - 1 and
+    # the pair is good at N = 1, so each step takes N = 2
     pts = _points(Z, [(1, 0), (0, 1), (1, 1), (2, 1)])
     poly, trace = construct_unit_valued(Z, pts)
-    assert trace.steps[-1].alpha > 1
+    assert [s.witness.N for s in trace.steps] == [1, 2, 2]
+    assert poly.degree == 4
     for p in pts:
         assert poly.eval(p.coordinates) in (1, -1)
     assert replay_trace(Z, trace) == poly
@@ -693,7 +694,7 @@ def test_trace_record_fields():
         return tuple(f.name for f in dataclasses.fields(record))
 
     assert names(ExtensionStep) == (
-        "new_point", "combiners", "alpha", "witness",
+        "new_point", "combiners", "witness",
     )
     assert names(ConstructionTrace) == ("base_point", "steps", "values")
     assert names(ProductTrace) == ("points", "factor_traces", "values")
@@ -840,12 +841,32 @@ def test_the_final_check_refuses_a_corrupted_intermediate_result(case, monkeypat
 
 
 @pytest.mark.parametrize("shift", ["zero", "plus_one"])
-def test_replay_rejects_tampered_alpha(shift):
+def test_replay_rejects_tampered_N(shift):
     poly, trace = _traced_instance()
-    step = trace.steps[-1]
-    alpha = 0 if shift == "zero" else step.alpha + 1
-    bad = _tamper_last_step(trace, alpha=alpha)
-    with pytest.raises(GoodRingsError, match="replay"):
+    w = trace.steps[-1].witness
+    N = 0 if shift == "zero" else w.N + 1
+    bad = _tamper_last_step(trace, witness=dataclasses.replace(w, N=N))
+    with pytest.raises(GoodRingsError, match="trace replay failed: step witness does not verify"):
+        replay_trace(Z, bad)
+
+
+def test_replay_refuses_a_witness_too_small_for_the_filler(monkeypatch):
+    # the last step takes N = 2 at m = 1; the least witness at N = 1
+    # verifies for its pair, but P^1 leaves the filler W^e a negative e
+    found = []
+
+    def find(ring, a, b, bound):
+        outcome = find_good_witness(ring, a, b, bound=bound)
+        found.append((a, b, outcome.witness))
+        return outcome
+
+    monkeypatch.setattr(homog, "find_good_witness", find)
+    poly, trace = construct_unit_valued(Z, _points(Z, [(1, 0), (0, 1), (1, 1), (2, 1)]))
+    a, pq, least = found[-1]
+    assert (trace.steps[-1].witness.N, least.N) == (2, 1)
+    assert verify_witness(Z, a, pq, least)
+    bad = _tamper_last_step(trace, witness=least)
+    with pytest.raises(GoodRingsError, match="witness power too small for the filler"):
         replay_trace(Z, bad)
 
 
@@ -873,12 +894,12 @@ def test_replay_requires_one_entry_per_covered_point(field, change):
 def _malformed(step, case):
     if case == "combiner_not_a_tuple":
         return {"combiners": (7,) + step.combiners[1:]}
-    return {"alpha": "1"}
+    return {"witness": dataclasses.replace(step.witness, N=str(step.witness.N))}
 
 
 @pytest.mark.parametrize(
     "case",
-    ["combiner_not_a_tuple", "alpha_not_an_int"],
+    ["combiner_not_a_tuple", "N_not_an_int"],
 )
 def test_replay_rejects_malformed_step_entries(case):
     # a malformed entry is a replay failure, not a ValueError or TypeError
@@ -1027,10 +1048,10 @@ def _product_instance():
 def _tampered_product(ring, trace, case):
     if case == "factor_trace":
         z_trace = trace.factor_traces[0]
-        alpha = z_trace.steps[-1].alpha + 1
+        w = z_trace.steps[-1].witness
         return dataclasses.replace(
             trace,
-            factor_traces=(_tamper_last_step(z_trace, alpha=alpha),)
+            factor_traces=(_tamper_last_step(z_trace, witness=dataclasses.replace(w, N=w.N + 1)),)
             + trace.factor_traces[1:],
         )
     if case == "foreign_factor_trace":
@@ -1094,17 +1115,97 @@ def test_replay_rejects_a_product_trace_over_another_ring():
             replay_trace(other, trace)
 
 
-def test_least_witness_raises_alpha_until_it_settles(monkeypatch):
+@pytest.mark.parametrize("side", ["construct", "replay"])
+def test_a_product_result_that_is_not_unit_valued_is_refused(side, monkeypatch):
+    # each factor polynomial's pow gives the zero form, so the recombined
+    # values have zero components and are no units; only the product
+    # check sees it
+    ring, trace = _product_instance()
+    name = "construct_unit_valued" if side == "construct" else "replay_trace"
+    build = getattr(homog, name)
+
+    def factor(f, *args):
+        made = build(f, *args)
+        poly = made[0] if side == "construct" else made
+        poly.pow = lambda e: HomogeneousPolynomial.zero(f, poly.n_vars, poly.degree * e)
+        return made
+
+    monkeypatch.setattr(homog, name, factor)
+    with pytest.raises(GoodRingsError, match="the result is not unit-valued"):
+        if side == "construct":
+            construct_unit_valued(ring, trace.points)
+        else:
+            replay_trace(ring, trace)
+
+
+def test_least_witness_is_m_or_two_at_m_one(monkeypatch):
     searched = []
 
     def find(ring, a, b, bound):
-        searched.append(b)
+        searched.append((a, b))
         return find_good_witness(ring, a, b, bound=bound)
 
     monkeypatch.setattr(homog, "find_good_witness", find)
-    alpha, w = homog._least_witness(Z, 4, 1, 100)(5, 2)
-    # 2 needs N = 2, so alpha = 2; 4 needs N = 1, so alpha = 4; 16 settles
-    assert searched == [2, 4, 16]
-    assert alpha == 4
-    assert (w.N, w.lam, w.epsilon) == (1, -3, 1)
-    assert verify_witness(Z, 5, 16, w)
+    # (5, 2) has m = 2 (4 = -1 mod 5): N = m even at degree k - 1
+    w = homog._least_witness(Z, 3, 2, 100)(5, 2)
+    assert (w.N, w.lam, w.epsilon) == (2, -1, -1)
+    # (5, 4) has m = 1 (4 = -1 mod 5): N = m at degree k
+    w = homog._least_witness(Z, 3, 3, 100)(5, 4)
+    assert (w.N, w.lam, w.epsilon) == (1, -1, -1)
+    # and N = 2 at degree k - 1, with the (lam, eps) of the least witness
+    # for (5, 4^2), found with no second scan
+    w = homog._least_witness(Z, 3, 2, 100)(5, 4)
+    squared = find_good_witness(Z, 5, 16).witness
+    assert (w.N, w.lam, w.epsilon) == (2, squared.lam, squared.epsilon) == (2, -3, 1)
+    assert verify_witness(Z, 5, 4, w)
+    assert searched == [(5, 2), (5, 4), (5, 4)]
+
+
+def _step_pairs(ring, trace):
+    """Per step of a ConstructionTrace: (a, P(q), degree of P, k, witness),
+    with P rebuilt as the construction over the first k points and a =
+    prod_t sum u_ij*m_ij from the recorded combiners and the minors."""
+    pts = trace.points
+    n = len(pts[0].coordinates)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for k, step in enumerate(trace.steps, 1):
+        poly, _ = construct_unit_valued(ring, pts[:k])
+        q = step.new_point.coordinates
+        a = ring.one()
+        for p, us in zip(pts[:k], step.combiners):
+            c = p.coordinates
+            b = ring.zero()
+            for (i, j), u in zip(pairs, us):
+                b = ring.add(b, ring.mul(u, ring.sub(ring.mul(c[i], q[j]), ring.mul(c[j], q[i]))))
+            a = ring.mul(a, b)
+        yield a, poly.eval(q), poly.degree, k, step.witness
+
+
+@pytest.mark.parametrize(
+    "spec, points",
+    [
+        ("Z", "(1,0);(0,1);(1,1);(2,1)"),
+        ("Z", "(2,-5);(3,-1);(1,-2);(1,-3)"),
+        ("Z", "(1,0);(0,1);(1,1);(1,-1);(2,1)"),
+        ("Z/12", "(1,0);(0,1);(1,1);(5,7)"),
+        ("GF(3)[T]", "(1,0);(0,1);(T,1);(1,T+1)"),
+        ("Q[T]", "(1,0);(0,1);(T,1)"),
+        ("prod(Z,Z/5)", "((1,1),(0,0));((0,1),(1,0));((1,1),(1,0));((2,3),(1,1))"),
+    ],
+)
+def test_each_step_takes_the_least_N_or_two_at_m_one(spec, points):
+    # the good exponents of (a, P(q)) are mZ, and the filler needs
+    # N*deg P >= k: the step takes N = m, or N = 2 where m = 1 falls short
+    # at deg P = k - 1
+    ring = parse_ring(spec)
+    _, trace = construct_unit_valued(ring, _parse_points(ring, points))
+    if isinstance(ring, ProductRing):
+        cases = list(zip(ring.factors, trace.factor_traces))
+    else:
+        cases = [(ring, trace)]
+    for r, t in cases:
+        for a, pq, degree, k, w in _step_pairs(r, t):
+            assert verify_witness(r, a, pq, w)
+            m = find_good_witness(r, a, pq).witness.N
+            assert w.N == m or (w.N, m, degree) == (2, 1, k - 1)
+            assert w.N * degree >= k

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from goodrings import polyuniv as pu
 from goodrings import rings
-from goodrings.core import InfiniteRingError, ParseError, Ring
+from goodrings.core import InfiniteRingError, LimitExceededError, ParseError, Ring
 from goodrings.rings import (
     Integers,
     IntegersMod,
@@ -280,6 +280,17 @@ def test_polynomial_literal_rejects_bad_coefficients(ring, literal):
 def test_polynomial_literal_rejects_empty_and_malformed_terms(literal, message):
     with pytest.raises(ParseError, match=message):
         QT.parse_element(literal)
+
+
+@pytest.mark.parametrize("ring", [F3T, QT, LOC2])
+def test_polynomial_literal_exponent_limit(ring):
+    # the exponent sets the dense list's length: the limit itself parses,
+    # and one past it, alone or summed over factors, is refused
+    limit = rings._T_EXPONENT_LIMIT
+    ring.parse_element(f"T^{limit - 1}*T")
+    for text in (f"T^{limit + 1}", f"T^{limit}*T"):
+        with pytest.raises(LimitExceededError, match=f"T-exponent {limit + 1} is above the limit {limit}"):
+            ring.parse_element(text)
 
 
 def test_rational_poly_bezout():
