@@ -230,9 +230,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="goodrings", description="good-ring computations")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, ring=True, pair=False, bound=False):
-        if ring:
-            p.add_argument("--ring", required=True, help="ring spec, e.g. Z or Q[T]")
+    def common(p, pair=False, bound=False):
+        p.add_argument("--ring", required=True, help="ring spec, e.g. Z or Q[T]")
         if pair:
             p.add_argument("--a", required=True)
             p.add_argument("--b", required=True)

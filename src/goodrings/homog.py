@@ -5,17 +5,14 @@ base point, then per extension the new point, the combiners and the
 witness (N, lam, eps, eps^-1), and at the end the result's values at the
 points. The minors, the forms, every intermediate polynomial and its
 values follow from these choices. Construct and replay share one point
-check, _check_points, and one construction routine, _build: replay_trace
-runs them on the recorded choices where construct_unit_valued makes its
-own, which rechecks every identity the constructor checked. A trace is
-evidence rather than a narration: replay requires the recorded values to
-equal its own and never reads them in place of one. The steps predict the
-values at the points, and only the final polynomial is evaluated at all of
-them.
-
-Over a product ring _build makes one polynomial per factor, by
-construction or by replay, and recombines them; the trace holds one trace
-per factor.
+check, _check_points, one step loop, _build, and over a product ring one
+recombination of the factors' polynomials, _recombine, whose trace holds
+one trace per factor. replay_trace runs them on the recorded choices where
+construct_unit_valued makes its own, which rechecks every identity the
+constructor checked. A trace is evidence rather than a narration: replay
+requires the recorded values to equal its own and never reads them in
+place of one. The steps predict the values at the points, and only the
+final polynomial is evaluated at all of them.
 """
 
 from __future__ import annotations
@@ -81,6 +78,11 @@ def monomial_exponents(n_vars: int, degree: int) -> Iterator[tuple]:
             yield (e,) + rest
 
 
+def _check_n_vars(n_vars: int) -> None:
+    if n_vars < 1:
+        raise ValueError("a polynomial needs at least one variable")
+
+
 class HomogeneousPolynomial:
     """Homogeneous polynomial in x1..xn with exact ring coefficients.
 
@@ -90,8 +92,7 @@ class HomogeneousPolynomial:
     """
 
     def __init__(self, ring: Ring, n_vars: int, degree: int, terms: dict):
-        if n_vars < 1:
-            raise ValueError("a polynomial needs at least one variable")
+        _check_n_vars(n_vars)
         if degree < 0:
             raise ValueError("negative degree")
         clean = {}
@@ -118,9 +119,10 @@ class HomogeneousPolynomial:
         cls, ring: Ring, n_vars: int, degree: int, terms: dict
     ) -> "HomogeneousPolynomial":
         """Build from exponent tuples this class made itself: copies or
-        sums of keys that already passed __init__, the multinomial
-        exponents of _int_linear_power, or the keys of factor polynomials
-        of one degree merged by _recombine.
+        sums of keys that already passed __init__, the keys of constant
+        and linear, the multinomial exponents of _int_linear_power, or the
+        keys of the factor polynomials' powers to one degree L that
+        _recombine merges into tuple coefficients.
 
         Such keys have the right length, no negative entry and the right
         degree by construction, so checking them again would prove nothing
@@ -145,7 +147,8 @@ class HomogeneousPolynomial:
 
     @classmethod
     def constant(cls, ring: Ring, n_vars: int, c) -> "HomogeneousPolynomial":
-        return cls(ring, n_vars, 0, {(0,) * n_vars: c})
+        _check_n_vars(n_vars)
+        return cls._from_trusted(ring, n_vars, 0, {(0,) * n_vars: c})
 
     @classmethod
     def monomial(cls, ring: Ring, n_vars: int, exps, coeff) -> "HomogeneousPolynomial":
@@ -155,12 +158,13 @@ class HomogeneousPolynomial:
     @classmethod
     def linear(cls, ring: Ring, coeffs: Sequence) -> "HomogeneousPolynomial":
         n = len(coeffs)
+        _check_n_vars(n)
         terms = {}
         for i, c in enumerate(coeffs):
             exps = [0] * n
             exps[i] = 1
             terms[tuple(exps)] = c
-        return cls(ring, n, 1, terms)
+        return cls._from_trusted(ring, n, 1, terms)
 
     def _require_compatible(self, other: "HomogeneousPolynomial") -> None:
         if (
@@ -502,7 +506,7 @@ def _is_tuple_of(x, length: int) -> bool:
     return isinstance(x, tuple) and len(x) == length
 
 
-def _step(ring: Ring, poly, covered, values, new_point, combination, witness, check) -> tuple:
+def _step(ring: Ring, poly, covered, values, new_point, combination, witness) -> tuple:
     """The one extension step: from P and its unit values at the covered
     points, R = P^N + lam * prod(B_t) * W^e, unit-valued at covered +
     (new_point,). Returns the step's record, R, and R's predicted values at
@@ -516,7 +520,7 @@ def _step(ring: Ring, poly, covered, values, new_point, combination, witness, ch
     choices: the minors, the forms B_t and W (built only for R, whose tail
     starts at the constant lam), the filler exponent e and R are rebuilt
     from them here, each time. P(q) is the only value read from a
-    polynomial. Failed checks go to check(cond, message).
+    polynomial. A failed check raises GoodRingsError.
 
     R is not evaluated: B_t(p_t) = sum u_ij*(p_i*p_j - p_j*p_i) = 0 gives
     R(p_t) = P(p_t)^N, and W(q) = 1, the certificate sum that _check_points
@@ -530,7 +534,7 @@ def _step(ring: Ring, poly, covered, values, new_point, combination, witness, ch
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     minors = [_minors(ring, p.coordinates, q, pairs) for p in covered]
     combiners = combination(ring, pq, minors)
-    check(
+    ensure(
         _is_tuple_of(combiners, k) and all(_is_tuple_of(us, len(pairs)) for us in combiners),
         "one combiner per minor for each covered point",
     )
@@ -539,7 +543,7 @@ def _step(ring: Ring, poly, covered, values, new_point, combination, witness, ch
         a = ring.mul(a, functools.reduce(ring.add, map(ring.mul, us, ms), ring.zero()))
     w = witness(a, pq)
     e = w.N * poly.degree - k
-    check(e >= 0, "witness power too small for the filler")
+    ensure(e >= 0, "witness power too small for the filler")
     tail = HomogeneousPolynomial.constant(ring, n, w.lam)
     for pt, us in zip(covered, combiners):
         pc = pt.coordinates
@@ -604,76 +608,76 @@ def _least_witness(ring: Ring, k: int, degree: int, bound: int):
     return choose
 
 
-def _check_points(ring: Ring, pts, check) -> None:
-    """The one input check of construct and replay, failures to check(cond,
-    message): at least one point, each a PrimitivePoint, of one dimension
-    n >= 2; over a ProductRing, one component per factor in every coordinate
-    and certificate entry; certificates that verify; no point repeated."""
-    check(len(pts) > 0, "at least one point is required")
-    check(all(isinstance(p, PrimitivePoint) for p in pts), "points must be PrimitivePoints")
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise PreconditionError(message)
+
+
+def _check_points(ring: Ring, pts) -> None:
+    """The one input check of construct and replay, raising
+    PreconditionError: at least one point, each a PrimitivePoint, of one
+    dimension n >= 2; over a ProductRing, one component per factor in every
+    coordinate and certificate entry; certificates that verify; no point
+    repeated."""
+    _require(len(pts) > 0, "at least one point is required")
+    _require(all(isinstance(p, PrimitivePoint) for p in pts), "points must be PrimitivePoints")
     n = len(pts[0].coordinates)
-    check(n >= 2, "points need at least two coordinates")
-    check(all(_is_tuple_of(p.coordinates, n) for p in pts), "points must share one dimension")
+    _require(n >= 2, "points need at least two coordinates")
+    _require(all(_is_tuple_of(p.coordinates, n) for p in pts), "points must share one dimension")
     if isinstance(ring, ProductRing):
         r = len(ring.factors)
         entries = [x for p in pts for x in p.coordinates + p.certificate.coefficients]
-        check(all(_is_tuple_of(x, r) for x in entries), f"every entry needs {r} components")
+        _require(all(_is_tuple_of(x, r) for x in entries), f"every entry needs {r} components")
     seen = set()
     for p in pts:
         # a foreign certificate fails inside verify_certificate
         ok = verify_certificate(ring, p.coordinates, p.certificate)
-        check(ok, "primitivity certificate does not verify")
+        _require(ok, "primitivity certificate does not verify")
         if p.coordinates in seen:
             shown = ", ".join(ring.format_element(c) for c in p.coordinates)
-            check(False, f"duplicate point ({shown})")
+            raise PreconditionError(f"duplicate point ({shown})")
         seen.add(p.coordinates)
 
 
-def _build(ring: Ring, pts: tuple, choose, factor, check) -> tuple:
-    """The one construction routine of construct and replay: the polynomial
-    unit-valued at pts, which passed _check_points, and the trace of its
-    choices.
-
-    Over a ring that is not a product it starts from the linear form of
-    pts[0]'s certificate, of value 1 there, and runs _step at each later
-    point with the choices of choose(k, degree) for the k-th extension.
-    The final polynomial must take the values the steps predicted, the
-    steps' claims R(p) = P(p)^N and R(q) = eps composed.
-
-    Over a ProductRing it is property (**) of the source paper for a finite
-    product. factor(i, A_i, components) gives a P_i unit-valued at the
-    distinct i-th components, which are primitive as a certificate splits by
-    component, and its trace. With d_i = deg P_i and L = lcm(d_i), the
-    polynomial with coefficients (P_1^(L/d_1), ..., P_r^(L/d_r)) is
-    homogeneous of degree L and unit-valued at every product point, which
-    is checked. The powers go through pow, so through mul.
-    """
-    if isinstance(ring, ProductRing):
-        polys, traces = zip(
-            *(factor(i, f, _component_points(pts, i)) for i, f in enumerate(ring.factors))
-        )
-        degree = lcm(*(p.degree for p in polys))
-        powers = [p.pow(degree // p.degree) for p in polys]
-        zeros = [f.zero() for f in ring.factors]
-        keys = set().union(*(p.terms for p in powers))
-        terms = {
-            e: tuple(p.terms.get(e, z) for p, z in zip(powers, zeros)) for e in keys
-        }
-        n = len(pts[0].coordinates)
-        result = HomogeneousPolynomial._from_trusted(ring, n, degree, terms)
-        values = tuple(result.eval(p.coordinates) for p in pts)
-        check(all(ring.is_unit(v) for v in values), "the result is not unit-valued")
-        return result, ProductTrace(pts, traces, values)
+def _build(ring: Ring, pts: tuple, choose) -> tuple:
+    """The one step loop of construct and replay off a product ring: the
+    polynomial unit-valued at pts, which passed _check_points, and its
+    trace. It starts from the linear form of pts[0]'s certificate, of value
+    1 there, and runs _step at each later point with the choices of
+    choose(k, degree) for the k-th extension. The final polynomial must
+    take the values the steps predicted, their claims R(p) = P(p)^N and
+    R(q) = eps composed."""
     poly = HomogeneousPolynomial.linear(ring, pts[0].certificate.coefficients)
     values = (ring.one(),)  # the certificate sum, which _check_points verified
     steps = []
     for k, q in enumerate(pts[1:], 1):
         combination, witness = choose(k, poly.degree)
-        step, poly, values = _step(ring, poly, pts[:k], values, q, combination, witness, check)
+        step, poly, values = _step(ring, poly, pts[:k], values, q, combination, witness)
         steps.append(step)
     ok = all(poly.eval(p.coordinates) == v for p, v in zip(pts, values))
-    check(ok, "the result does not take the predicted unit values at the points")
+    ensure(ok, "the result does not take the predicted unit values at the points")
     return poly, ConstructionTrace(pts[0], tuple(steps), values)
+
+
+def _recombine(ring: ProductRing, pts: tuple, parts) -> tuple:
+    """Property (**) of the source paper for a finite product, for construct
+    and replay alike. parts yields per factor A_i a P_i unit-valued at the
+    distinct i-th components of pts, primitive as a certificate splits by
+    component, and its trace. With d_i = deg P_i and L = lcm(d_i), the
+    polynomial with coefficients (P_1^(L/d_1), ..., P_r^(L/d_r)) is
+    homogeneous of degree L and unit-valued at every product point, which
+    is checked. The powers go through pow, so through mul."""
+    polys, traces = zip(*parts)
+    degree = lcm(*(p.degree for p in polys))
+    powers = [p.pow(degree // p.degree) for p in polys]
+    zeros = [f.zero() for f in ring.factors]
+    keys = set().union(*(p.terms for p in powers))
+    terms = {e: tuple(p.terms.get(e, z) for p, z in zip(powers, zeros)) for e in keys}
+    n = len(pts[0].coordinates)
+    result = HomogeneousPolynomial._from_trusted(ring, n, degree, terms)
+    values = tuple(result.eval(p.coordinates) for p in pts)
+    ensure(all(ring.is_unit(v) for v in values), "the result is not unit-valued")
+    return result, ProductTrace(pts, traces, values)
 
 
 def _component_points(points, i: int) -> tuple:
@@ -688,11 +692,6 @@ def _component_points(points, i: int) -> tuple:
     return tuple(seen.values())
 
 
-def _precondition(cond: bool, message: str) -> None:
-    if not cond:
-        raise PreconditionError(message)
-
-
 def construct_unit_valued(
     ring: Ring, points: Sequence[PrimitivePoint], witness_bound: int = _DEFAULT_BOUND
 ) -> tuple:
@@ -700,88 +699,96 @@ def construct_unit_valued(
     primitive points, plus the trace of the construction's choices: a
     ProductTrace over a ProductRing, else a ConstructionTrace.
 
-    Points that fail _check_points raise PreconditionError. _build then runs
-    on the constructor's own choices: _combination and _least_witness at
-    each step, and this function on each factor of a product. A negative
+    Points that fail _check_points raise PreconditionError. Over a
+    ProductRing, _recombine joins this function's results on each factor's
+    components; over any other ring, _build runs on the constructor's own
+    choices, _combination and _least_witness at each step. A negative
     witness_bound raises ValueError even where no witness search runs.
     """
     if witness_bound < 0:
         raise ValueError(f"the witness bound must be at least 0, not {witness_bound}")
     pts = tuple(points)
     try:
-        _check_points(ring, pts, _precondition)
+        _check_points(ring, pts)
     except (TypeError, AttributeError) as err:  # e.g. a foreign certificate
         raise PreconditionError(f"malformed point ({err})") from err
+    if isinstance(ring, ProductRing):
+        parts = (
+            construct_unit_valued(f, _component_points(pts, i), witness_bound)
+            for i, f in enumerate(ring.factors)
+        )
+        return _recombine(ring, pts, parts)
     return _build(
-        ring,
-        pts,
-        lambda k, degree: (_combination, _least_witness(ring, k, degree, witness_bound)),
-        lambda i, f, components: construct_unit_valued(f, components, witness_bound),
-        ensure,
+        ring, pts, lambda k, d: (_combination, _least_witness(ring, k, d, witness_bound))
     )
 
 
-def _recorded(ring: Ring, step: ExtensionStep, check) -> tuple:
-    """Replay's choices at a step: the recorded combiners, and the recorded
-    witness once it verifies for (a, P(q))."""
+def _replay(ring: Ring, trace) -> HomogeneousPolynomial:
+    """replay_trace's work, whose first mismatch raises GoodRingsError with
+    the bare message; a factor trace replays through it too."""
+    product = isinstance(trace, ProductTrace)
+    ensure(product or isinstance(trace, ConstructionTrace), "not a construction trace")
+    ensure(
+        product == isinstance(ring, ProductRing),
+        "a product ring takes a ProductTrace, and no other ring does",
+    )
+    if product:
+        ensure(
+            isinstance(trace.points, tuple)
+            and _is_tuple_of(trace.factor_traces, len(ring.factors)),
+            "a product trace needs a tuple of points and one trace per factor",
+        )
+    else:
+        ensure(
+            isinstance(trace.steps, tuple)
+            and all(isinstance(s, ExtensionStep) for s in trace.steps),
+            "the steps are not a tuple of ExtensionSteps",
+        )
+    pts = trace.points
+    _check_points(ring, pts)
 
-    def witness(a, pq) -> GoodPointWitness:
-        w = step.witness
-        ok = isinstance(w, GoodPointWitness) and verify_witness(ring, a, pq, w)
-        check(ok, "step witness does not verify")
-        return w
+    def factor(i: int, f: Ring) -> tuple:
+        factor_trace = trace.factor_traces[i]
+        poly = _replay(f, factor_trace)  # first: it rejects unreadable points
+        covers = factor_trace.points == _component_points(pts, i)
+        ensure(covers, "a factor trace does not cover the components")
+        return poly, factor_trace
 
-    return (lambda *_: step.combiners), witness
+    def recorded(k: int, _) -> tuple:
+        # the recorded combiners, and the recorded witness once it verifies
+        step = trace.steps[k - 1]
+
+        def witness(a, pq) -> GoodPointWitness:
+            w = step.witness
+            ok = isinstance(w, GoodPointWitness) and verify_witness(ring, a, pq, w)
+            ensure(ok, "step witness does not verify")
+            return w
+
+        return (lambda *_: step.combiners), witness
+
+    if product:
+        poly, rebuilt = _recombine(ring, pts, map(factor, range(len(ring.factors)), ring.factors))
+    else:
+        poly, rebuilt = _build(ring, pts, recorded)
+    ensure(trace.values == rebuilt.values, "the recorded values are not the result's")
+    return poly
 
 
 def replay_trace(ring: Ring, trace) -> HomogeneousPolynomial:
     """Recompute every identity in a construction trace from its recorded
     choices, and return the final polynomial.
 
-    Nothing is trusted: replay runs the constructor's own point check and
-    construction routine, _check_points and _build, on the trace's points
-    and recorded choices, so it rechecks every identity the constructor
-    checked, and it requires the recorded values to equal its own. A
-    ProductTrace's factor traces replay on the factor rings and must cover exactly the distinct
-    components of the points. The first mismatch raises GoodRingsError
-    "trace replay failed: ...", and a foreign element inside a record fails
-    as a malformed record.
+    Nothing is trusted: _replay runs the constructor's own point check and
+    routines, _check_points and _build or _recombine, on the trace's points
+    and recorded choices, and requires the recorded values to equal its
+    own; a product's factor traces must cover the distinct components of
+    the points. This is the one place that words a failure: the first
+    mismatch at any depth raises GoodRingsError "trace replay failed: ...",
+    and a foreign element inside a record fails as a malformed record.
     """
-
-    def check(cond: bool, message: str) -> None:
-        ensure(cond, f"trace replay failed: {message}")
-
-    def factor(i: int, f: Ring, components: tuple) -> tuple:
-        factor_trace = trace.factor_traces[i]
-        poly = replay_trace(f, factor_trace)  # first: it rejects unreadable points
-        check(factor_trace.points == components, "a factor trace does not cover the components")
-        return poly, factor_trace
-
     try:
-        product = isinstance(trace, ProductTrace)
-        check(product or isinstance(trace, ConstructionTrace), "not a construction trace")
-        check(
-            product == isinstance(ring, ProductRing),
-            "a product ring takes a ProductTrace, and no other ring does",
-        )
-        if product:
-            check(
-                isinstance(trace.points, tuple)
-                and _is_tuple_of(trace.factor_traces, len(ring.factors)),
-                "a product trace needs a tuple of points and one trace per factor",
-            )
-        else:
-            check(
-                isinstance(trace.steps, tuple)
-                and all(isinstance(s, ExtensionStep) for s in trace.steps),
-                "the steps are not a tuple of ExtensionSteps",
-            )
-        pts = trace.points
-        _check_points(ring, pts, check)
-        poly, rebuilt = _build(
-            ring, pts, lambda k, _: _recorded(ring, trace.steps[k - 1], check), factor, check
-        )
-        check(trace.values == rebuilt.values, "the recorded values are not the result's")
-        return poly
+        return _replay(ring, trace)
+    except GoodRingsError as err:
+        raise GoodRingsError(f"trace replay failed: {err}") from err
     except (TypeError, AttributeError) as err:
         raise GoodRingsError(f"trace replay failed: malformed record ({err})") from err

@@ -147,24 +147,26 @@ def polynomial_to_witness(
     """Read a witness off a bivariate homogeneous P that is unit-valued at
     (0, 1) and (a, b).
 
-    P = a0*Y^d + X*Q with a0 = P(0, 1) and Q the X-part, the terms of P
-    that hold X at one power of X less. So b^d + lam*a = eps for N = d,
-    lam = a0^-1 * Q(a, b) and eps = a0^-1 * P(a, b).
+    P = a0*Y^d + X*Q with a0 = P(0, 1), the coefficient of Y^d, and Q the
+    X-part, the terms of P that hold X at one power of X less. So b^d +
+    lam*a = eps for N = d, lam = a0^-1 * Q(a, b) and eps = a0^-1 * P(a, b).
+    Q(a, b) is the one evaluation: P(a, b) = a0*b^d + a*Q(a, b).
     """
     if poly.n_vars != 2:
         raise PreconditionError("the bridge polynomial must be bivariate")
     d = poly.degree
     if poly.is_zero or d < 1:
         raise PreconditionError("the bridge polynomial must have degree >= 1")
-    a0 = poly.eval((ring.zero(), ring.one()))
+    a0 = poly.terms.get((0, d), ring.zero())
     a0_inv = ring.unit_inverse(a0)
     if a0_inv is None:
         raise PreconditionError("P(0, 1) must be a unit")
-    val = poly.eval((a, b))
+    x_part = {(i - 1, j): c for (i, j), c in poly.terms.items() if i}
+    q_val = HomogeneousPolynomial(ring, 2, d - 1, x_part).eval((a, b))
+    val = ring.add(ring.mul(a0, ring.pow(b, d)), ring.mul(a, q_val))
     if not ring.is_unit(val):
         raise PreconditionError("P(a, b) must be a unit")
-    x_part = {(i - 1, j): c for (i, j), c in poly.terms.items() if i}
-    lam = ring.mul(a0_inv, HomogeneousPolynomial(ring, 2, d - 1, x_part).eval((a, b)))
+    lam = ring.mul(a0_inv, q_val)
     eps = ring.mul(a0_inv, val)
     w = GoodPointWitness(d, lam, eps, ring.unit_inverse(eps))
     ensure(verify_witness(ring, a, b, w), "the witness read off P does not verify")

@@ -303,12 +303,15 @@ def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:
     splits over Q.
 
     The root evaluations of b decide everything: all ratios 1 give N = 1,
-    ratios in {1, -1} give N = 2, anything else refutes.
+    ratios in {1, -1} give N = 2, anything else refutes. They also decide
+    primitivity, checked after the split: a split squarefree a is coprime
+    to b iff b vanishes at no root, so only a constant a or a zero value
+    runs the Bezout test, which raises NotPrimitiveError.
     """
     if not isinstance(ring, RationalPoly):
         raise UnsupportedRingError("the rational-split decision works over Q[T]")
-    require_primitive(ring, (a, b))
     if len(a) <= 1:
+        require_primitive(ring, (a, b))
         return _witness_at(ring, a, b, 1, ring.unit_residue_witness(a, ring.reduce_mod(a, b)))
     field = ring.field
     # the roots are distinct: a is squarefree and split iff there are deg(a)
@@ -317,7 +320,9 @@ def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:
         raise PreconditionError(
             "the coefficient polynomial must be squarefree with all roots rational"
         )
-    vals = [pu.eval_at(field, b, th) for th in roots]  # nonzero: (a, b) is primitive
+    vals = [pu.eval_at(field, b, th) for th in roots]
+    if field.zero() in vals:
+        require_primitive(ring, (a, b))
     base = vals[0]
     N = 1
     for v in vals:

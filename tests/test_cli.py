@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
@@ -805,3 +806,36 @@ def test_a_huge_T_exponent_is_refused_before_the_dense_list(argv):
     assert proc.returncode == 2, proc.stderr
     out = json.loads(proc.stdout)
     assert out["diagnostics"] == ["the T-exponent 1000000000 is above the limit 1000000"]
+
+
+def _dense_qt(seed: int, degree: int) -> str:
+    """A monic Q[T] literal of the given degree, lower coefficients drawn
+    from randint(-9, 9) under the seed."""
+    rng = random.Random(seed)
+    terms = [f"({rng.randint(-9, 9)})*T^{i}" for i in range(degree)]
+    return "+".join(terms) + f"+T^{degree}"
+
+
+@pytest.mark.parametrize(
+    "a, b, ceiling",
+    [
+        # not primitive, and a = T*(7*T^999 + 3/4) does not split: a Bezout
+        # chain over Fractions at degree 1000 did not finish in 12 s
+        ("7*T^1000+3/4*T", "3/4*T+2*T^100+5*T^3", 3.0),
+        # a dense pair of degree 60 and 59: the Bezout chain took about 8 s
+        (_dense_qt(1, 60), _dense_qt(2, 59), 4.0),
+    ],
+    ids=["degree-1000", "dense-degree-60"],
+)
+def test_decide_qt_refuses_a_non_split_a_without_a_bezout_chain(a, b, ceiling):
+    # the split test comes first and needs only the roots; the child is
+    # killed at the ceiling, so a return to the Bezout chain fails here
+    proc = subprocess.run(
+        [sys.executable, "-m", "goodrings", "decide-qt", "--ring", "Q[T]", "--a", a, "--b", b],
+        capture_output=True, text=True, timeout=ceiling, env=_module_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["diagnostics"] == [
+        "the coefficient polynomial must be squarefree with all roots rational"
+    ]

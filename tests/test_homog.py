@@ -18,7 +18,6 @@ from goodrings.core import (
     PrimitivePoint,
     BezoutCertificate,
     UnsupportedRingError,
-    ensure,
     is_primitive,
     require_primitive,
 )
@@ -64,6 +63,16 @@ def test_polynomial_arithmetic():
     assert f.mul(P("x1")) == P("x1^3-x1^2*x2+x1*x2^2")
     assert P("x1+x2").pow(2) == P("x1^2+2*x1*x2+x2^2")
     assert P("x1+x2").pow(0) == HomogeneousPolynomial.constant(Z, 2, 1)
+
+
+def test_constant_and_linear_need_a_variable():
+    # both skip the exponent checks of the constructor, but not this one
+    with pytest.raises(ValueError, match="at least one variable"):
+        HomogeneousPolynomial.linear(Z, [])
+    with pytest.raises(ValueError, match="at least one variable"):
+        HomogeneousPolynomial.constant(Z, 0, 3)
+    assert HomogeneousPolynomial.linear(Z, [0, 2, 0]).terms == {(0, 1, 0): 2}
+    assert HomogeneousPolynomial.constant(Z, 2, 0).is_zero
 
 
 def _pow_base(case):
@@ -572,7 +581,7 @@ def _hand_built_trace(case, ring, pts):
         poly, trace = construct_unit_valued(Z, pts[:2])
         witness = homog._least_witness(Z, 2, poly.degree, 100)
         step, _, values = homog._step(
-            Z, poly, pts[:2], trace.values, pts[2], homog._combination, witness, ensure
+            Z, poly, pts[:2], trace.values, pts[2], homog._combination, witness
         )
         return dataclasses.replace(trace, steps=trace.steps + (step,), values=values)
     # otherwise the choices of a valid construction over as many points
@@ -1115,13 +1124,36 @@ def test_replay_rejects_a_product_trace_over_another_ring():
             replay_trace(other, trace)
 
 
+def test_a_nested_product_failure_is_worded_once():
+    # the tampered witness sits two products down; the message names the
+    # failure once, with the replay prefix once
+    ring = parse_ring("prod(prod(Z,Z/5),GF(3))")
+    coords = [
+        (((1, 1), 1), ((0, 1), 0)),
+        (((0, 1), 0), ((1, 0), 1)),
+        (((1, 1), 1), ((1, 0), 1)),
+    ]
+    _, trace = construct_unit_valued(ring, _points(ring, coords))
+    inner = trace.factor_traces[0]
+    z_trace = inner.factor_traces[0]
+    lam = z_trace.steps[-1].witness.lam
+    w = dataclasses.replace(z_trace.steps[-1].witness, lam=Z.add(lam, 1))
+    inner = dataclasses.replace(
+        inner, factor_traces=(_tamper_last_step(z_trace, witness=w),) + inner.factor_traces[1:]
+    )
+    bad = dataclasses.replace(trace, factor_traces=(inner,) + trace.factor_traces[1:])
+    with pytest.raises(GoodRingsError) as info:
+        replay_trace(ring, bad)
+    assert str(info.value) == "trace replay failed: step witness does not verify"
+
+
 @pytest.mark.parametrize("side", ["construct", "replay"])
 def test_a_product_result_that_is_not_unit_valued_is_refused(side, monkeypatch):
     # each factor polynomial's pow gives the zero form, so the recombined
     # values have zero components and are no units; only the product
     # check sees it
     ring, trace = _product_instance()
-    name = "construct_unit_valued" if side == "construct" else "replay_trace"
+    name = "construct_unit_valued" if side == "construct" else "_replay"
     build = getattr(homog, name)
 
     def factor(f, *args):

@@ -254,3 +254,20 @@ def test_bridge_reverse_rejects_non_unit_values():
     with pytest.raises(PreconditionError):
         # value at (2, 3) is 3, not a unit over the integers
         polynomial_to_witness(Z, 2, 3, HomogeneousPolynomial.parse(Z, 2, "x2"))
+
+
+def test_bridge_reverse_evaluates_only_the_x_part(monkeypatch):
+    # P(0, 1) is the coefficient of Y^d, and P(a, b) = P(0, 1)*b^d + a*Q(a, b)
+    # for the X-part Q: one evaluation, of Q
+    calls = []
+    original = HomogeneousPolynomial.eval
+
+    def counted(self, coords):
+        calls.append(self.format())
+        return original(self, coords)
+
+    monkeypatch.setattr(HomogeneousPolynomial, "eval", counted)
+    poly = HomogeneousPolynomial.parse(Z, 2, "-x1^2+2*x1*x2+x2^2")
+    w = polynomial_to_witness(Z, 5, 2, poly)
+    assert (w.N, w.lam, w.epsilon) == (2, -1, -1)
+    assert calls == ["-x1+2*x2"]

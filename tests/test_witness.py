@@ -182,6 +182,22 @@ def test_decide_qt_requires_split_squarefree():
     assert verify_witness(QT, a, b, w)
 
 
+def test_decide_qt_refuses_a_non_primitive_pair_with_split_a():
+    # b vanishes at the root 0 of the split squarefree a: the Bezout test
+    # runs and names the pair
+    with pytest.raises(NotPrimitiveError):
+        decide_good_point_rational_split(QT, QT.parse_element("T^2-T"), QT.parse_element("T"))
+
+
+def test_decide_qt_checks_the_split_before_primitivity():
+    # (T-1)(T^2+1) does not split; that precondition is checked first, so
+    # the common factor T-1 is never looked for
+    with pytest.raises(PreconditionError, match="squarefree with all roots rational"):
+        decide_good_point_rational_split(
+            QT, QT.parse_element("T^3-T^2+T-1"), QT.parse_element("T-1")
+        )
+
+
 def test_decide_qt_wrong_ring():
     with pytest.raises(UnsupportedRingError):
         decide_good_point_rational_split(Z, 5, 2)
