@@ -91,6 +91,8 @@ class HomogeneousPolynomial:
     compares equal across degrees.
     """
 
+    _keys = None  # (codec, terms by packed key), kept by mul on its product
+
     def __init__(self, ring: Ring, n_vars: int, degree: int, terms: dict):
         _check_n_vars(n_vars)
         if degree < 0:
@@ -101,7 +103,7 @@ class HomogeneousPolynomial:
             exps = tuple(exps)
             if (
                 len(exps) != n_vars
-                or any(not isinstance(e, int) or e < 0 for e in exps)
+                or any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps)
                 or sum(exps) != degree
             ):
                 raise ValueError(
@@ -120,9 +122,8 @@ class HomogeneousPolynomial:
     ) -> "HomogeneousPolynomial":
         """Build from exponent tuples this class made itself: copies or
         sums of keys that already passed __init__, the keys of constant
-        and linear, the multinomial exponents of _int_linear_power, or the
-        keys of the factor polynomials' powers to one degree L that
-        _recombine merges into tuple coefficients.
+        and linear, or the keys of the factor polynomials' powers to one
+        degree L that _recombine merges into tuple coefficients.
 
         Such keys have the right length, no negative entry and the right
         degree by construction, so checking them again would prove nothing
@@ -130,11 +131,18 @@ class HomogeneousPolynomial:
         coefficients are still dropped.
         """
         zero = ring.zero()
+        return cls._make(ring, n_vars, degree, {e: c for e, c in terms.items() if c != zero})
+
+    @classmethod
+    def _make(cls, ring: Ring, n_vars: int, degree: int, terms: dict) -> "HomogeneousPolynomial":
+        """_from_trusted for terms that hold no zero coefficient either: the
+        products of mul, which drops zeros as it unpacks its keys, and the
+        multinomial terms of _int_linear_power."""
         poly = object.__new__(cls)
         poly.ring = ring
         poly.n_vars = n_vars
         poly.degree = degree
-        poly.terms = {e: c for e, c in terms.items() if c != zero}
+        poly.terms = terms
         return poly
 
     @property
@@ -204,27 +212,33 @@ class HomogeneousPolynomial:
         never carries into the next field, and the sum is the key of the
         product monomial. A product of degree 2**64 or more raises
         ValueError rather than wrap a field.
+
+        The product keeps its packed keys, tagged with their codec, so the
+        next product of pow's chain acc * P packs only P: an operand's kept
+        keys are read when its codec is the product's, and any other operand
+        is packed once. The shorter operand drives the outer loop.
         """
         self._require_compatible(other)
         degree = self.degree + other.degree
         if self.is_zero or other.is_zero:
             return HomogeneousPolynomial.zero(self.ring, self.n_vars, degree)
         codec = _key_codec(self.n_vars, degree)
-        pack = codec.pack
-        from_bytes = int.from_bytes
-        left = [(from_bytes(pack(*e), "little"), c) for e, c in self.terms.items()]
-        right = [(from_bytes(pack(*e), "little"), c) for e, c in other.terms.items()]
+        left = self._packed(codec)
+        right = left if other is self else other._packed(codec)
+        if len(left) > len(right):
+            left, right = right, left
+        outer, inner = left.items(), right.items()
         ring = self.ring
         acc: dict = {}
         if isinstance(ring, Integers):
             get = acc.get
-            for k1, c1 in left:
-                for k2, c2 in right:
+            for k1, c1 in outer:
+                for k2, c2 in inner:
                     key = k1 + k2
                     acc[key] = get(key, 0) + c1 * c2
         else:
-            for k1, c1 in left:
-                for k2, c2 in right:
+            for k1, c1 in outer:
+                for k2, c2 in inner:
                     key = k1 + k2
                     prod = ring.mul(c1, c2)
                     if key in acc:
@@ -232,8 +246,29 @@ class HomogeneousPolynomial:
                     else:
                         acc[key] = prod
         unpack, size = codec.unpack, codec.size
-        terms = {unpack(k.to_bytes(size, "little")): c for k, c in acc.items()}
-        return HomogeneousPolynomial._from_trusted(ring, self.n_vars, degree, terms)
+        zero = ring.zero()
+        terms = {unpack(k.to_bytes(size, "little")): c for k, c in acc.items() if c != zero}
+        if len(terms) < len(acc):
+            acc = {k: c for k, c in acc.items() if c != zero}
+        product = HomogeneousPolynomial._make(ring, self.n_vars, degree, terms)
+        product._keys = codec, acc
+        return product
+
+    def _packed(self, codec: struct.Struct) -> dict:
+        """The terms keyed by their exponents packed under codec: the keys
+        kept when mul built this polynomial under the same codec, else
+        packed now."""
+        kept = self._keys
+        if kept is not None and kept[0] is codec:
+            return kept[1]
+        pack, from_bytes = codec.pack, int.from_bytes
+        return {from_bytes(pack(*e), "little"): c for e, c in self.terms.items()}
+
+    def __getstate__(self) -> dict:
+        # kept keys are a cache, and their codec does not pickle
+        state = dict(self.__dict__)
+        state.pop("_keys", None)
+        return state
 
     def pow(self, n: int) -> "HomogeneousPolynomial":
         """self^n, with two strategies.
@@ -265,19 +300,42 @@ class HomogeneousPolynomial:
         return acc
 
     def _int_linear_power(self, n: int) -> "HomogeneousPolynomial":
-        """(c_1 x_1 + ... )^n by the multinomial theorem; integers only."""
-        support = [(e.index(1), c) for e, c in self.terms.items()]
+        """(c_1 x_i1 + ... + c_k x_ik)^n by the multinomial theorem; integers
+        only. Each c_t^j is read from one table of running products
+        c_t^0..c_t^n. The exponent splits run lex descending: the first k - 2
+        exponents by recursion, and the last two, (j, r - j), in one loop
+        that carries the binomial C(r, j) from one term to the next."""
+        support = [e.index(1) for e in self.terms]
+        key = [0] * self.n_vars
+        if len(support) == 1:
+            key[support[0]] = n
+            (c,) = self.terms.values()
+            return HomogeneousPolynomial._make(self.ring, self.n_vars, n, {tuple(key): c**n})
+        tables = []
+        for c in self.terms.values():
+            table = [1]
+            for _ in range(n):
+                table.append(table[-1] * c)
+            tables.append(table)
         acc: dict = {}
-        for split in monomial_exponents(len(support), n):
-            coeff = 1
-            rest = n
-            key = [0] * self.n_vars
-            for (idx, c), e in zip(support, split):
-                coeff *= comb(rest, e) * c**e
-                rest -= e
-                key[idx] = e
-            acc[tuple(key)] = coeff
-        return HomogeneousPolynomial._from_trusted(self.ring, self.n_vars, n, acc)
+        (i1, i2), (t1, t2) = support[-2:], tables[-2:]
+
+        def fill(t: int, rest: int, coeff: int) -> None:
+            if t < len(support) - 2:
+                table = tables[t]
+                for e in range(rest, -1, -1):
+                    key[support[t]] = e
+                    fill(t + 1, rest - e, coeff * comb(rest, e) * table[e])
+                return
+            binom = 1
+            for j in range(rest, -1, -1):
+                key[i1] = j
+                key[i2] = rest - j
+                acc[tuple(key)] = coeff * binom * t1[j] * t2[rest - j]
+                binom = binom * j // (rest - j + 1)
+
+        fill(0, n, 1)
+        return HomogeneousPolynomial._make(self.ring, self.n_vars, n, acc)
 
     def eval(self, coords: Sequence):
         """The value at coords, read from one power table per coordinate.

@@ -1,9 +1,11 @@
 """Homogeneous polynomials, section ideals, constructor, trace replay."""
 
+import copy
 import dataclasses
+import pickle
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -280,8 +282,8 @@ def test_arithmetic_commutes_with_evaluation(case):
 
 @pytest.mark.parametrize(
     "exps",
-    [(2,), (1, 1, 0), (3, -1), (1, 0), (1.5, 0.5)],
-    ids=["short", "long", "negative", "wrong-degree", "non-integer"],
+    [(2,), (1, 1, 0), (3, -1), (1, 0), (1.5, 0.5), (2, False)],
+    ids=["short", "long", "negative", "wrong-degree", "non-integer", "bool"],
 )
 def test_constructor_rejects_malformed_exponents(exps):
     with pytest.raises(ValueError):
@@ -302,6 +304,194 @@ def test_mul_rejects_degree_past_64_bit_fields():
         big.mul(big)
     top = big.mul(HomogeneousPolynomial.monomial(Z, 2, (2**63 - 1, 0), 1))
     assert top.terms == {(2**64 - 1, 0): 1}
+
+
+def _reference_product(f, g):
+    """f * g term by term over exponent tuples, zero sums dropped."""
+    ring, acc = f.ring, {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            acc[key] = ring.add(acc.get(key, ring.zero()), ring.mul(c1, c2))
+    return HomogeneousPolynomial(ring, f.n_vars, f.degree + g.degree, acc)
+
+
+def _kept_keys_are_the_terms(poly) -> bool:
+    codec, keys = poly._keys
+    return {codec.unpack(k.to_bytes(codec.size, "little")): c for k, c in keys.items()} == poly.terms
+
+
+_KERNEL_RINGS = (Z, IntegersMod(12), ProductRing([Z, IntegersMod(6)]))
+
+
+@st.composite
+def _kernel_case(draw):
+    ring = draw(st.sampled_from(_KERNEL_RINGS))
+    n_vars = draw(st.integers(1, 5))
+
+    def form():
+        degree = draw(st.integers(0, 4))
+        monomials = list(monomial_exponents(n_vars, degree))
+        exps = draw(st.lists(st.sampled_from(monomials), unique=True, max_size=8))
+        # zero coefficients included: the constructor drops them
+        return HomogeneousPolynomial(ring, n_vars, degree, {e: draw(_eval_element(ring)) for e in exps})
+
+    return form(), form(), form()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_kernel_case())
+@example((P("x1+x2"), P("x1-x2"), P("x1^2+x2^2")))  # the cross terms cancel
+def test_mul_matches_the_reference_product(case):
+    f, g, h = case
+    for left, right in ((f, g), (g, f), (f, f)):
+        product = left.mul(right)
+        assert product == _reference_product(left, right)
+        assert product.degree == left.degree + right.degree
+        if not product.is_zero:
+            assert _kept_keys_are_the_terms(product)
+    # products of products: kept keys on one side, on both, and a square
+    fg, gh = f.mul(g), g.mul(h)
+    assert fg.mul(h) == _reference_product(_reference_product(f, g), h)
+    assert fg.mul(gh) == _reference_product(_reference_product(f, g), _reference_product(g, h))
+    assert fg.mul(fg) == _reference_product(_reference_product(f, g), _reference_product(f, g))
+
+
+def _reference_power(base, n):
+    power = HomogeneousPolynomial.constant(base.ring, base.n_vars, base.ring.one())
+    for _ in range(n):
+        power = _reference_product(power, base)
+    return power
+
+
+@pytest.mark.parametrize(
+    "ring, text",
+    [
+        (Z, "3*x1^15-x1^7*x2^8+2*x2^15"),
+        (IntegersMod(12), "3*x1^15+11*x1^7*x2^8+2*x2^15"),
+        (ProductRing([Z, IntegersMod(6)]), "(3,1)*x1^15+(-1,5)*x1^7*x2^8+(2,2)*x2^15"),
+    ],
+    ids=["Z", "Z/12", "prod(Z,Z/6)"],
+)
+def test_pow_chains_across_the_8_to_16_bit_key_fields(monkeypatch, ring, text):
+    # degree 15 * 17 = 255 is the last product with 8-bit fields; the next
+    # one, of degree 270, needs 16 bits and must refuse the kept 8-bit keys
+    base = P(text, ring=ring)
+    chain = []
+    mul = HomogeneousPolynomial.mul
+
+    def recorded(self, other):
+        chain.append(mul(self, other))
+        return chain[-1]
+
+    monkeypatch.setattr(HomogeneousPolynomial, "mul", recorded)
+    power = base.pow(18)
+    assert [p.degree for p in chain][-3:] == [240, 255, 270]
+    assert chain[-2]._keys[0].size == 2 and chain[-1]._keys[0].size == 4
+    assert power == _reference_power(base, 18)
+    assert all(_kept_keys_are_the_terms(p) for p in chain)
+
+
+def test_operands_from_two_chains_multiply_as_the_reference():
+    f = P("2*x1^3-x1*x2^2+5*x3^3", n_vars=3)
+    g = P("x1^2-3*x2*x3+x3^2", n_vars=3)
+    h = P("x1^100-7*x2^50*x3^50+x3^100", n_vars=3)
+    f10, g4, h3 = f.pow(10), g.pow(4), h.pow(3)  # degrees 30, 8 and 300
+    ref_f10, ref_g4, ref_h3 = (_reference_power(b, n) for b, n in ((f, 10), (g, 4), (h, 3)))
+    # both kept keys read under one 8-bit codec
+    assert f10.mul(g4) == _reference_product(ref_f10, ref_g4)
+    assert g4.mul(f10) == _reference_product(ref_g4, ref_f10)
+    # 16-bit kept keys read, and 8-bit ones refused and packed again
+    assert h3._keys[0].size == 6
+    assert f10.mul(h3) == _reference_product(ref_f10, ref_h3)
+    assert h3.mul(f10) == _reference_product(ref_h3, ref_f10)
+
+
+def _kept_and_fresh():
+    """A product carrying kept keys, and the same polynomial built from its
+    terms by the constructor, which carries none."""
+    product = P("2*x1^2-x1*x2+3*x2^2").pow(4)
+    assert product._keys is not None
+    fresh = HomogeneousPolynomial(Z, 2, product.degree, product.terms)
+    assert fresh._keys is None
+    return product, fresh
+
+
+@pytest.mark.parametrize("check", ["pickle", "deepcopy", "copy", "eq", "repr", "format"])
+def test_kept_keys_change_no_copy_comparison_or_text(check):
+    product, fresh = _kept_and_fresh()
+    if check == "pickle":
+        assert pickle.dumps(product) == pickle.dumps(fresh)
+        again = pickle.loads(pickle.dumps(product))
+        assert again == product and again._keys is None
+        assert again.mul(again) == product.mul(product)
+    elif check in ("deepcopy", "copy"):
+        again = getattr(copy, check)(product)
+        assert again == product and again._keys is None
+        assert again.mul(product) == product.mul(product)
+    elif check == "eq":
+        assert product == fresh and fresh == product
+        assert product != product.mul(P("x1"))
+    elif check == "repr":
+        assert repr(product) == repr(fresh)
+    else:
+        assert product.format() == fresh.format()
+
+
+# the benchmark's 12 heavy construct point sets over Z, as literals
+_HEAVY_POINTS = [
+    [(-4, 19, -13, -4), (8, 14, -2, 15), (-16, 18, -11, 4), (4, 1, -11, -1), (-12, -7, -9, 18)],
+    [(10, -1, -16), (8, -13, 7), (18, 20, 5), (7, -14, -16), (14, -17, 12)],
+    [(14, 15, 0), (14, -9, -9), (5, -1, 0), (3, 3, 4)],
+    [(14, 8, 19), (-3, 17, -6), (-5, 4, 20), (14, 13, 5), (-19, -8, 18)],
+    [(-20, 17, -6), (3, -1, -14), (0, 17, 14), (0, -20, -11)],
+    [(15, -14, 3), (-5, 8, -13), (-14, 1, -8), (-5, 15, -1), (2, 17, 17)],
+    [(19, 5, -2), (20, -17, 20), (-17, -12, 15), (-13, 11, 7), (-3, -13, 11)],
+    [(13, 15, 18), (16, -15, -4), (-6, 11, -20), (6, -1, -14), (0, -12, -17)],
+    [(5, 11, -7, -5), (-10, -18, 6, 15), (14, 10, -16, 17)],
+    [(1, -17, -10), (-10, -13, 10), (19, -5, -19), (6, 18, 5), (-9, 14, 0)],
+    [(-1, -17, -11), (3, 4, 6), (-1, 18, 16), (-2, 19, 0), (-8, -13, 0)],
+    [(17, -5, -1), (4, 20, -17), (-11, 6, -7), (4, 11, -5), (7, -9, -3)],
+]
+
+
+def test_the_heavy_constructions_do_the_same_products(monkeypatch):
+    # the benchmark's work limit counts len * len per mul call from outside
+    # mul; a faster kernel must make the same calls on operands of the
+    # same size
+    work = Counter()
+    mul = HomogeneousPolynomial.mul
+
+    def counted(self, other):
+        work["calls"] += 1
+        work["term_pairs"] += len(self.terms) * len(other.terms)
+        return mul(self, other)
+
+    monkeypatch.setattr(HomogeneousPolynomial, "mul", counted)
+    for coords in _HEAVY_POINTS:
+        _, trace = construct_unit_valued(Z, [require_primitive(Z, c) for c in coords])
+        replay_trace(Z, trace)
+    assert work == {"calls": 494, "term_pairs": 389_594}
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(0, 0, 1, 0, 0): -3},
+        {(0, 0, 0, 0, 1): 2, (0, 1, 0, 0, 0): -1},
+        {(0, 0, 1, 0, 0): 1, (1, 0, 0, 0, 0): -2, (0, 0, 0, 0, 1): 3},
+        {(0, 0, 0, 1, 0): -1, (1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): 2, (0, 0, 0, 0, 1): -5},
+        {(1, 0, 0, 0, 0): 7, (0, 1, 0, 0, 0): -1, (0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0): -3, (0, 0, 0, 0, 1): 2},
+    ],
+    ids=["support-1", "support-2", "support-3", "support-4", "support-5"],
+)
+@pytest.mark.parametrize("n", [2, 3, 7, 12])
+def test_int_linear_power_is_the_repeated_product(terms, n):
+    form = HomogeneousPolynomial(Z, 5, 1, terms)
+    power = form.pow(n)
+    assert power == _reference_power(form, n)
+    assert power.degree == n
+    assert len(power.terms) == comb(n + len(terms) - 1, len(terms) - 1)
 
 
 def _poly_coefficients(field, values):
