@@ -27,7 +27,13 @@ point sets the benchmark never draws (Z/n and products with zero divisors,
 GF(p)[T], Q[T] with one set exhausted at its bound, and locQ(p)), one line
 digests the polynomial that construct_unit_valued returns and one its
 trace, so a change to the trace's shape leaves the polynomial lines
-comparable. Operations are not checked, only digested.
+comparable. Last, the command line's edge cases (workload "cli-edge", kind
+the command line's first word or "-"): the top-level --help, each
+subcommand's --help, and the malformed command lines of CLI_EDGE, each
+digested as its exit code (or SystemExit code) and everything cli.run
+printed to stdout, under COLUMNS=80 so help text wraps the same in every
+terminal. The golden file covers none of these paths. Operations are not
+checked, only digested.
 
 Like the benchmark, it limits every operation's work: limit_work() once, and
 start_work() before each operation. A WorkLimit, any other exception, and a
@@ -43,8 +49,10 @@ without writing bytecode, and nothing under it changes. Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -81,6 +89,51 @@ CONSTRUCT_GRID = (
     ("prod(GF(5),Z/12)", "((1,1),(0,0));((0,0),(1,1));((1,5),(1,7))", 10000),
     ("prod(Z,Q[T])", "((1,1),(0,0));((0,0),(1,1));((1,T),(1,1))", 10000),
 )
+
+SUBCOMMANDS = ("witness", "construct", "check-good", "quotient-units", "decide-qt", "refute-zt", "sab", "bridge")
+_PAIR = ["--ring", "Z", "--a", "5", "--b", "2"]
+# malformed or unusual command lines of the "cli-edge" section
+CLI_EDGE = (
+    [],
+    ["frobnicate", "--ring", "Z"],
+    ["Witness", *_PAIR],
+    ["-h", "witness"],
+    ["--format", "text", "witness", *_PAIR],
+    ["witness"],
+    ["witness", "--ring", "Z", "--a", "5"],
+    ["witness", "--rin", "Z", "--a", "5", "--b", "2"],
+    ["witness", *_PAIR, "--fo", "text"],
+    ["witness", "--ring=Z", "--a=5", "--b=2", "--format=text"],
+    ["witness", *_PAIR, "--b", "3"],
+    ["witness", *_PAIR, "extra"],
+    ["witness", *_PAIR, "-x"],
+    ["witness", *_PAIR, "--bound", "ten"],
+    ["witness", *_PAIR, "--format", "xml"],
+    ["witness", "--ring", "Z", "--a", "-5", "--b", "2"],
+    ["witness", "--", *_PAIR],
+    ["witness", *_PAIR, "-h"],
+    ["construct", "--ring", "Z"],
+    ["check-good", "--ring", "Z/6", "--ring"],
+    ["quotient-units", "--ring", "Z", "--a"],
+    ["sab", "--ring", "Z", "--a", "2", "--op", "div", "--x", "(1) + (0)*th"],
+    ["sab", "--ring", "Z", "--a", "2", "--op", "mul", "--x", "(1) + (0)*th"],
+    ["bridge", *_PAIR],
+    ["bridge", "--to-poly", "--from-poly", *_PAIR],
+    ["bridge", "--from-poly", *_PAIR],
+    ["bridge", "--to", *_PAIR],
+)
+
+
+def _cli_printed(cli, argv) -> tuple:
+    """(exit code, stdout) of cli.run(argv): its result when it returns,
+    the SystemExit code and the help text when it exits."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            result = cli.run(argv)
+        except SystemExit as exc:
+            result = ("SystemExit", exc.code)
+    return result, out.getvalue()
 
 
 def _t_poly(scale, roots, rest=(1,)) -> str:
@@ -192,6 +245,11 @@ def main() -> int:
 
         for part, name in enumerate(("poly", "trace")):
             print("construct-grid", "-", i, f"{name}:{spec}", _digest(lambda: construct()[part]), flush=True)
+    os.environ["COLUMNS"] = "80"
+    edges = [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS] + list(CLI_EDGE)
+    for i, argv in enumerate(edges):
+        kind = argv[0] if argv else "-"
+        print("cli-edge", "-", i, kind, _digest(lambda: _cli_printed(cli, argv)), flush=True)
     return 0
 
 

@@ -4,6 +4,12 @@ run(argv) returns (exit code, serialized CommandResult) without touching the
 process; main() prints and exits. Exit code 0 covers ok and refuted (a
 mathematical no is a successful computation), 3 is an exhausted search
 bound, 2 is a usage, parse, or precondition problem.
+
+A command line that starts with a subcommand's name is parsed by that
+subcommand's own argparse parser; any other (none, -h, an unknown name)
+goes to the top-level parser. All the top-level parser would do is find the
+subcommand and hand it the rest, so skipping it leaves the Namespace, the
+error messages, the help texts and the exit codes as they were.
 """
 
 from __future__ import annotations
@@ -224,9 +230,11 @@ def _cmd_bridge(args) -> tuple:
 
 
 @cache
-def _build_parser() -> _Parser:
-    """The parser, built on first use and then shared: parse_args leaves it
-    unchanged, and building it costs more than most commands."""
+def _build_parser() -> tuple:
+    """(top-level parser, {subcommand name: its parser}), built on first use
+    and then shared: parse_args leaves them unchanged, and building them
+    costs more than most commands. The subcommand parsers are the ones the
+    top-level parser dispatches to, so _parse can call them directly."""
     parser = _Parser(prog="goodrings", description="good-ring computations")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -281,7 +289,19 @@ def _build_parser() -> _Parser:
     common(p, pair=True, bound=True)
     p.set_defaults(func=_cmd_bridge)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The Namespace of one command line: a known subcommand's arguments go
+    straight to its parser, anything else to the top-level parser, whose
+    usage errors and help text it keeps."""
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(argv[1:])
+        args.command = argv[0]
+        return args
+    return parser.parse_args(argv)
 
 
 def _execute(argv) -> tuple:
@@ -290,10 +310,9 @@ def _execute(argv) -> tuple:
     Every error the package raises deliberately maps to status error and
     exit code 2; anything else is a bug and propagates as a traceback.
     """
-    parser = _build_parser()
     fmt = "json"
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         fmt = args.format
         code, result = args.func(args)
     except (_UsageError, GoodRingsError, ValueError) as exc:

@@ -89,16 +89,34 @@ def power(mul, one, x, n: int):
     return acc
 
 
-# Miller-Rabin over the first 13 prime bases is exact below this bound, the
-# least strong pseudoprime to all of them (Sorenson & Webster, Strong
-# pseudoprimes to twelve prime bases, 2015)
+# _PSI[t-1] is psi_t, the least strong pseudoprime to the first t prime bases
+# (OEIS A014233; Jaeschke, On strong pseudoprimes to several bases, 1993;
+# Sorenson & Webster, Strong pseudoprimes to twelve prime bases, 2015), so
+# Miller-Rabin over the first t bases is exact below psi_t. psi_13 is the
+# bound past which the 13 bases no longer decide primality.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIMALITY_LIMIT = 3317044064679887385961981
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+_PRIMALITY_LIMIT = _PSI[-1]
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; raises ValueError at or above
-    _PRIMALITY_LIMIT, where the bases no longer decide primality."""
+    """Deterministic Miller-Rabin over the first t bases, t the least with
+    n < psi_t; raises ValueError at or above _PRIMALITY_LIMIT, where the
+    bases no longer decide primality."""
     if n >= _PRIMALITY_LIMIT:
         raise ValueError(
             f"{n} is too large: primality is decided only below {_PRIMALITY_LIMIT}"
@@ -112,16 +130,17 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _PRIME_BASES:
+    for a, psi in zip(_PRIME_BASES, _PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            break
     return True
 
 

@@ -12,6 +12,7 @@ import time
 import pytest
 
 import goodrings
+from goodrings import cli
 from goodrings.cli import main, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.jsonl"
@@ -719,6 +720,95 @@ def test_golden_outputs_repeat_in_one_process(monkeypatch, capsys):
     assert code == 2
     assert out["status"] == "error"
     assert _golden_mismatches(cases[::-1], monkeypatch, capsys) == []
+
+
+# one valid command line per subcommand
+_MINIMAL = [
+    ["witness", "--ring", "Z", "--a", "5", "--b", "2"],
+    ["construct", "--ring", "Z", "--points", "(1,0);(0,1)"],
+    ["check-good", "--ring", "Z/6"],
+    ["quotient-units", "--ring", "Z", "--a", "6"],
+    ["decide-qt", "--ring", "Q[T]", "--a", "T", "--b", "T-1"],
+    ["refute-zt", "--ring", "Q[T]", "--a", "T^2+1", "--b", "T"],
+    ["sab", "--ring", "Z", "--a", "2", "--op", "unit", "--x", "(1) + (1)*th"],
+    ["bridge", "--ring", "Z", "--a", "5", "--b", "2", "--to-poly"],
+]
+
+
+def test_every_subcommand_has_a_minimal_command_line():
+    _, commands = cli._build_parser()
+    assert [argv[0] for argv in _MINIMAL] == list(commands)
+
+
+def test_dispatch_gives_the_top_level_namespace():
+    """Parsing by the subcommand's own parser gives the Namespace the
+    top-level parser gives, on every golden and every minimal command line."""
+    top, _ = cli._build_parser()
+    argvs = [case["argv"] for case in _golden_cases()] + _MINIMAL
+    assert [cli._parse(argv) for argv in argvs] == [top.parse_args(argv) for argv in argvs]
+
+
+def test_a_valid_command_skips_the_top_level_parse(monkeypatch):
+    top, _ = cli._build_parser()
+    real = cli._Parser.parse_args
+
+    def parse_args(self, *args, **kwargs):
+        if self is top:
+            raise AssertionError("the top-level parser parsed a valid command")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", parse_args)
+    for argv in _MINIMAL:
+        assert run(argv)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, diagnostic",
+    [
+        ([], "the following arguments are required: command"),
+        (
+            ["frobnicate", "--ring", "Z"],
+            "argument command: invalid choice: 'frobnicate' (choose from 'witness', "
+            "'construct', 'check-good', 'quotient-units', 'decide-qt', 'refute-zt', "
+            "'sab', 'bridge')",
+        ),
+        (["witness", "--a", "5", "--b", "2"], "the following arguments are required: --ring"),
+        (["witness", "--ring", "Z", "--a", "5", "--b", "2", "extra"], "unrecognized arguments: extra"),
+        (
+            ["bridge", "--to-poly", "--from-poly", "--ring", "Z", "--a", "5", "--b", "2"],
+            "argument --from-poly: not allowed with argument --to-poly",
+        ),
+        (
+            ["witness", "--ring", "Z", "--a", "5", "--b", "2", "--format", "xml"],
+            "argument --format: invalid choice: 'xml' (choose from 'json', 'text')",
+        ),
+    ],
+    ids=["no-args", "unknown-command", "missing-ring", "trailing-extra", "both-directions", "format-xml"],
+)
+def test_a_usage_error_keeps_its_exit_code_and_message(argv, diagnostic):
+    top, _ = cli._build_parser()
+    with pytest.raises(cli._UsageError) as by_top:
+        top.parse_args(argv)
+    assert str(by_top.value) == diagnostic
+    assert invoke(*argv) == (2, {"status": "error", "payload": {}, "diagnostics": [diagnostic]})
+
+
+def test_an_abbreviated_option_still_parses():
+    assert invoke("witness", "--rin", "Z", "--a", "5", "--b", "2") == invoke(*_MINIMAL[0])
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [(["--help"], None), (["-h", "witness"], None), (["witness", "--help"], "witness")],
+    ids=["help", "help-before-command", "witness-help"],
+)
+def test_help_prints_the_matching_parsers_help(capsys, argv, command):
+    top, commands = cli._build_parser()
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 0
+    parser = top if command is None else commands[command]
+    assert capsys.readouterr().out == parser.format_help()
 
 
 def test_json_output_is_deterministic():

@@ -10,6 +10,7 @@ from math import gcd, isqrt, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from goodrings import core
 from goodrings import polyuniv as pu
 from goodrings import rings
 from goodrings.core import InfiniteRingError, LimitExceededError, ParseError, Ring
@@ -638,6 +639,47 @@ def test_is_prime_agrees_with_trial_division():
     # shows it composite
     assert not rings._is_prime(318665857834031151167461)
     assert rings._is_prime(2**61 - 1)
+
+
+def _strong_probable_prime(n, a) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _prime_by_every_base(n) -> bool:
+    """Miller-Rabin over all 13 bases: the test before it stopped at the
+    first t bases that decide n."""
+    if n < 2:
+        return False
+    if any(n % p == 0 for p in core._PRIME_BASES):
+        return n in core._PRIME_BASES
+    return all(_strong_probable_prime(n, a) for a in core._PRIME_BASES)
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_psi_t_fools_the_first_t_bases_but_not_is_prime(t):
+    psi = core._PSI[t - 1]
+    assert all(_strong_probable_prime(psi, a) for a in core._PRIME_BASES[:t])
+    assert not rings._is_prime(psi)
+
+
+def test_is_prime_agrees_with_every_base_around_each_psi():
+    """Across each switch from t to t + 1 bases, and on random odd numbers
+    of every size below the limit."""
+    rng = random.Random(38)
+    ns = [n for psi in core._PSI[:-1] for n in range(psi - 200, psi + 200)]
+    ns += [rng.randrange(2 ** (k - 1), 2**k) | 1 for k in range(12, 82) for _ in range(20)]
+    ns = [n for n in ns if n < core._PRIMALITY_LIMIT]
+    assert [rings._is_prime(n) for n in ns] == [_prime_by_every_base(n) for n in ns]
 
 
 @settings(max_examples=200, deadline=None)
