@@ -21,6 +21,9 @@ and QUOTIENT_MODULI, where factoring n decides the answer or the refusal.
 Then locQ(p) (workload "locq", kind the command): `quotient-units`,
 `witness` and `sab --op unit` on locQ(p), p in 2, 3, 5, 7, for the a of
 _locq_commands, whose roots in {0} union {p^k} reach p^6 and repeat.
+Then seeded Q[T] and locQ(p) pairs of degree at most 30 (workload "qt",
+kind the subcommand): `witness` with a small bound, `decide-qt` and
+`refute-zt` of _qt_commands, not primitive or not split among them.
 Last, constructions (workload "construct-grid", kind "poly:" or "trace:"
 then the ring): for each (ring, points, bound) of CONSTRUCT_GRID, rings and
 point sets the benchmark never draws (Z/n and products with zero divisors,
@@ -55,6 +58,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -89,6 +93,9 @@ CONSTRUCT_GRID = (
     ("prod(GF(5),Z/12)", "((1,1),(0,0));((0,0),(1,1));((1,5),(1,7))", 10000),
     ("prod(Z,Q[T])", "((1,1),(0,0));((0,0),(1,1));((1,T),(1,1))", 10000),
 )
+
+# pairs per seed of the "qt" section: 3 Q[T] commands each, and a locQ(p) one every other pair
+QT_PAIRS = 150
 
 SUBCOMMANDS = ("witness", "construct", "check-good", "quotient-units", "decide-qt", "refute-zt", "sab", "bridge")
 _PAIR = ["--ring", "Z", "--a", "5", "--b", "2"]
@@ -167,6 +174,61 @@ def _locq_commands() -> list:
     return argvs
 
 
+def _qt_commands(seed: int) -> list:
+    """QT_PAIRS seeded pairs of degree at most 30. Each gives `witness`
+    (bound 1 to 4), `decide-qt` and `refute-zt` on Q[T], and every other pair
+    also `witness` on locQ(p). a splits squarefree over Q, splits with a
+    repeated root, or is dense, so mostly not split; its roots come from a
+    pool that holds 0 and powers of p. b is dense, shares a root or a factor
+    with a (not primitive), or is a small constant plus a multiple of a.
+    Two pairs in three draw integer coefficients, as refute-zt requires."""
+    rng = random.Random(seed)
+
+    def poly(degree, ints) -> list:
+        return [Fraction(rng.randint(-9, 9), 1 if ints else rng.randint(1, 4)) for _ in range(degree)] + [
+            Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+        ]
+
+    def mul(f, g) -> list:
+        out = [Fraction(0)] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+        return out
+
+    argvs = []
+    for i in range(QT_PAIRS):
+        p, ints = rng.choice((2, 3, 5)), rng.random() < 2 / 3
+        pool = [0, p, p * p, p**3] + [z for z in range(-12, 13) if z not in (0, p, p * p)]
+        shape, degree = rng.randrange(3), rng.randint(1, 30)
+        if shape == 2:
+            rest, roots = poly(degree, ints), []
+        else:
+            roots = rng.sample(pool, min(degree, 12))
+            if shape == 1:
+                roots.append(roots[0])
+            rest = [Fraction(rng.choice((1, 2, 3, -1)))]
+        a = rest
+        for z in roots:
+            a = mul(a, [Fraction(-z), Fraction(1)])
+        kind = rng.randrange(3)
+        if kind == 0:
+            b = poly(rng.randint(0, 30), ints)
+        elif kind == 1:
+            shared = [Fraction(-roots[0]), Fraction(1)] if roots else rest
+            b = mul(shared, poly(rng.randint(0, 30 - len(shared) + 1), ints))
+        else:
+            b = mul(a, poly(rng.randint(0, 30 - len(a) + 1), ints))
+            b[0] += rng.choice((1, -1, 2, -2))
+        pair = ["--a", _t_poly(1, [], a), "--b", _t_poly(1, [], b) or "0"]
+        bound = ["--bound", str(rng.randint(1, 4))]
+        argvs += [["witness", "--ring", "Q[T]", *pair, *bound], ["decide-qt", "--ring", "Q[T]", *pair]]
+        argvs.append(["refute-zt", "--ring", "Q[T]", *pair])
+        if i % 2:
+            argvs.append(["witness", "--ring", f"locQ({p})", *pair, *bound])
+    return argvs
+
+
 def _digest(call) -> str:
     """sha256 of repr(call()), or of the outcome that stood in for it."""
     from workloads import WorkLimit, start_work
@@ -236,6 +298,9 @@ def main() -> int:
         print("limits", "-", i, argv[0], _digest(lambda: cli.run(argv)), flush=True)
     for i, argv in enumerate(_locq_commands()):
         print("locq", "-", i, argv[0], _digest(lambda: cli.run(argv)), flush=True)
+    for seed in seeds:
+        for i, argv in enumerate(_qt_commands(seed)):
+            print("qt", seed, i, argv[0], _digest(lambda: cli.run(argv)), flush=True)
     for i, (spec, points, bound) in enumerate(CONSTRUCT_GRID):
 
         @functools.cache  # an exception is not cached: it is raised again

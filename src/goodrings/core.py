@@ -252,9 +252,14 @@ def is_primitive(ring: Ring, coords: Sequence) -> Optional[PrimitivePoint]:
     return PrimitivePoint(tuple(coords), cert)
 
 
+def not_primitive(ring: Ring, coords: Sequence) -> NotPrimitiveError:
+    """The error that says the coordinates do not generate (1)."""
+    shown = ", ".join(ring.format_element(c) for c in coords)
+    return NotPrimitiveError(f"({shown}) does not generate the unit ideal in {ring.spec_string()}")
+
+
 def require_primitive(ring: Ring, coords: Sequence) -> PrimitivePoint:
     pt = is_primitive(ring, coords)
     if pt is None:
-        shown = ", ".join(ring.format_element(c) for c in coords)
-        raise NotPrimitiveError(f"({shown}) does not generate the unit ideal in {ring.spec_string()}")
+        raise not_primitive(ring, coords)
     return pt

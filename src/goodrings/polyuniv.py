@@ -4,7 +4,8 @@ Polynomials are tuples of coefficients, ascending by degree, with no
 trailing zeros; () is the zero polynomial. The coefficient field is a
 core.Ring, passed explicitly, so the same routines serve GF(p) and Q;
 they use only its ring operations, with division as multiplication by
-unit_inverse.
+unit_inverse. The exceptions work on integer coefficients over Q:
+monic_gcd's primitive PRS and the root lifting of rational_roots.
 """
 
 from __future__ import annotations
@@ -122,12 +123,58 @@ def xgcd(field, f: tuple, g: tuple) -> tuple[tuple, tuple, tuple]:
 
 def monic_gcd(field, f: tuple, g: tuple) -> tuple:
     """xgcd(field, f, g)[0] without the cofactors: 1 at once when f or g
-    is a nonzero constant (von zur Gathen & Gerhard, ch. 3)."""
+    is a nonzero constant (von zur Gathen & Gerhard, ch. 3).
+
+    Over GF(p) this is Euclid's loop. Over the rationals it is the primitive
+    PRS on integer coefficients (Collins, J. ACM 1967; Brown, J. ACM 1971):
+    with the denominators cleared, each pseudo-remainder is divided by its
+    content, so the coefficients stay as small as the gcd's, where Euclid
+    over Fractions grows them; the last nonzero one, made monic, is the gcd.
+    """
     if len(f) == 1 or len(g) == 1:
         return (field.one(),)
+    if field.characteristic:
+        while g:
+            f, g = g, divmod_poly(field, f, g)[1]
+        return monic(field, f)
+    f, g = _integer_part(f), _integer_part(g)
     while g:
-        f, g = g, divmod_poly(field, f, g)[1]
-    return monic(field, f)
+        if len(g) == 1:
+            return (Fraction(1),)
+        f, g = g, _primitive(_pseudo_remainder(f, g))
+    return tuple(Fraction(c, f[-1]) for c in f)
+
+
+def _integer_part(f: tuple) -> list:
+    """The primitive integer multiple of a rational polynomial."""
+    den = lcm(*(c.denominator for c in f))
+    return _primitive([c.numerator * (den // c.denominator) for c in f])
+
+
+def _primitive(cs: list) -> list:
+    """An integer polynomial divided by the gcd of its coefficients."""
+    content = gcd(*cs)
+    return cs if content <= 1 else [c // content for c in cs]
+
+
+def _pseudo_remainder(f: list, g: list) -> list:
+    """A nonzero integer multiple of f mod g over Q, for integer polynomials
+    f and nonzero g: each step scales the running remainder only by the part
+    of lc(g) that its top coefficient lacks, and then cancels that top."""
+    r, n, lead = list(f), len(g), g[-1]
+    while len(r) >= n:
+        top = r.pop()
+        k = gcd(top, lead)
+        top, scale = top // k, lead // k
+        if scale != 1:
+            r = [c * scale for c in r]
+        shift = len(r) - n + 1
+        for i in range(n - 1):
+            if g[i]:
+                r[shift + i] -= top * g[i]
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 def rational_roots(field, f: tuple) -> list[Fraction]:
@@ -156,10 +203,7 @@ def rational_roots(field, f: tuple) -> list[Fraction]:
     body = f[v:]
     if len(body) > 1:
         g, _ = divmod_poly(field, body, monic_gcd(field, body, _derivative(body)))
-        den = lcm(*(c.denominator for c in g))
-        cs = [int(c * den) for c in g]
-        content = gcd(*cs)
-        cs = [c // content for c in cs]
+        cs = _integer_part(g)
         c0, cn = abs(cs[0]), abs(cs[-1])
         dcs = _derivative(cs)
         ell, residues = _simple_root_prime(cs, dcs)

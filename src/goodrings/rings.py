@@ -12,7 +12,7 @@ import itertools
 import operator
 import re
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from math import gcd, lcm, prod
 from typing import Iterator, Optional, Sequence
 
@@ -477,7 +477,11 @@ class UnivariatePolyRing(Ring):
         return (self.field.unit_inverse(x[0]),)
 
     def bezout(self, xs):
-        g, coeffs = _chain(partial(pu.xgcd, self.field), partial(pu.mul, self.field), (), xs)
+        field = self.field
+        # over Q the integer gcd refuses a common factor before any cofactor is built
+        if not field.characteristic and reduce(partial(pu.monic_gcd, field), xs, ()) != self.one():
+            return None
+        g, coeffs = _chain(partial(pu.xgcd, field), partial(pu.mul, field), (), xs)
         return tuple(coeffs) if g == self.one() else None
 
     def reduce_mod(self, a, x):
@@ -726,10 +730,11 @@ class LocalizedRationalPoly(Ring):
         return self._in_S(x[0])
 
     def bezout(self, xs):
-        field = self.field
-        g, coeffs = _chain(partial(pu.xgcd, field), partial(pu.mul, field), (), [x[0] for x in xs])
-        if not self._in_S(g):
+        field, nums = self.field, [x[0] for x in xs]
+        # the integer gcd refuses a gcd outside S before any cofactor is built
+        if not self._in_S(reduce(partial(pu.monic_gcd, field), nums, ())):
             return None
+        g, coeffs = _chain(partial(pu.xgcd, field), partial(pu.mul, field), (), nums)
         # sum c_i * num_i = g, so sum (c_i d_i / g) x_i = 1; g is in S
         return tuple(
             self._reduced(pu.mul(self.field, c, x[1]), g)

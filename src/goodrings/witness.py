@@ -20,6 +20,7 @@ from .core import (
     Ring,
     UnsupportedRingError,
     ensure,
+    not_primitive,
     require_primitive,
 )
 from .rings import IntegersMod, ProductRing, RationalPoly, _trial_factors
@@ -96,21 +97,28 @@ def find_good_witness(
     """Scan N = 1..bound for a unit in the class of b^N mod aA.
 
     Returns the minimal-N witness (unit_residue_witness is exact), or
-    Exhausted. At a = 0, reduce_mod gives b, a unit as (0, b) is primitive,
-    so N = 1 and eps = b once bound >= 1. The scan needs no cycle check: b
-    is a unit mod aA, so a residue that repeats after i steps means b^i = 1
-    mod aA, and the scan already met the class of 1, which holds the unit
-    1, at N = i. A negative bound raises ValueError.
+    Exhausted. A witness is its own primitivity proof: b^N + lam*a a unit
+    gives aA + bA = A. So require_primitive, which raises NotPrimitiveError,
+    runs only when N = 1 finds no unit, or when the bound is 0; a class that
+    holds a unit is primitive, so a pair that is not finds none at N = 1.
+    At a = 0, reduce_mod gives b, a unit as (0, b) is primitive, so N = 1
+    and eps = b once bound >= 1. The scan needs no cycle check: b is a unit
+    mod aA, so a residue that repeats after i steps means b^i = 1 mod aA,
+    and the scan already met the class of 1, which holds the unit 1, at
+    N = i. A negative bound raises ValueError.
     """
     if bound < 0:
         raise ValueError(f"the witness bound must be at least 0, not {bound}")
-    require_primitive(ring, (a, b))
     r = ring.one()
     for N in range(1, bound + 1):
         r = ring.reduce_mod(a, ring.mul(b, r))
         eps = ring.unit_residue_witness(a, r)
         if eps is not None:
             return _witness_at(ring, a, b, N, eps)
+        if N == 1:
+            require_primitive(ring, (a, b))
+    if bound == 0:
+        require_primitive(ring, (a, b))
     return Exhausted(bound=bound)
 
 
@@ -305,8 +313,8 @@ def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:
     The root evaluations of b decide everything: all ratios 1 give N = 1,
     ratios in {1, -1} give N = 2, anything else refutes. They also decide
     primitivity, checked after the split: a split squarefree a is coprime
-    to b iff b vanishes at no root, so only a constant a or a zero value
-    runs the Bezout test, which raises NotPrimitiveError.
+    to b iff b vanishes at no root, so a zero value, a common root, raises
+    NotPrimitiveError, and only a constant a runs the Bezout test.
     """
     if not isinstance(ring, RationalPoly):
         raise UnsupportedRingError("the rational-split decision works over Q[T]")
@@ -322,7 +330,7 @@ def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:
         )
     vals = [pu.eval_at(field, b, th) for th in roots]
     if field.zero() in vals:
-        require_primitive(ring, (a, b))
+        raise not_primitive(ring, (a, b))
     base = vals[0]
     N = 1
     for v in vals:
@@ -348,7 +356,8 @@ def refute_integer_poly_point(ring: Ring, a, b) -> Optional[RationalEvaluation]:
         if coeff.denominator != 1:
             raise PreconditionError("both polynomials must have integer coefficients")
     # necessary primitivity checks: coprimality over Q[T], joint content 1
-    require_primitive(ring, (a, b))
+    if pu.monic_gcd(ring.field, a, b) != ring.one():
+        raise not_primitive(ring, (a, b))
     content = 0
     for coeff in (*a, *b):
         content = gcd(content, int(coeff))

@@ -929,3 +929,44 @@ def test_decide_qt_refuses_a_non_split_a_without_a_bezout_chain(a, b, ceiling):
     assert out["diagnostics"] == [
         "the coefficient polynomial must be squarefree with all roots rational"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, code, status, diagnostics, ceiling",
+    [
+        # row 10: coprime, refuted at the root 0; the Fraction Bezout chain
+        # at degree 1000 ran past 20 s, the integer gcd takes 0.01 s
+        (
+            ("refute-zt", "--a", "2*T^1000-T^31", "--b", "2*T^10+5*T^3+7"),
+            0, "refuted", [], 2.0,
+        ),
+        # row 11: coprime and inconclusive; the chain took 6.7 s
+        (
+            ("refute-zt", "--a", _dense_qt(1, 60), "--b", _dense_qt(2, 59)),
+            0, "ok", ["no rational root of a sends b outside the unit circle of Z"], 2.0,
+        ),
+        # row 11: the squarefree step of rational_roots, a Fraction Euclid at
+        # degree 60, took about 1.1 s; the whole process now takes 0.13 s
+        (
+            ("decide-qt", "--a", _dense_qt(1, 60), "--b", _dense_qt(2, 59)),
+            2, "error", ["the coefficient polynomial must be squarefree with all roots rational"], 0.75,
+        ),
+        # row 9: not primitive, which the integer gcd finds once N = 1 gives
+        # no unit; the chain at degree 1000 ran past 15 s
+        (
+            ("witness", "--a", "7*T^1000+3/4*T", "--b", "3/4*T+2*T^100+5*T^3"),
+            2, "error", ["(7*T^1000+3/4*T, 2*T^100+5*T^3+3/4*T) does not generate the unit ideal in Q[T]"], 2.0,
+        ),
+    ],
+    ids=["row-10-refute-zt", "row-11-refute-zt", "row-11-decide-qt", "row-9-witness"],
+)
+def test_high_degree_q_t_commands_build_no_fraction_cofactors(argv, code, status, diagnostics, ceiling):
+    # the child is killed at the ceiling, so a return to the Fraction
+    # Bezout chain or the Fraction Euclid fails here
+    proc = subprocess.run(
+        [sys.executable, "-m", "goodrings", argv[0], "--ring", "Q[T]", *argv[1:]],
+        capture_output=True, text=True, timeout=ceiling, env=_module_env(),
+    )
+    assert proc.returncode == code, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["status"], out["diagnostics"]) == (status, diagnostics)

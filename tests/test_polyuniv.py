@@ -1,6 +1,7 @@
 """Rational roots of Q-polynomials against a divisor-enumeration reference,
 powers modulo a polynomial against repeated multiplication, and the
-cofactor-free gcd against the extended one."""
+cofactor-free gcd against the extended one and, over Q, against Euclid on
+Fractions."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goodrings import polyuniv as pu
-from goodrings.rings import PrimeField, Rationals
+from goodrings.rings import PrimeField, RationalPoly, Rationals
 
 Q = Rationals()
 
@@ -170,3 +171,61 @@ def test_monic_gcd_is_the_extended_gcd(field):
         assert d == pu.xgcd(field, f, g)[0]
         seen.add(pu.deg(d))
     assert {-1, 0, 1, 2, 3} <= seen
+
+
+def _fraction_euclid(f: tuple, g: tuple) -> tuple:
+    """The monic gcd by Euclid's algorithm on Fractions, each divisor made
+    monic first: the reference for the integer gcd over Q."""
+    f, g = list(f), list(g)
+    while g:
+        g = [c / g[-1] for c in g]
+        r = f[:]
+        while len(r) >= len(g):
+            top, shift = r[-1], len(r) - len(g)
+            for i, c in enumerate(g):
+                r[shift + i] -= top * c
+            while r and r[-1] == 0:
+                r.pop()
+        f, g = g, r
+    return tuple(c / f[-1] for c in f)
+
+
+def _q_pairs(rng) -> list:
+    """Q-polynomial pairs: zero and constant operands, dense pairs of degree
+    up to 30 with a planted common factor of degree 0-10 half the time, and
+    pairs of degree up to 200 whose first Euclid step leaves degree at most
+    20, so the reference stays fast there. Coefficients carry denominators
+    up to 4 and either sign, the leading one included."""
+    zero, two = (), (Fraction(2),)
+    pairs = [(zero, zero), (zero, two), (two, zero), (two, two), (zero, (Fraction(-1, 3), Fraction(-5, 2)))]
+    for _ in range(150):
+        c = _random_poly(rng, Q, rng.randint(1, 10)) if rng.random() < 0.5 else (Fraction(1),)
+        top = 30 - pu.deg(c)
+        f = pu.mul(Q, c, _random_poly(rng, Q, rng.randint(-1, top)))
+        g = pu.mul(Q, c, _random_poly(rng, Q, rng.randint(-1, top)))
+        pairs.append((f, g))
+    for _ in range(20):
+        c = _random_poly(rng, Q, rng.randint(0, 10))
+        g = pu.mul(Q, c, _random_poly(rng, Q, rng.randint(90, 190 - pu.deg(c))))
+        q = _random_poly(rng, Q, rng.randint(0, 200 - pu.deg(g)))
+        r = pu.mul(Q, c, _random_poly(rng, Q, rng.randint(-1, 10)))
+        pairs.append((pu.add(Q, pu.mul(Q, q, g), r), g))
+    return pairs
+
+
+def test_monic_gcd_over_q_is_the_fraction_euclid():
+    rng = random.Random(11)
+    degrees = set()
+    for f, g in _q_pairs(rng):
+        d = pu.monic_gcd(Q, f, g)
+        assert d == _fraction_euclid(f, g), (f, g)
+        assert all(type(c) is Fraction for c in d)
+        degrees.add(pu.deg(d))
+    assert set(range(-1, 11)) <= degrees
+
+
+def test_monic_gcd_over_q_of_one_high_degree_pair():
+    # the degree-1000 pair of hang row 9, whose gcd is T
+    qt = RationalPoly()
+    f, g = qt.parse_element("7*T^1000+3/4*T"), qt.parse_element("3/4*T+2*T^100+5*T^3")
+    assert pu.monic_gcd(Q, f, g) == (Fraction(0), Fraction(1))

@@ -304,6 +304,30 @@ def test_rational_poly_bezout():
     assert QT.bezout((a, QT.parse_element("T"))) is None
 
 
+def test_q_t_and_locq_bezout_refuse_a_common_factor_without_cofactors(monkeypatch):
+    # the integer gcd finds the common factor (over locQ(p), one with a root
+    # in {0} u {p^k}), so no extended Euclid runs; a coprime tuple still gets
+    # its certificate from the chain
+    calls, xgcd = [], pu.xgcd
+    monkeypatch.setattr(pu, "xgcd", lambda *args: calls.append(args) or xgcd(*args))
+    for texts in [("T^2-T", "T"), ("0", "0"), ("0", "3*T+3"), ("T^3-T", "T^2+T", "2*T^2-2")]:
+        assert QT.bezout(tuple(QT.parse_element(t) for t in texts)) is None, texts
+    assert calls == []
+    locq = LocalizedRationalPoly(2)
+    for texts in [("T^2-2*T", "(T-2)/(T+1)"), ("0", "T-4"), ("T^3-16*T", "(T^2-8*T+16)/(T-1)")]:
+        assert locq.bezout(tuple(locq.parse_element(t) for t in texts)) is None, texts
+    assert calls == []
+    # a common factor T - 1 is a unit of locQ(2): a certificate still comes
+    for ring, texts in [(QT, ("T^3-T", "T^2+T", "T^2+1")), (locq, ("T^2-1", "(T-1)/(T+3)"))]:
+        xs = tuple(ring.parse_element(t) for t in texts)
+        coeffs = ring.bezout(xs)
+        total = ring.zero()
+        for c, x in zip(coeffs, xs):
+            total = ring.add(total, ring.mul(c, x))
+        assert total == ring.one()
+    assert calls
+
+
 def test_polynomial_rings_share_one_class():
     assert isinstance(F3T, UnivariatePolyRing)
     assert isinstance(QT, UnivariatePolyRing)

@@ -80,6 +80,79 @@ def test_find_good_witness_rejects_non_primitive():
         find_good_witness(Z, 6, 4)
 
 
+# (ring, a, b, the NotPrimitiveError text), the texts as up-front Bezout
+# tests gave them before the search checked primitivity only on need
+_NON_PRIMITIVE = [
+    ("Z", "6", "4", "(6, 4) does not generate the unit ideal in Z"),
+    ("Z", "0", "2", "(0, 2) does not generate the unit ideal in Z"),
+    ("Z/12", "4", "2", "(4, 2) does not generate the unit ideal in Z/12"),
+    ("Z/12", "0", "3", "(0, 3) does not generate the unit ideal in Z/12"),
+    ("GF(3)[T]", "T^2+T", "T", "(T^2+T, T) does not generate the unit ideal in GF(3)[T]"),
+    ("GF(3)[T]", "T^2+2", "T^3+2*T", "(T^2+2, T^3+2*T) does not generate the unit ideal in GF(3)[T]"),
+    ("Q[T]", "T^2-1", "2*T+2", "(T^2-1, 2*T+2) does not generate the unit ideal in Q[T]"),
+    ("Q[T]", "0", "3/2*T^2+T", "(0, 3/2*T^2+T) does not generate the unit ideal in Q[T]"),
+    ("Q[T]", "1/2*T^3-T", "T^2-2", "(1/2*T^3-T, T^2-2) does not generate the unit ideal in Q[T]"),
+    ("locQ(2)", "T-2", "T^2-4", "((T-2)/(1), (T^2-4)/(1)) does not generate the unit ideal in locQ(2)"),
+    (
+        "locQ(3)", "T^2-9*T", "(T)/(T+1)",
+        "((T^2-9*T)/(1), (T)/(T+1)) does not generate the unit ideal in locQ(3)",
+    ),
+    ("locQ(2)", "0", "T-4", "((0)/(1), (T-4)/(1)) does not generate the unit ideal in locQ(2)"),
+    (
+        "prod(Z,GF(5)[T])", "(2,T)", "(4,1)",
+        "((2,T), (4,1)) does not generate the unit ideal in prod(Z,GF(5)[T])",
+    ),
+    (
+        "prod(Z/6,Q[T])", "(1,T^2-T)", "(5,T-1)",
+        "((1,T^2-T), (5,T-1)) does not generate the unit ideal in prod(Z/6,Q[T])",
+    ),
+    (
+        "prod(prod(Z,Z/4),locQ(5))", "((1,2),T-5)", "((3,2),T^2-25)",
+        "(((1,2),(T-5)/(1)), ((3,2),(T^2-25)/(1))) does not generate the unit "
+        "ideal in prod(prod(Z,Z/4),locQ(5))",
+    ),
+]
+
+
+@pytest.mark.parametrize("bound", [0, 1, None], ids=["bound-0", "bound-1", "default"])
+@pytest.mark.parametrize("spec, a, b, message", _NON_PRIMITIVE)
+def test_find_good_witness_refuses_a_non_primitive_pair_at_every_bound(spec, a, b, message, bound):
+    # the scan looks at N = 1 first; a class with a unit is primitive, so
+    # none turns up, and the Bezout test then names the pair
+    ring = parse_ring(spec)
+    x, y = ring.parse_element(a), ring.parse_element(b)
+    kwargs = {} if bound is None else {"bound": bound}
+    with pytest.raises(NotPrimitiveError) as info:
+        find_good_witness(ring, x, y, **kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec, a, b, N",
+    [
+        ("Z", "5", "4", 1),
+        ("Z", "5", "2", 2),
+        ("Z/12", "4", "7", 1),
+        ("GF(3)[T]", "T^2+1", "T^2+2", 1),
+        ("Q[T]", "T^2-1", "T^2+2", 1),
+        ("Q[T]", "T^2-T", "2*T-1", 2),
+        ("locQ(2)", "T-2", "T+1", 1),
+        ("prod(Z,Q[T])", "(5,T^2)", "(4,T^2+3)", 1),
+        ("prod(Z,Q[T])", "(5,T^2)", "(2,T^2+3)", 2),
+    ],
+)
+def test_a_witness_at_n_1_is_its_own_primitivity_proof(spec, a, b, N, monkeypatch):
+    # b + lam*a = eps a unit shows aA + bA = A, so no Bezout certificate is
+    # built; one is built only when N = 1 finds no unit
+    ring = parse_ring(spec)
+    calls, bezout = [], ring.bezout
+    monkeypatch.setattr(ring, "bezout", lambda xs: calls.append(xs) or bezout(xs))
+    x, y = ring.parse_element(a), ring.parse_element(b)
+    out = find_good_witness(ring, x, y)
+    assert out.witness.N == N
+    assert len(calls) == (N > 1)
+
+
 def test_witness_epsilon_prefers_plus_one():
     # modulo 2 the classes of 1 and -1 coincide; the tie goes to +1
     out = find_good_witness(Z, 2, 3)
@@ -238,6 +311,30 @@ def test_refute_integer_poly_requires_joint_content_one():
         refute_integer_poly_point(
             QT, QT.parse_element("2*T"), QT.parse_element("2*T-2")
         )
+
+
+@pytest.mark.parametrize(
+    "decide, a, b",
+    [
+        (refute_integer_poly_point, "T^2-1", "T-1"),
+        (refute_integer_poly_point, "0", "T^2+T"),
+        (refute_integer_poly_point, "T^3-2*T", "3*T^2-6"),
+        (decide_good_point_rational_split, "T^2-T", "T"),
+        (decide_good_point_rational_split, "T^3-4*T", "T^2+T-6"),
+    ],
+)
+def test_q_t_deciders_refuse_a_common_factor_without_a_bezout_chain(decide, a, b, monkeypatch):
+    # refute-zt tests coprimality by the integer gcd, and decide-qt reads it
+    # off a zero root value; both raise the text require_primitive gives
+    x, y = QT.parse_element(a), QT.parse_element(b)
+
+    def no_chain(*args):
+        raise AssertionError("a Bezout chain ran")
+
+    monkeypatch.setattr(pu, "xgcd", no_chain)
+    with pytest.raises(NotPrimitiveError) as info:
+        decide(QT, x, y)
+    assert str(info.value) == f"({a}, {QT.format_element(y)}) does not generate the unit ideal in Q[T]"
 
 
 # ---------------------------------------------------------------------------
