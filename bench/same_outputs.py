@@ -24,6 +24,11 @@ _locq_commands, whose roots in {0} union {p^k} reach p^6 and repeat.
 Then seeded Q[T] and locQ(p) pairs of degree at most 30 (workload "qt",
 kind the subcommand): `witness` with a small bound, `decide-qt` and
 `refute-zt` of _qt_commands, not primitive or not split among them.
+Then Bezout certificates (workload "bezout", kind the ring): ring.bezout
+of seeded tuples of length 1 to 3 over every ring kind, a common factor
+planted in a third of them, from _bezout_cases, digested as the coefficients
+or None; the Q[T] tuples reach degree 30, and row 10's pair (seed "-")
+comes once.
 Last, constructions (workload "construct-grid", kind "poly:" or "trace:"
 then the ring): for each (ring, points, bound) of CONSTRUCT_GRID, rings and
 point sets the benchmark never draws (Z/n and products with zero divisors,
@@ -96,6 +101,10 @@ CONSTRUCT_GRID = (
 
 # pairs per seed of the "qt" section: 3 Q[T] commands each, and a locQ(p) one every other pair
 QT_PAIRS = 150
+# tuples per ring and seed of the "bezout" section
+BEZOUT_TUPLES = 12
+# hang row 10's coprime pair of degree 1000 and 10, digested once
+ROW_10 = ("2*T^1000-T^31", "2*T^10+5*T^3+7")
 
 SUBCOMMANDS = ("witness", "construct", "check-good", "quotient-units", "decide-qt", "refute-zt", "sab", "bridge")
 _PAIR = ["--ring", "Z", "--a", "5", "--b", "2"]
@@ -151,6 +160,15 @@ def _t_poly(scale, roots, rest=(1,)) -> str:
     return "+".join(f"({c})*T^{i}" for i, c in enumerate(f) if c)
 
 
+def _poly_mul(f, g) -> list:
+    """The product of two ascending coefficient lists."""
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
 def _locq_commands() -> list:
     """A fixed grid on locQ(p): roots p^k up to p^6, repeated roots, roots
     outside {0} union {p^k} (-p, 1, 1/p, p^4 + 1, -p^6), a factor T^2 + 1
@@ -189,13 +207,6 @@ def _qt_commands(seed: int) -> list:
             Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
         ]
 
-    def mul(f, g) -> list:
-        out = [Fraction(0)] * (len(f) + len(g) - 1)
-        for i, x in enumerate(f):
-            for j, y in enumerate(g):
-                out[i + j] += x * y
-        return out
-
     argvs = []
     for i in range(QT_PAIRS):
         p, ints = rng.choice((2, 3, 5)), rng.random() < 2 / 3
@@ -210,15 +221,15 @@ def _qt_commands(seed: int) -> list:
             rest = [Fraction(rng.choice((1, 2, 3, -1)))]
         a = rest
         for z in roots:
-            a = mul(a, [Fraction(-z), Fraction(1)])
+            a = _poly_mul(a, [Fraction(-z), Fraction(1)])
         kind = rng.randrange(3)
         if kind == 0:
             b = poly(rng.randint(0, 30), ints)
         elif kind == 1:
             shared = [Fraction(-roots[0]), Fraction(1)] if roots else rest
-            b = mul(shared, poly(rng.randint(0, 30 - len(shared) + 1), ints))
+            b = _poly_mul(shared, poly(rng.randint(0, 30 - len(shared) + 1), ints))
         else:
-            b = mul(a, poly(rng.randint(0, 30 - len(a) + 1), ints))
+            b = _poly_mul(a, poly(rng.randint(0, 30 - len(a) + 1), ints))
             b[0] += rng.choice((1, -1, 2, -2))
         pair = ["--a", _t_poly(1, [], a), "--b", _t_poly(1, [], b) or "0"]
         bound = ["--bound", str(rng.randint(1, 4))]
@@ -227,6 +238,64 @@ def _qt_commands(seed: int) -> list:
         if i % 2:
             argvs.append(["witness", "--ring", f"locQ({p})", *pair, *bound])
     return argvs
+
+
+def _bezout_cases(seed: int) -> list:
+    """(ring spec, element literals) for the "bezout" section: BEZOUT_TUPLES
+    tuples on each of Z (negatives and zeros), Z/n, GF(p)[T], Q[T] (degree
+    up to 30) and locQ(p), each of one to three elements that share a drawn
+    factor a third of the time, and as many on prod(Z,Q[T]) and
+    prod(Z/n,locQ(p)) from those tuples."""
+    rng = random.Random(seed)
+    n, p = rng.randint(2, 400), rng.choice((2, 3, 5, 101))
+
+    def poly(top, coeff) -> list:
+        degree = rng.randint(-1, top)
+        return [coeff() for _ in range(degree)] + [rng.choice((-3, -1, 1, 2))] if degree >= 0 else []
+
+    def small() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def residue() -> int:
+        return rng.randrange(p)
+
+    def roots() -> list:
+        # 0 and p^k are roots outside locQ(p)'s set S, 1 and -3 are not
+        return rng.sample([0, p, p * p, 1, -3], rng.randint(0, 3))
+
+    # per ring: an element, a common factor, their product, and its literal;
+    # a locQ(p) element is (scale, roots of its numerator, denominator in S)
+    kinds = {
+        "Z": (
+            lambda: rng.choice((0, rng.randint(-99, 99), rng.randint(-(10**20), 10**20), rng.randint(-9, 9))),
+            lambda: rng.randint(-30, 30), lambda c, x: c * x, str,
+        ),
+        f"Z/{n}": (lambda: rng.randrange(n), lambda: rng.randrange(n), lambda c, x: c * x % n, str),
+        f"GF({p})[T]": (
+            lambda: poly(12, residue), lambda: poly(3, residue), _poly_mul,
+            lambda f: _t_poly(1, [], [c % p for c in f]) or "0",
+        ),
+        "Q[T]": (lambda: poly(30, small), lambda: poly(8, small), _poly_mul, lambda f: _t_poly(1, [], f) or "0"),
+        f"locQ({p})": (
+            lambda: (rng.choice((0, 1, Fraction(-2, 3))), roots(), rng.choice(("1", "T+1", "T^2+3"))),
+            roots, lambda c, x: (x[0], x[1] + c, x[2]),
+            lambda x: f"({_t_poly(x[0], x[1]) or '0'})/({x[2]})",
+        ),
+    }
+    cases = {}
+    for spec, (element, factor, planted, literal) in kinds.items():
+        cases[spec] = []
+        for _ in range(BEZOUT_TUPLES):
+            xs = [element() for _ in range(rng.choice((1, 2, 2, 3, 3)))]
+            if rng.random() < 1 / 3:
+                c = factor()
+                xs = [planted(c, x) for x in xs]
+            cases[spec].append([literal(x) for x in xs])
+    for left, right in (("Z", "Q[T]"), (f"Z/{n}", f"locQ({p})")):
+        cases[f"prod({left},{right})"] = [
+            [f"({x},{y})" for x, y in zip(xs, ys)] for xs, ys in zip(cases[left], cases[right])
+        ]
+    return [(spec, xs) for spec, tuples in cases.items() for xs in tuples]
 
 
 def _digest(call) -> str:
@@ -301,6 +370,15 @@ def main() -> int:
     for seed in seeds:
         for i, argv in enumerate(_qt_commands(seed)):
             print("qt", seed, i, argv[0], _digest(lambda: cli.run(argv)), flush=True)
+
+    def certificate(spec, texts):
+        ring = parse_ring(spec)
+        return ring.bezout(tuple(ring.parse_element(t) for t in texts))
+
+    for seed in seeds:
+        for i, (spec, texts) in enumerate(_bezout_cases(seed)):
+            print("bezout", seed, i, spec, _digest(lambda: certificate(spec, texts)), flush=True)
+    print("bezout", "-", 0, "Q[T]", _digest(lambda: certificate("Q[T]", ROW_10)), flush=True)
     for i, (spec, points, bound) in enumerate(CONSTRUCT_GRID):
 
         @functools.cache  # an exception is not cached: it is raised again

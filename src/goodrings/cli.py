@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 
-from .core import GoodRingsError, ParseError, Ring, ensure, require_primitive
+from .core import GoodRingsError, ParseError, Ring, ensure, not_primitive, require_primitive
 from .homog import (
     HomogeneousPolynomial,
     WitnessSearchExhausted,
@@ -213,11 +213,13 @@ def _cmd_sab(args) -> tuple:
 def _cmd_bridge(args) -> tuple:
     ring, a, b = _ring_and_pair(args)
     if args.to_poly:
-        point = require_primitive(ring, (a, b))
+        if args.bound < 0 and not ring.generates_unit_ideal((a, b)):
+            raise not_primitive(ring, (a, b))  # reported before the bound error
         outcome = find_good_witness(ring, a, b, bound=args.bound)
         if not isinstance(outcome, Witness):
             return _outcome_result(ring, outcome)
         w = outcome.witness
+        point = require_primitive(ring, (a, b))
         poly = witness_to_polynomial(ring, a, b, point.certificate, w)
         payload = {"polynomial": poly.format()}
         payload.update(_witness_payload(ring, w))

@@ -188,6 +188,10 @@ class Ring:
         not generate the unit ideal."""
         raise NotImplementedError
 
+    def generates_unit_ideal(self, xs: Sequence) -> bool:
+        """Whether bezout(xs) is not None, for a caller that reads no coefficients."""
+        return self.bezout(xs) is not None
+
     def reduce_mod(self, a, x):
         """Canonical representative of x modulo the principal ideal aA."""
         raise NotImplementedError

@@ -70,6 +70,7 @@ def _key_codec(n_vars: int, degree: int) -> struct.Struct:
 
 def monomial_exponents(n_vars: int, degree: int) -> Iterator[tuple]:
     """All exponent tuples of the given total degree, lex descending."""
+    _check_n_vars(n_vars)
     if n_vars == 1:
         yield (degree,)
         return

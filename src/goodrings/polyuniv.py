@@ -97,46 +97,39 @@ def powmod(field, f: tuple, n: int, m: tuple) -> tuple:
     return power(mulmod, divmod_poly(field, (field.one(),), m)[1], f, n)
 
 
-def monic(field, f: tuple) -> tuple:
-    if not f:
-        return ()
-    return scale(field, field.unit_inverse(f[-1]), f)
-
-
 def xgcd(field, f: tuple, g: tuple) -> tuple[tuple, tuple, tuple]:
-    """Extended gcd: returns (d, s, t) with s*f + t*g = d, d monic or zero."""
+    """Extended gcd: (d, s, t) with s*f + t*g = d, d monic or zero. Euclid
+    tracks s alone, as t = (d - s*f)/g exactly, () when g = () (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 1.3.6)."""
     r0, r1 = f, g
     s0, s1 = (field.one(),), ()
-    t0, t1 = (), (field.one(),)
     while r1:
         q, r = divmod_poly(field, r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, sub(field, s0, mul(field, q, s1))
-        t0, t1 = t1, sub(field, t0, mul(field, q, t1))
     if r0:
         c = field.unit_inverse(r0[-1])
         r0 = scale(field, c, r0)
         s0 = scale(field, c, s0)
-        t0 = scale(field, c, t0)
-    return r0, s0, t0
+    t = divmod_poly(field, sub(field, r0, mul(field, s0, f)), g)[0] if g else ()
+    return r0, s0, t
 
 
 def monic_gcd(field, f: tuple, g: tuple) -> tuple:
-    """xgcd(field, f, g)[0] without the cofactors: 1 at once when f or g
-    is a nonzero constant (von zur Gathen & Gerhard, ch. 3).
+    """xgcd(field, f, g)[0]: 1 at once when f or g is a nonzero constant
+    (von zur Gathen & Gerhard, ch. 3).
 
-    Over GF(p) this is Euclid's loop. Over the rationals it is the primitive
-    PRS on integer coefficients (Collins, J. ACM 1967; Brown, J. ACM 1971):
-    with the denominators cleared, each pseudo-remainder is divided by its
-    content, so the coefficients stay as small as the gcd's, where Euclid
-    over Fractions grows them; the last nonzero one, made monic, is the gcd.
+    Over GF(p) this is xgcd itself, the one Euclid loop. Over the rationals
+    it is the primitive PRS on integer coefficients, with no cofactors
+    (Collins, J. ACM 1967; Brown, J. ACM 1971): with the denominators
+    cleared, each pseudo-remainder is divided by its content, so the
+    coefficients stay as small as the gcd's, where Euclid over Fractions
+    grows them; the last nonzero one, made monic, is the gcd.
     """
     if len(f) == 1 or len(g) == 1:
         return (field.one(),)
     if field.characteristic:
-        while g:
-            f, g = g, divmod_poly(field, f, g)[1]
-        return monic(field, f)
+        return xgcd(field, f, g)[0]
     f, g = _integer_part(f), _integer_part(g)
     while g:
         if len(g) == 1:

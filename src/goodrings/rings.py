@@ -24,18 +24,17 @@ _FRACTION_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def _int_xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0, Euclid tracking s
+    alone as polyuniv.xgcd does: t = (g - s*a)/b exactly, 0 when b = 0."""
     old_r, r = a, b
     old_s, s = 1, 0
-    old_t, t = 0, 1
     while r:
         q = old_r // r
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
     if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+        old_r, old_s = -old_r, -old_s
+    return old_r, old_s, (old_r - old_s * a) // b if b else 0
 
 
 def _chain(xgcd, mul, zero, xs) -> tuple:
@@ -476,12 +475,14 @@ class UnivariatePolyRing(Ring):
             return None
         return (self.field.unit_inverse(x[0]),)
 
+    def generates_unit_ideal(self, xs):
+        return reduce(partial(pu.monic_gcd, self.field), xs, ()) == self.one()
+
     def bezout(self, xs):
-        field = self.field
         # over Q the integer gcd refuses a common factor before any cofactor is built
-        if not field.characteristic and reduce(partial(pu.monic_gcd, field), xs, ()) != self.one():
+        if not self.field.characteristic and not self.generates_unit_ideal(xs):
             return None
-        g, coeffs = _chain(partial(pu.xgcd, field), partial(pu.mul, field), (), xs)
+        g, coeffs = _chain(partial(pu.xgcd, self.field), partial(pu.mul, self.field), (), xs)
         return tuple(coeffs) if g == self.one() else None
 
     def reduce_mod(self, a, x):
@@ -594,6 +595,9 @@ class ProductRing(Ring):
 
     def unit_inverse(self, x):
         return self._per_factor("unit_inverse", x)
+
+    def generates_unit_ideal(self, xs):
+        return all(f.generates_unit_ideal([x[i] for x in xs]) for i, f in enumerate(self.factors))
 
     def bezout(self, xs):
         columns = [[x[i] for x in xs] for i in range(len(self.factors))]
@@ -729,17 +733,17 @@ class LocalizedRationalPoly(Ring):
     def is_unit(self, x):
         return self._in_S(x[0])
 
+    def generates_unit_ideal(self, xs):
+        return self._in_S(reduce(partial(pu.monic_gcd, self.field), [x[0] for x in xs], ()))
+
     def bezout(self, xs):
-        field, nums = self.field, [x[0] for x in xs]
         # the integer gcd refuses a gcd outside S before any cofactor is built
-        if not self._in_S(reduce(partial(pu.monic_gcd, field), nums, ())):
+        if not self.generates_unit_ideal(xs):
             return None
-        g, coeffs = _chain(partial(pu.xgcd, field), partial(pu.mul, field), (), nums)
+        nums = [x[0] for x in xs]
+        g, coeffs = _chain(partial(pu.xgcd, self.field), partial(pu.mul, self.field), (), nums)
         # sum c_i * num_i = g, so sum (c_i d_i / g) x_i = 1; g is in S
-        return tuple(
-            self._reduced(pu.mul(self.field, c, x[1]), g)
-            for c, x in zip(coeffs, xs)
-        )
+        return tuple(self._reduced(pu.mul(self.field, c, x[1]), g) for c, x in zip(coeffs, xs))
 
     def reduce_mod(self, a, x):
         if a == self.zero():

@@ -21,7 +21,6 @@ from .core import (
     UnsupportedRingError,
     ensure,
     not_primitive,
-    require_primitive,
 )
 from .rings import IntegersMod, ProductRing, RationalPoly, _trial_factors
 
@@ -98,9 +97,9 @@ def find_good_witness(
 
     Returns the minimal-N witness (unit_residue_witness is exact), or
     Exhausted. A witness is its own primitivity proof: b^N + lam*a a unit
-    gives aA + bA = A. So require_primitive, which raises NotPrimitiveError,
-    runs only when N = 1 finds no unit, or when the bound is 0; a class that
-    holds a unit is primitive, so a pair that is not finds none at N = 1.
+    gives aA + bA = A. So NotPrimitiveError is raised by generates_unit_ideal
+    asked only when N = 1 finds no unit, or at bound 0; a class that holds
+    a unit is primitive, so a pair that is not finds none at N = 1.
     At a = 0, reduce_mod gives b, a unit as (0, b) is primitive, so N = 1
     and eps = b once bound >= 1. The scan needs no cycle check: b is a unit
     mod aA, so a residue that repeats after i steps means b^i = 1 mod aA,
@@ -115,10 +114,10 @@ def find_good_witness(
         eps = ring.unit_residue_witness(a, r)
         if eps is not None:
             return _witness_at(ring, a, b, N, eps)
-        if N == 1:
-            require_primitive(ring, (a, b))
-    if bound == 0:
-        require_primitive(ring, (a, b))
+        if N == 1 and not ring.generates_unit_ideal((a, b)):
+            raise not_primitive(ring, (a, b))
+    if bound == 0 and not ring.generates_unit_ideal((a, b)):
+        raise not_primitive(ring, (a, b))
     return Exhausted(bound=bound)
 
 
@@ -264,7 +263,7 @@ def _prove_pairs(ring: IntegersMod) -> None:
     b + lam*a = eps, recomputed: with the inverse of eps, that is the
     member's witness (1, lam, eps, eps^-1). This is exact: (1) if
     b + lam*a is a unit then aA + bA = A, so a class that holds a unit is
-    primitive; (2) aA + bA depends only on b + aA, so one bezout decides a
+    primitive; (2) aA + bA depends only on b + aA, so one ideal test decides a
     class with no unit; (3) on a finite ring a primitive class always holds
     a unit (a finite ring is semilocal, so it has stable range one; on Z/m
     the class c + gZ holds a unit iff gcd(c, g) = 1, iff gcd(a, b, m) = 1),
@@ -288,8 +287,8 @@ def _class_lams(ring: IntegersMod, a: int):
     A unit eps is checked once to have an inverse. That it lies in its class
     is left to each member's identity in _prove_pairs: were eps = r + y mod
     g with 0 < y < g, this lam would give b + lam*a = eps - y, not eps. A
-    class with no unit is checked with one bezout on its first member r,
-    which must find (a, r) not primitive.
+    class with no unit is checked with one generates_unit_ideal on its
+    first member r, which must find (a, r) not primitive.
     """
     m, one = ring.n, ring.one()
     g = gcd(a, m)
@@ -297,7 +296,7 @@ def _class_lams(ring: IntegersMod, a: int):
     for r in range(g):
         eps = ring.unit_residue_witness(a, r)
         if eps is None:
-            ensure(ring.bezout((a, r)) is None, "a primitive class holds no unit")
+            ensure(not ring.generates_unit_ideal((a, r)), "a primitive class holds no unit")
             continue
         eps_inv = ring.unit_inverse(eps)
         ok = eps_inv is not None and ring.mul(eps, eps_inv) == one
@@ -314,13 +313,12 @@ def decide_good_point_rational_split(ring: Ring, a, b) -> SearchOutcome:
     ratios in {1, -1} give N = 2, anything else refutes. They also decide
     primitivity, checked after the split: a split squarefree a is coprime
     to b iff b vanishes at no root, so a zero value, a common root, raises
-    NotPrimitiveError, and only a constant a runs the Bezout test.
+    NotPrimitiveError. A constant a is decided by find_good_witness at N = 1.
     """
     if not isinstance(ring, RationalPoly):
         raise UnsupportedRingError("the rational-split decision works over Q[T]")
     if len(a) <= 1:
-        require_primitive(ring, (a, b))
-        return _witness_at(ring, a, b, 1, ring.unit_residue_witness(a, ring.reduce_mod(a, b)))
+        return find_good_witness(ring, a, b, bound=1)
     field = ring.field
     # the roots are distinct: a is squarefree and split iff there are deg(a)
     roots = pu.rational_roots(field, a)
@@ -356,11 +354,9 @@ def refute_integer_poly_point(ring: Ring, a, b) -> Optional[RationalEvaluation]:
         if coeff.denominator != 1:
             raise PreconditionError("both polynomials must have integer coefficients")
     # necessary primitivity checks: coprimality over Q[T], joint content 1
-    if pu.monic_gcd(ring.field, a, b) != ring.one():
+    if not ring.generates_unit_ideal((a, b)):
         raise not_primitive(ring, (a, b))
-    content = 0
-    for coeff in (*a, *b):
-        content = gcd(content, int(coeff))
+    content = gcd(*map(int, (*a, *b)))
     if content != 1:
         raise PreconditionError(
             f"coefficients share the integer factor {content}, so the pair "

@@ -63,6 +63,12 @@ def test_a_negative_bound_is_an_error_not_a_search(argv):
     assert out["diagnostics"] == ["the witness bound must be at least 0, not -1"]
 
 
+def test_bridge_reports_a_pair_that_is_not_primitive_before_a_negative_bound():
+    # the order bridge --to-poly has always had; witness reports the bound
+    code, out = invoke("bridge", "--ring", "Z", "--a", "2", "--b", "4", "--to-poly", "--bound", "-1")
+    assert (code, out["diagnostics"]) == (2, ["(2, 4) does not generate the unit ideal in Z"])
+
+
 def test_witness_non_primitive_pair_is_an_error():
     code, out = invoke("witness", "--ring", "Z", "--a", "6", "--b", "3")
     assert code == 2
@@ -957,8 +963,25 @@ def test_decide_qt_refuses_a_non_split_a_without_a_bezout_chain(a, b, ceiling):
             ("witness", "--a", "7*T^1000+3/4*T", "--b", "3/4*T+2*T^100+5*T^3"),
             2, "error", ["(7*T^1000+3/4*T, 2*T^100+5*T^3+3/4*T) does not generate the unit ideal in Q[T]"], 2.0,
         ),
+        # rows 10 and 11: coprime, and N = 1 finds no unit, so the scan asks
+        # for primitivity; the Fraction Bezout certificate it built took
+        # 20 s (row 10) and 6.3 s (row 11) as `witness`, and bridge built it
+        # up front: past 40 s and 11.5 s. The yes or no takes 0.12-0.21 s
+        (("witness", "--a", "2*T^1000-T^31", "--b", "2*T^10+5*T^3+7", "--bound", "1"), 3, "exhausted", [], 2.0),
+        (
+            ("bridge", "--to-poly", "--a", "2*T^1000-T^31", "--b", "2*T^10+5*T^3+7", "--bound", "1"),
+            3, "exhausted", [], 2.0,
+        ),
+        (("witness", "--a", _dense_qt(1, 60), "--b", _dense_qt(2, 59), "--bound", "1"), 3, "exhausted", [], 2.0),
+        (
+            ("bridge", "--to-poly", "--a", _dense_qt(1, 60), "--b", _dense_qt(2, 59), "--bound", "1"),
+            3, "exhausted", [], 2.0,
+        ),
     ],
-    ids=["row-10-refute-zt", "row-11-refute-zt", "row-11-decide-qt", "row-9-witness"],
+    ids=[
+        "row-10-refute-zt", "row-11-refute-zt", "row-11-decide-qt", "row-9-witness",
+        "row-10-witness", "row-10-bridge", "row-11-witness", "row-11-bridge",
+    ],
 )
 def test_high_degree_q_t_commands_build_no_fraction_cofactors(argv, code, status, diagnostics, ceiling):
     # the child is killed at the ceiling, so a return to the Fraction

@@ -68,9 +68,13 @@ def test_polynomial_arithmetic():
 
 
 def test_constant_and_linear_need_a_variable():
-    # both skip the exponent checks of the constructor, but not this one
+    # both skip the exponent checks of the constructor, but not this one;
+    # nor does monomial_exponents recurse without end below one variable
     with pytest.raises(ValueError, match="at least one variable"):
         HomogeneousPolynomial.linear(Z, [])
+    for n_vars in (0, -1):
+        with pytest.raises(ValueError, match="at least one variable"):
+            list(monomial_exponents(n_vars, 2))
     with pytest.raises(ValueError, match="at least one variable"):
         HomogeneousPolynomial.constant(Z, 0, 3)
     assert HomogeneousPolynomial.linear(Z, [0, 2, 0]).terms == {(0, 1, 0): 2}

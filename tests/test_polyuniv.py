@@ -5,13 +5,14 @@ Fractions."""
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from goodrings import polyuniv as pu
-from goodrings.rings import PrimeField, RationalPoly, Rationals
+from goodrings.rings import PrimeField, RationalPoly, Rationals, _int_xgcd
 
 Q = Rationals()
 
@@ -229,3 +230,63 @@ def test_monic_gcd_over_q_of_one_high_degree_pair():
     qt = RationalPoly()
     f, g = qt.parse_element("7*T^1000+3/4*T"), qt.parse_element("3/4*T+2*T^100+5*T^3")
     assert pu.monic_gcd(Q, f, g) == (Fraction(0), Fraction(1))
+
+
+def _two_cofactor_euclid(div, mul, sub, normal, zero, one, f, g) -> tuple:
+    """(d, s, t) by the extended Euclid that carries both cofactor
+    sequences, the reference for the one-cofactor loops: div gives the
+    quotient, and normal(r) the unit that normalizes the last remainder r."""
+    r0, r1, s0, s1, t0, t1 = f, g, one, zero, zero, one
+    while r1 != zero:
+        q = div(r0, r1)
+        r0, r1 = r1, sub(r0, mul(q, r1))
+        s0, s1 = s1, sub(s0, mul(q, s1))
+        t0, t1 = t1, sub(t0, mul(q, t1))
+    c = normal(r0)
+    return mul(c, r0), mul(c, s0), mul(c, t0)
+
+
+_INT = st.integers(-(10**30), 10**30) | st.integers(-3, 3)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_INT, _INT, st.integers(-50, 50) | st.integers(0, 1))
+def test_int_xgcd_is_the_two_cofactor_euclid(a, b, common):
+    # zero, unit and negative operands, and a planted common factor
+    a, b = a * common, b * common
+    expected = _two_cofactor_euclid(
+        lambda x, y: x // y, lambda x, y: x * y, lambda x, y: x - y,
+        lambda r: -1 if r < 0 else 1, 0, 1, a, b,
+    )
+    assert _int_xgcd(a, b) == expected
+
+
+def _field_polys(field):
+    coeff = (
+        st.fractions(min_value=-9, max_value=9, max_denominator=4)
+        if field is Q
+        else st.integers(0, field.characteristic - 1)
+    )
+    return st.lists(coeff, max_size=8).map(lambda cs: pu.trim(field, cs))
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(7), Q], ids=["GF(2)", "GF(7)", "Q"])
+def test_xgcd_is_the_two_cofactor_euclid(field):
+    # zero and constant operands at lengths 0 and 1; a planted common factor
+    # of degree 0 to 3 makes the gcd nontrivial
+    polys = _field_polys(field)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(polys, polys, polys.filter(lambda c: len(c) <= 4))
+    def check(f, g, common):
+        f, g = pu.mul(field, common, f), pu.mul(field, common, g)
+        expected = _two_cofactor_euclid(
+            lambda x, y: pu.divmod_poly(field, x, y)[0],
+            partial(pu.mul, field),
+            partial(pu.sub, field),
+            lambda r: (field.unit_inverse(r[-1]),) if r else (field.one(),),
+            (), (field.one(),), f, g,
+        )
+        assert pu.xgcd(field, f, g) == expected
+
+    check()

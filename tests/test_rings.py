@@ -462,7 +462,7 @@ def test_localized_reduced_is_canonical():
         num = pu.mul(QT.field, common, poly(rng.randint(-1, 5)))
         den = pu.mul(QT.field, common, poly(rng.randint(0, 5)))
         if rng.random() < 0.5:
-            den = pu.monic(QT.field, den)
+            den = pu.scale(QT.field, 1 / den[-1], den)
         rnum, rden = LOC2._reduced(num, den)
         assert rden[-1] == 1
         assert pu.xgcd(QT.field, rnum, rden)[0] == (Fraction(1),)
@@ -793,3 +793,64 @@ def test_product_residue_enumeration():
     # (Z/4 x GF(5)) / (2, 0) is Z/2 x GF(5): one unit residue times four
     assert PROD.quotient_size((2, 0)) == 2 * 5
     assert PROD.unit_quotient((2, 0)) == (1 * 4, 1)
+
+
+def _t_roots(roots) -> tuple:
+    """The monic product of T - z over the roots."""
+    f = (Fraction(1),)
+    for z in roots:
+        f = pu.mul(QT.field, f, (Fraction(-z), Fraction(1)))
+    return f
+
+
+def _qt_elements():
+    # 0, constants, and products of T, T - 1, T - 2 and T + 1, so that
+    # tuples share a factor often
+    roots = st.lists(st.sampled_from([0, 1, 2, -1]), max_size=3)
+    scale = st.sampled_from([Fraction(0), Fraction(1), Fraction(3)])
+    return st.tuples(scale, roots.map(_t_roots)).map(lambda t: pu.scale(QT.field, *t))
+
+
+def _locq_elements(ring):
+    # numerators with roots at 0, 1, p, p^2 and -3, the roots 0 and p^k
+    # outside S, over denominators 1, T + 1 and T^2 + 3, which are in S
+    roots = st.lists(st.sampled_from([0, 1, ring.p, ring.p**2, -3]), max_size=3)
+    scale = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)])
+    dens = st.sampled_from([(1,), (1, 1), (3, 0, 1)]).map(lambda cs: tuple(map(Fraction, cs)))
+    return st.tuples(scale, roots.map(_t_roots), dens).map(
+        lambda t: ring._reduced(pu.scale(ring.field, t[0], t[1]), t[2])
+    )
+
+
+_F7T = PolyOverPrimeField(7)
+_LOC3 = LocalizedRationalPoly(3)
+_Z_SHARED = st.integers(-12, 12).map(lambda n: 6 * n) | st.integers(-30, 30)
+_UNIT_IDEAL_CASES = [
+    (Z, _Z_SHARED),
+    (Z12, z12_elements()),
+    (_F7T, st.lists(st.integers(0, 6), max_size=3).map(lambda cs: pu.trim(_F7T.field, cs))),
+    (QT, _qt_elements()),
+    (LOC2, _locq_elements(LOC2)),
+    (_LOC3, _locq_elements(_LOC3)),
+    (ProductRing((Z, QT)), st.tuples(_Z_SHARED, _qt_elements())),
+    (ProductRing((QT, LOC2)), st.tuples(_qt_elements(), _locq_elements(LOC2))),
+    (ProductRing((Z12, _LOC3)), st.tuples(z12_elements(), _locq_elements(_LOC3))),
+]
+
+
+@pytest.mark.parametrize(
+    "ring, elems", _UNIT_IDEAL_CASES, ids=[ring.spec_string() for ring, _ in _UNIT_IDEAL_CASES]
+)
+def test_generates_unit_ideal_is_bezouts_answer(ring, elems):
+    # tuples of length 1 to 3; both answers must come up on every ring
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.lists(elems, min_size=1, max_size=3))
+    def check(xs):
+        answer = ring.generates_unit_ideal(tuple(xs))
+        assert answer == (ring.bezout(tuple(xs)) is not None)
+        seen.add(answer)
+
+    check()
+    assert seen == {True, False}

@@ -15,6 +15,7 @@ from goodrings.core import (
     LimitExceededError,
     NotPrimitiveError,
     PreconditionError,
+    Ring,
     UnsupportedRingError,
 )
 from goodrings.rings import (
@@ -134,6 +135,7 @@ def test_find_good_witness_refuses_a_non_primitive_pair_at_every_bound(spec, a, 
         ("Z", "5", "2", 2),
         ("Z/12", "4", "7", 1),
         ("GF(3)[T]", "T^2+1", "T^2+2", 1),
+        ("GF(3)[T]", "T^2+1", "T", 2),
         ("Q[T]", "T^2-1", "T^2+2", 1),
         ("Q[T]", "T^2-T", "2*T-1", 2),
         ("locQ(2)", "T-2", "T+1", 1),
@@ -142,15 +144,20 @@ def test_find_good_witness_refuses_a_non_primitive_pair_at_every_bound(spec, a, 
     ],
 )
 def test_a_witness_at_n_1_is_its_own_primitivity_proof(spec, a, b, N, monkeypatch):
-    # b + lam*a = eps a unit shows aA + bA = A, so no Bezout certificate is
-    # built; one is built only when N = 1 finds no unit
+    # b + lam*a = eps a unit shows aA + bA = A, so primitivity is asked only
+    # when N = 1 finds no unit, and then as a yes or no: a ring with its own
+    # generates_unit_ideal builds no Bezout certificate at all
     ring = parse_ring(spec)
-    calls, bezout = [], ring.bezout
-    monkeypatch.setattr(ring, "bezout", lambda xs: calls.append(xs) or bezout(xs))
+    asks, certs = [], []
+    ask, bezout = ring.generates_unit_ideal, ring.bezout
+    monkeypatch.setattr(ring, "generates_unit_ideal", lambda xs: asks.append(xs) or ask(xs))
+    monkeypatch.setattr(ring, "bezout", lambda xs: certs.append(xs) or bezout(xs))
     x, y = ring.parse_element(a), ring.parse_element(b)
     out = find_good_witness(ring, x, y)
     assert out.witness.N == N
-    assert len(calls) == (N > 1)
+    assert len(asks) == (N > 1)
+    overrides = type(ring).generates_unit_ideal is not Ring.generates_unit_ideal
+    assert len(certs) == (0 if overrides else len(asks))
 
 
 def test_witness_epsilon_prefers_plus_one():
